@@ -17,7 +17,8 @@ Input documents are JSON with a ``mode`` key selecting the payload shape:
 An optional ``options`` object may set ``delta``, ``threshold`` and
 ``format`` (``text`` or ``structured``); command-line flags override it.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
-1 not certified, 2 degenerate input, 3 usage or parse error.
+1 not certified, 2 degenerate input, 3 usage or parse error, 4 internal
+error (a solver or certification failure that should not happen).
 """
 
 from __future__ import annotations
@@ -462,27 +463,31 @@ def main(argv=None) -> int:
         print("invcert: --oracle needs at least one trial", file=sys.stderr)
         return 3
 
+    oracle_dict = oracle_lines = None
+    per_patch_dicts = per_patch_lines = None
     try:
         report = run(doc)
+        if args.oracle is not None:
+            if doc.mode == "matrix-family":
+                print("invcert: --oracle needs a map input; skipped for matrix-family",
+                      file=sys.stderr)
+            else:
+                oracle_dict, oracle_lines = _oracle_section(doc, report, args.oracle,
+                                                            args.seed)
+        if args.per_patch:
+            if doc.mode != "bb-grid":
+                print("invcert: --per-patch applies to bb-grid inputs; skipped",
+                      file=sys.stderr)
+            else:
+                per_patch_dicts, per_patch_lines = _per_patch_section(doc)
     except ValueError as exc:
         print(f"invcert: {exc}", file=sys.stderr)
         return 3
-
-    oracle_dict = oracle_lines = None
-    if args.oracle is not None:
-        if doc.mode == "matrix-family":
-            print("invcert: --oracle needs a map input; skipped for matrix-family",
-                  file=sys.stderr)
-        else:
-            oracle_dict, oracle_lines = _oracle_section(doc, report, args.oracle, args.seed)
-
-    per_patch_dicts = per_patch_lines = None
-    if args.per_patch:
-        if doc.mode != "bb-grid":
-            print("invcert: --per-patch applies to bb-grid inputs; skipped",
-                  file=sys.stderr)
-        else:
-            per_patch_dicts, per_patch_lines = _per_patch_section(doc)
+    except RuntimeError as exc:
+        # CertificationError and solver failures; exit code 1 would misreport
+        # them as "not certified".
+        print(f"invcert: internal error: {exc}", file=sys.stderr)
+        return 4
 
     if doc.fmt == "structured":
         payload = report_to_dict(report)

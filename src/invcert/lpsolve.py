@@ -4,12 +4,13 @@ Solves ``maximize c.x`` subject to ``G x <= h`` and per-variable bounds.
 Bounded variables are shifted (finite lower bound), mirrored (finite
 upper bound only), or split into positive and negative parts (free);
 inequality rows get slack variables, and rows whose right-hand side turns
-negative get phase-1 artificials. Pivot selection follows Bland's
-least-index rule in both phases: the entering column is the lowest index
-with an improving reduced cost, and ratio ties leave by the lowest basis
-index. Bland's rule cannot cycle, so termination is guaranteed and the
-whole solve is deterministic: identical inputs take the identical pivot
-path and return bit-identical solutions.
+negative get phase-1 artificials. Pricing follows Dantzig's rule (most
+negative reduced cost, lowest index on ties; ratio ties leave by the
+lowest basis index) and falls back to Bland's least-index rule, which
+cannot cycle, after a run of degenerate pivots until the objective
+improves again. Termination is guaranteed and the solve deterministic:
+identical inputs take the identical pivot path and return bit-identical
+solutions. Row duals are read from the final objective row.
 
 Problem sizes here are tiny (tens of variables, a few hundred rows), so
 the dense tableau is the right tool; there is no sparse storage and no
@@ -37,6 +38,10 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
 _REDUCED_COST_TOL = 1e-10
+# Degenerate pivots in a row before Bland's rule takes over. A margin LP starts
+# with every generator row tight and its Dantzig path is degenerate almost
+# throughout (~110 pivots at n=10, m=40), so the run must be longer than that.
+_DEGENERATE_RUN = 500
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -113,13 +118,15 @@ class LpSolution:
     """Solver outcome; ``x``, ``objective_value`` and ``duals`` only when optimal.
 
     ``duals[i]`` is the nonnegative multiplier of constraint row ``i`` at
-    the optimum (zero on slack rows).
+    the optimum (zero on slack rows). ``pivots`` counts the simplex pivots
+    of both phases.
     """
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
     duals: np.ndarray | None = None
+    pivots: int = 0
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -140,22 +147,29 @@ def _init_objective(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> np.n
     return obj
 
 
-def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_cols: int) -> str:
+def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_cols: int) -> tuple[str, int]:
+    """Pivot to optimality; returns the status and the number of pivots."""
     max_iter = 10_000 + 50 * (T.shape[0] + n_cols)
-    for _ in range(max_iter):
-        improving = np.nonzero(obj[:n_cols] < -_REDUCED_COST_TOL)[0]
-        if improving.size == 0:
-            return OPTIMAL
-        enter = int(improving[0])
+    degenerate = 0
+    for pivots in range(max_iter):
+        reduced = obj[:n_cols]
+        if degenerate < _DEGENERATE_RUN:
+            enter = int(np.argmin(reduced))
+        else:
+            enter = int(np.argmax(reduced < -_REDUCED_COST_TOL))
+        if reduced[enter] >= -_REDUCED_COST_TOL:
+            return OPTIMAL, pivots
         col = T[:, enter]
         positive = col > PIVOT_TOL
         if not positive.any():
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         rows = np.nonzero(positive)[0]
         ratios = T[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
         leave = int(tied[np.argmin(basis[tied])])
+        value = obj[-1]
         _pivot(T, obj, basis, leave, enter)
+        degenerate = degenerate + 1 if obj[-1] <= value else 0
     raise RuntimeError("simplex iteration limit exceeded")
 
 
@@ -221,13 +235,14 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     T = np.hstack([A_full, b[:, None]])
 
+    pivots = 0
     if n_art:
         costs1 = np.zeros(n_total + n_art)
         costs1[n_total:] = -1.0
         obj = _init_objective(T, basis, costs1)
-        status = _run_simplex(T, obj, basis, n_total + n_art)
+        status, pivots = _run_simplex(T, obj, basis, n_total + n_art)
         if status != OPTIMAL or obj[-1] < -FEASIBILITY_TOL:
-            return LpSolution(INFEASIBLE)
+            return LpSolution(INFEASIBLE, pivots=pivots)
         # Pivot leftover artificials out; the slack block keeps every row
         # nonzero over the real columns, so a pivot entry always exists.
         for i in range(n_rows):
@@ -240,24 +255,19 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     costs2 = np.concatenate([S.T @ c, np.zeros(n_rows)])
     obj = _init_objective(T, basis, costs2)
-    status = _run_simplex(T, obj, basis, n_total)
+    status, phase2 = _run_simplex(T, obj, basis, n_total)
+    pivots += phase2
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+        return LpSolution(UNBOUNDED, pivots=pivots)
 
     y = np.zeros(n_total)
     y[basis] = T[:, -1]
     x = shift + S @ y[:n_std]
     value = float(c @ x)
 
-    duals = None
-    try:
-        basis_matrix = A[:, basis]
-        sys_duals = np.linalg.solve(basis_matrix.T, costs2[basis])
-        signs = np.where(negated, -1.0, 1.0)
-        duals = (sys_duals * signs)[:m]
-        duals.setflags(write=False)
-    except np.linalg.LinAlgError:
-        pass
-
+    # Slack column i prices its own row: z_i - 0 = y . (+-e_i), so the sign
+    # of a negated row cancels and the entry is the row dual itself.
+    duals = obj[n_std:n_std + m].copy()
+    duals.setflags(write=False)
     x.setflags(write=False)
-    return LpSolution(OPTIMAL, x, value, duals)
+    return LpSolution(OPTIMAL, x, value, duals, pivots)

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from invcert import ControlNet, PatchGrid
+from invcert import ControlNet, GeneratorSet, PatchGrid
 
 
 def identity_net(n: int = 2) -> ControlNet:
@@ -88,3 +88,10 @@ def identity_grid_2x2() -> PatchGrid:
                 points[i, j] = lo + 0.5 * np.array([i, j])
         patches[(cx, cy)] = ControlNet((1, 1), points)
     return PatchGrid((breaks, breaks), patches)
+
+
+def near_identity_columns(rng: np.random.Generator, n: int,
+                          m: int = 20) -> list[GeneratorSet]:
+    """Certifiable matrix family: column j has m generators ``e_j + 0.05 N(0, 1)``."""
+    return [GeneratorSet(j, np.eye(n)[j] + 0.05 * rng.normal(size=(m, n)))
+            for j in range(n)]

@@ -116,6 +116,23 @@ class TestStrictVFamily:
         assert 0.0 < res.lp_margin <= certify.DEFAULT_THRESHOLD
         assert res.note == "numerically marginal"
 
+    def test_claim_above_verified_margin_is_still_strict(self, monkeypatch):
+        # Round-off can leave the LP's claimed margin slightly above what the
+        # generators meet; the pattern is certified at the verified margin.
+        exact = certify._margin_lp
+
+        def inflated(signed):
+            a, t, duals = exact(signed)
+            return a, t * (1.0 + 2e-9), duals
+
+        monkeypatch.setattr(certify, "_margin_lp", inflated)
+        report = certify.test_strict_vfamily(QUAD_COLUMNS)
+        assert report.certified
+        for res in report.pattern_results:
+            signed = apply_sign_pattern(QUAD_COLUMNS, res.pattern)
+            verified = np.min(signed @ res.certificate.a / np.linalg.norm(signed, axis=1))
+            assert res.certificate.epsilon <= verified
+
     def test_certificates_reverify_with_shaved_margin(self):
         report = certify.test_strict_vfamily(QUAD_COLUMNS)
         for res in report.pattern_results:

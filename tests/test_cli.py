@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from invcert import ControlNet, PatchGrid, GeneratorSet
+from invcert import ControlNet, PatchGrid, GeneratorSet, lpsolve
 from invcert.cli import (
     InputDocument,
     InputError,
@@ -221,6 +221,17 @@ class TestMainExitCodes:
         code = main(["--input", self.write(tmp_path, "{broken")])
         assert code == 3
         assert "invalid input" in capsys.readouterr().err
+
+    def test_internal_error_exits_four(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(lpsolve, "_run_simplex", broken)
+        code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "invcert: internal error: simplex iteration limit exceeded\n"
 
     def test_missing_file_exits_three(self, capsys):
         code = main(["--input", "/nonexistent/doc.json"])

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from invcert import lpsolve
+from invcert import certify_matrix_family, lpsolve
 from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
 
+from helpers import near_identity_columns
 from oracles import lp_vertex_oracle
+
+# Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
+# at x = (1, 0, 1, 0).
+BEALE = LinearProgram(
+    [0.75, -20.0, 0.5, -6.0],
+    [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+    [0.0, 0.0, 1.0],
+)
 
 
 def random_bounded_lp(rng, n_vars, n_rows):
@@ -131,6 +140,35 @@ class TestRandomSuite:
             assert first.duals.tobytes() == second.duals.tobytes()
 
 
+class TestPricing:
+    def test_beale_reaches_optimum(self):
+        sol = solve(BEALE)
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_beale_cycles_without_bland_fallback(self, monkeypatch):
+        monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 10**9)
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            solve(BEALE)
+
+    def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch):
+        # Bland's least-index rule took about 290 pivots per LP on this family.
+        pivots = []
+        exact = lpsolve.solve
+
+        def counting(lp):
+            sol = exact(lp)
+            pivots.append(sol.pivots)
+            return sol
+
+        monkeypatch.setattr(lpsolve, "solve", counting)
+        report = certify_matrix_family(near_identity_columns(np.random.default_rng(6), 6))
+        assert report.certified
+        assert len(pivots) == 32
+        assert np.mean(pivots) < 80
+
+
 class TestDuals:
     def test_strong_duality_simple(self):
         # max x+y s.t. x <= 1, y <= 2: duals (1, 1) and value 3.
@@ -153,3 +191,23 @@ class TestDuals:
             # Complementary slackness: positive duals sit on tight rows.
             slack = h - G @ sol.x
             assert np.all(slack[sol.duals > 1e-7] <= 1e-7)
+
+    def test_strong_duality_with_negated_rows(self):
+        # Rows with a negative right-hand side are negated inside the solver;
+        # their duals must still price the rows as given: y >= 0,
+        # G^T y >= c and h . y equal to the optimal value.
+        rng = np.random.default_rng(127)
+        negated = 0
+        for _ in range(40):
+            n_vars = int(rng.integers(2, 5))
+            n_rows = int(rng.integers(2, 7))
+            G = np.vstack([rng.normal(size=(n_rows, n_vars)), np.eye(n_vars)])
+            h = G @ rng.random(n_vars) + rng.uniform(0.1, 1.0, size=n_rows + n_vars)
+            c = rng.normal(size=n_vars)
+            negated += int(np.any(h < 0.0))
+            sol = solve(LinearProgram(c, G, h))
+            assert sol.status == OPTIMAL
+            assert np.all(sol.duals >= -1e-9)
+            assert np.all(G.T @ sol.duals >= c - 1e-9)
+            assert h @ sol.duals == pytest.approx(sol.objective_value, abs=1e-9)
+        assert negated > 10

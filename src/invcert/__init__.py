@@ -15,10 +15,7 @@ from .bernstein import (
     PatchGrid,
     column_generators,
     derivative_net,
-    eval_bb,
-    eval_bb_many,
     eval_many,
-    eval_map,
     locate_patch,
 )
 from .certify import (
@@ -44,13 +41,7 @@ from .cones import (
     verify_certificate,
 )
 from .lpsolve import LinearProgram, LpSolution, solve
-from .oracle import (
-    CollisionReport,
-    acute_2d,
-    fd_jacobian,
-    hull_membership,
-    sampled_injectivity,
-)
+from .oracle import CollisionReport, sampled_injectivity
 
 __version__ = "0.1.0"
 
@@ -70,7 +61,6 @@ __all__ = [
     "PatternResult",
     "SignPattern",
     "Witness",
-    "acute_2d",
     "apply_sign_pattern",
     "certificate_lp",
     "certify_map",
@@ -78,13 +68,8 @@ __all__ = [
     "column_generators",
     "derivative_net",
     "enumerate_sign_patterns",
-    "eval_bb",
-    "eval_bb_many",
     "eval_many",
-    "eval_map",
-    "fd_jacobian",
     "grid_column_generators",
-    "hull_membership",
     "locate_patch",
     "normalize_generators",
     "patch_column_generators",

@@ -28,10 +28,7 @@ __all__ = [
     "PatchGrid",
     "column_generators",
     "derivative_net",
-    "eval_bb",
-    "eval_bb_many",
     "eval_many",
-    "eval_map",
     "locate_patch",
 ]
 
@@ -187,23 +184,6 @@ def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
-def eval_bb(net: ControlNet, xi) -> np.ndarray:
-    """Evaluate the net at one point of [0,1]^n.
-
-    At a domain vertex the reduction multiplies by exact 0/1 factors, so
-    the corresponding corner control point is returned exactly.
-    """
-    xs = _check_unit_cube(xi, net.dimension)
-    if xs.shape[0] != 1:
-        raise ValueError("eval_bb takes a single point; use eval_many for batches")
-    return _reduce_batch(net.points, xs)[0]
-
-
-def eval_bb_many(net: ControlNet, xs) -> np.ndarray:
-    """Evaluate the net at a batch of points, shape (N, n) -> (N, n)."""
-    return _reduce_batch(net.points, _check_unit_cube(xs, net.dimension))
-
-
 def derivative_net(net: ControlNet, axis: int) -> ControlNet:
     """Net of the partial derivative along ``axis`` (0-based).
 
@@ -258,9 +238,14 @@ def locate_patch(grid: PatchGrid, x) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def eval_many(map_like, xs) -> np.ndarray:
-    """Evaluate a ControlNet or PatchGrid at a batch of global points."""
+    """Evaluate a ControlNet or PatchGrid at global points, shape (N, n) -> (N, n).
+
+    A single point may be passed as a 1-D array; the result still has one
+    row. At a domain vertex the reduction multiplies by exact 0/1 factors,
+    so a net returns the corresponding corner control point exactly.
+    """
     if isinstance(map_like, ControlNet):
-        return eval_bb_many(map_like, xs)
+        return _reduce_batch(map_like.points, _check_unit_cube(xs, map_like.dimension))
     if not isinstance(map_like, PatchGrid):
         raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
     grid = map_like
@@ -283,8 +268,3 @@ def eval_many(map_like, xs) -> np.ndarray:
         cell = tuple(int(i) for i in np.unravel_index(cell_id, grid.shape))
         out[mask] = _reduce_batch(grid.patches[cell].points, local[mask])
     return out
-
-
-def eval_map(map_like, x) -> np.ndarray:
-    """Evaluate a ControlNet or PatchGrid at a single global point."""
-    return eval_many(map_like, np.asarray(x, dtype=float)[None, :])[0]

@@ -49,7 +49,6 @@ __all__ = [
     "certify_matrix_family",
     "grid_column_generators",
     "patch_column_generators",
-    "test_strict_vfamily",
 ]
 
 # A pattern is accepted only when its LP margin clears this floor; smaller
@@ -223,18 +222,21 @@ def _degenerate_report(
     )
 
 
-def test_strict_vfamily(
+def certify_matrix_family(
     columns: list[GeneratorSet],
     delta: float = DEFAULT_DELTA,
     threshold: float = DEFAULT_THRESHOLD,
     provenance: str = PROVENANCE_MATRIX,
 ) -> CertificateReport:
-    """Run the full certification over one generator set per column.
+    """Certify a matrix family given by one generator set per column.
 
-    Every sign pattern gets its own max-margin LP; a pattern is strict
-    only if the LP margin clears ``threshold`` and the rescaled
-    certificate passes an independent generator-wise re-check. Failing
-    patterns carry a witness combination extracted from the LP duals.
+    The caller owns the hypothesis that the generators enclose every
+    matrix column of interest over a convex domain. Every sign pattern
+    gets its own max-margin LP; a pattern is strict only if the LP margin
+    clears ``threshold`` and the rescaled certificate passes an
+    independent generator-wise re-check. Failing patterns carry a witness
+    combination extracted from the LP duals. ``provenance`` labels the
+    report with where the generators came from.
     """
     columns = list(columns)
     n = len(columns)
@@ -329,17 +331,4 @@ def certify_map(
         return _degenerate_report(
             grid.dimension, exc.axis, None, provenance, delta, threshold
         )
-    return test_strict_vfamily(columns, delta, threshold, provenance)
-
-
-def certify_matrix_family(
-    columns: list[GeneratorSet],
-    delta: float = DEFAULT_DELTA,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> CertificateReport:
-    """Certify a raw matrix family given directly by per-column generators.
-
-    The caller owns the hypothesis that the generators enclose every
-    matrix column of interest over a convex domain.
-    """
-    return test_strict_vfamily(columns, delta, threshold, PROVENANCE_MATRIX)
+    return certify_matrix_family(columns, delta, threshold, provenance)

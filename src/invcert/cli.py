@@ -39,7 +39,6 @@ from .certify import (
     certify_map,
     certify_matrix_family,
     patch_column_generators,
-    test_strict_vfamily,
 )
 from .cones import DEFAULT_DELTA, GeneratorSet
 from .oracle import sampled_injectivity
@@ -389,8 +388,8 @@ def _per_patch_section(doc: InputDocument) -> tuple[list[dict], list[str]]:
     lines = ["per-patch verdicts:"]
     for cell in grid.cells():
         columns = patch_column_generators(grid, cell)
-        sub = test_strict_vfamily(columns, doc.delta, doc.threshold,
-                                  provenance="single-patch")
+        sub = certify_matrix_family(columns, doc.delta, doc.threshold,
+                                    provenance="single-patch")
         entries.append({"cell": list(cell), "report": report_to_dict(sub)})
         lines.append(f"cell {tuple(cell)}: {sub.verdict.upper()}")
     return entries, lines

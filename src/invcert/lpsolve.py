@@ -211,29 +211,22 @@ def solve(lp: LinearProgram) -> LpSolution:
     A_ub = np.vstack(A_rows)
     b = np.concatenate(b_rows)
     n_rows = A_ub.shape[0]
-
-    A = np.hstack([A_ub, np.eye(n_rows)])
-    negated = b < 0.0
-    A[negated] *= -1.0
-    b = np.where(negated, -b, b)
     n_total = n_std + n_rows
-
-    basis = np.empty(n_rows, dtype=int)
+    negated = b < 0.0
     art_rows = np.nonzero(negated)[0]
     n_art = art_rows.size
-    if n_art:
-        art_block = np.zeros((n_rows, n_art))
-        for k, i in enumerate(art_rows):
-            art_block[i, k] = 1.0
-        A_full = np.hstack([A, art_block])
-    else:
-        A_full = A
-    for i in range(n_rows):
-        basis[i] = n_std + i
-    for k, i in enumerate(art_rows):
-        basis[i] = n_total + k
 
-    T = np.hstack([A_full, b[:, None]])
+    # The tableau is built in place: a margin LP's tableau exceeds malloc's
+    # mmap threshold, and stacking it from temporaries of the same size
+    # costs about a hundred page faults per LP.
+    T = np.zeros((n_rows, n_total + n_art + 1))
+    T[:, :n_std] = A_ub
+    T[np.arange(n_rows), n_std + np.arange(n_rows)] = 1.0
+    T[negated, :n_total] *= -1.0
+    T[:, -1] = np.where(negated, -b, b)
+    T[art_rows, n_total + np.arange(n_art)] = 1.0
+    basis = n_std + np.arange(n_rows)
+    basis[art_rows] = n_total + np.arange(n_art)
 
     pivots = 0
     if n_art:

@@ -1,11 +1,11 @@
-"""Independent desk-scale checks used to cross-examine the certifier.
+"""Sampling oracle used to cross-examine the certifier.
 
-None of these share machinery with the certification path: injectivity is
-probed by sampling and local refinement, planar acuteness is decided
-exactly from polar angles, Jacobians come from central differences, and
-hull membership goes through a nonnegative least-squares fit. They are
-deliberately one-sided in the opposite direction from the certifier,
-which is what makes the agreement tests meaningful.
+Injectivity is probed by seeded pair sampling followed by local
+Gauss-Newton refinement of the most promising pairs. It shares no
+machinery with the certification path, and it is one-sided in the
+opposite direction from the certifier: a collision it reports is a
+genuine witness of non-injectivity, while finding none proves nothing.
+That is what makes the agreement checks meaningful.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .bernstein import (
     ConstantAxis,
@@ -28,9 +27,6 @@ __all__ = [
     "COLLISION_TOL",
     "SEPARATION_FLOOR",
     "CollisionReport",
-    "acute_2d",
-    "fd_jacobian",
-    "hull_membership",
     "sampled_injectivity",
 ]
 
@@ -103,6 +99,12 @@ def _pair_mismatch(map_like, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(eval_many(map_like, U) - eval_many(map_like, V), axis=1)
 
 
+def _residual(map_like, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``F(u) - F(v)`` and its norm, computed exactly as ``_pair_mismatch`` does."""
+    r = eval_many(map_like, u[None, :]) - eval_many(map_like, v[None, :])
+    return r[0], float(np.linalg.norm(r, axis=1)[0])
+
+
 def _refine_pair(map_like, jac: _JacobianCache, u0: np.ndarray, v0: np.ndarray):
     """Drive ``|F(u) - F(v)|`` toward zero with damped Gauss-Newton steps.
 
@@ -111,12 +113,11 @@ def _refine_pair(map_like, jac: _JacobianCache, u0: np.ndarray, v0: np.ndarray):
     than the trivial ``u = v`` one.
     """
     u, v = u0.copy(), v0.copy()
-    gap = float(_pair_mismatch(map_like, u[None, :], v[None, :])[0])
+    r, gap = _residual(map_like, u, v)
     stalls = 0
     for _ in range(_REFINE_MAX_ITER):
         if gap <= 1e-12 or stalls >= 3:
             break
-        r = eval_many(map_like, u[None, :])[0] - eval_many(map_like, v[None, :])[0]
         M = np.hstack([jac(u), -jac(v)])
         MMt = M @ M.T
         damping = 1e-12 * max(1.0, float(np.trace(MMt)))
@@ -135,10 +136,10 @@ def _refine_pair(map_like, jac: _JacobianCache, u0: np.ndarray, v0: np.ndarray):
                 u_new, v_new = _push_apart(u_new, v_new)
                 sep = np.linalg.norm(u_new - v_new)
             if sep >= SEPARATION_FLOOR:
-                gap_new = float(_pair_mismatch(map_like, u_new[None, :], v_new[None, :])[0])
+                r_new, gap_new = _residual(map_like, u_new, v_new)
                 if gap_new < gap:
                     stalls = stalls + 1 if gap_new > 0.99 * gap else 0
-                    u, v, gap = u_new, v_new, gap_new
+                    u, v, r, gap = u_new, v_new, r_new, gap_new
                     improved = True
                     break
             alpha *= 0.5
@@ -201,63 +202,3 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
 def _witness(map_like, u: np.ndarray, v: np.ndarray):
     images = eval_many(map_like, np.vstack([u, v]))
     return (u.copy(), v.copy(), images[0], images[1])
-
-
-def acute_2d(generators) -> bool:
-    """Exact planar acuteness test: do all directions fit in an open half-plane?
-
-    Sorts polar angles and checks that the largest angular gap exceeds pi.
-    Comparison-based on atan2 values, so it serves as ground truth for
-    the LP margin in two dimensions.
-    """
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    if gens.shape[1] != 2:
-        raise ValueError(f"acute_2d needs 2-D vectors, got shape {gens.shape}")
-    if np.any(np.linalg.norm(gens, axis=1) == 0.0):
-        raise ValueError("generators must be nonzero")
-    angles = np.sort(np.arctan2(gens[:, 1], gens[:, 0]))
-    gaps = np.diff(angles)
-    wrap = angles[0] + 2.0 * np.pi - angles[-1]
-    largest = max(float(gaps.max()) if gaps.size else 0.0, float(wrap))
-    return largest > np.pi
-
-
-def fd_jacobian(map_like, x, h: float) -> np.ndarray:
-    """Central-difference Jacobian at an interior point.
-
-    Column ``j`` is ``(F(x + h e_j) - F(x - h e_j)) / (2 h)``; the point
-    must keep distance ``h`` from the boundary of the unit cube.
-    """
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    n = _dimension(map_like)
-    if x.shape != (n,):
-        raise ValueError(f"expected a point with {n} coordinates, got shape {x.shape}")
-    if np.any(x < h) or np.any(x > 1.0 - h):
-        raise ValueError("point too close to the boundary for the requested step")
-    steps = h * np.eye(n)
-    plus = eval_many(map_like, x[None, :] + steps)
-    minus = eval_many(map_like, x[None, :] - steps)
-    return (plus - minus).T / (2.0 * h)
-
-
-def hull_membership(point, vertices, tol: float = 1e-9) -> bool:
-    """Is ``point`` a convex combination of ``vertices``?
-
-    Decided by nonnegative least squares on the system ``sum(w_k v_k) =
-    point, sum(w_k) = 1, w >= 0``: the point is inside exactly when the
-    residual vanishes (here: drops below ``tol``).
-    """
-    p = np.asarray(point, dtype=float)
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if V.shape[0] == 0:
-        raise ValueError("vertex list must be non-empty")
-    if p.shape != (V.shape[1],):
-        raise ValueError(
-            f"point has shape {p.shape}, vertices have {V.shape[1]} coordinates"
-        )
-    A = np.vstack([V.T, np.ones(V.shape[0])])
-    b = np.append(p, 1.0)
-    _, residual = nnls(A, b)
-    return bool(residual <= tol)

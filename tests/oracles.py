@@ -1,9 +1,13 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent reference oracles for the test suite.
 
 Each oracle deliberately avoids the algorithm it checks: evaluation by
 direct basis summation (vs de Casteljau), certificate margins by a dense
-sweep of unit directions (vs the simplex LP), and LP optima by exhaustive
-vertex enumeration (vs the simplex pivots).
+sweep of unit directions (vs the simplex LP), LP optima by exhaustive
+vertex enumeration (vs the simplex pivots), planar acuteness exactly from
+polar angles (vs the LP margin), Jacobians by central differences (vs
+derivative nets), and hull membership by a nonnegative least-squares fit
+(vs the convex-hull property of control nets). The last three are test-only, so they live
+here rather than in the package, which keeps scipy out of its imports.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ import itertools
 from math import comb
 
 import numpy as np
+from scipy.optimize import nnls
+
+from invcert import eval_many
+from invcert.oracle import _dimension
 
 
 def direct_bb_eval(net, xi) -> np.ndarray:
@@ -94,3 +102,63 @@ def lp_vertex_oracle(c, G, h, bounds) -> float | None:
             if best is None or top > best:
                 best = top
     return best
+
+
+def acute_2d(generators) -> bool:
+    """Exact planar acuteness test: do all directions fit in an open half-plane?
+
+    Sorts polar angles and checks that the largest angular gap exceeds pi.
+    Comparison-based on atan2 values, so it serves as ground truth for
+    the LP margin in two dimensions.
+    """
+    gens = np.atleast_2d(np.asarray(generators, dtype=float))
+    if gens.shape[1] != 2:
+        raise ValueError(f"acute_2d needs 2-D vectors, got shape {gens.shape}")
+    if np.any(np.linalg.norm(gens, axis=1) == 0.0):
+        raise ValueError("generators must be nonzero")
+    angles = np.sort(np.arctan2(gens[:, 1], gens[:, 0]))
+    gaps = np.diff(angles)
+    wrap = angles[0] + 2.0 * np.pi - angles[-1]
+    largest = max(float(gaps.max()) if gaps.size else 0.0, float(wrap))
+    return largest > np.pi
+
+
+def fd_jacobian(map_like, x, h: float) -> np.ndarray:
+    """Central-difference Jacobian at an interior point.
+
+    Column ``j`` is ``(F(x + h e_j) - F(x - h e_j)) / (2 h)``; the point
+    must keep distance ``h`` from the boundary of the unit cube.
+    """
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    x = np.asarray(x, dtype=float)
+    n = _dimension(map_like)
+    if x.shape != (n,):
+        raise ValueError(f"expected a point with {n} coordinates, got shape {x.shape}")
+    if np.any(x < h) or np.any(x > 1.0 - h):
+        raise ValueError("point too close to the boundary for the requested step")
+    steps = h * np.eye(n)
+    plus = eval_many(map_like, x[None, :] + steps)
+    minus = eval_many(map_like, x[None, :] - steps)
+    return (plus - minus).T / (2.0 * h)
+
+
+def hull_membership(point, vertices, tol: float = 1e-9) -> bool:
+    """Is ``point`` a convex combination of ``vertices``?
+
+    Decided by nonnegative least squares on the system ``sum(w_k v_k) =
+    point, sum(w_k) = 1, w >= 0``: the point is inside exactly when the
+    residual vanishes (here: drops below ``tol``).
+    """
+    p = np.asarray(point, dtype=float)
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if V.shape[0] == 0:
+        raise ValueError("vertex list must be non-empty")
+    if p.shape != (V.shape[1],):
+        raise ValueError(
+            f"point has shape {p.shape}, vertices have {V.shape[1]} coordinates"
+        )
+    A = np.vstack([V.T, np.ones(V.shape[0])])
+    b = np.append(p, 1.0)
+    _, residual = nnls(A, b)
+    return bool(residual <= tol)

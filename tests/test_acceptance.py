@@ -12,12 +12,11 @@ import pytest
 from invcert import (
     GeneratorSet,
     PatchGrid,
-    acute_2d,
     certificate_lp,
     certify_map,
     certify_matrix_family,
     derivative_net,
-    eval_bb_many,
+    eval_many,
     normalize_generators,
     sampled_injectivity,
 )
@@ -34,7 +33,7 @@ from helpers import (
     random_net,
     rotation_net,
 )
-from oracles import lp_vertex_oracle, sweep_unit_margin
+from oracles import acute_2d, lp_vertex_oracle, sweep_unit_margin
 from test_certify import manual_aggregation, pattern_by_signs
 
 SQRT2 = np.sqrt(2.0)
@@ -162,8 +161,8 @@ def test_criterion_07_derivative_correctness():
         for axis in range(n):
             step = np.zeros(n)
             step[axis] = h
-            fd = (eval_bb_many(net, xs + step) - eval_bb_many(net, xs - step)) / (2 * h)
-            exact = eval_bb_many(derivative_net(net, axis), xs)
+            fd = (eval_many(net, xs + step) - eval_many(net, xs - step)) / (2 * h)
+            exact = eval_many(derivative_net(net, axis), xs)
             worst = max(worst, float(np.abs(fd - exact).max()))
     assert worst < 1e-6
     announce(7, "derivative correctness",

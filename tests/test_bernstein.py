@@ -11,15 +11,12 @@ from invcert import (
     PatchGrid,
     column_generators,
     derivative_net,
-    eval_bb,
-    eval_bb_many,
     eval_many,
     locate_patch,
 )
-from invcert.oracle import fd_jacobian, hull_membership
 
 from helpers import identity_net, quad_net, random_net
-from oracles import direct_bb_eval
+from oracles import direct_bb_eval, fd_jacobian, hull_membership
 
 
 def uniform_grid_2x2(net_for_cell):
@@ -31,24 +28,24 @@ def uniform_grid_2x2(net_for_cell):
 class TestEval:
     def test_identity_net_interior_point(self):
         np.testing.assert_allclose(
-            eval_bb(identity_net(2), [0.5, 0.25]), [0.5, 0.25], atol=0.0
+            eval_many(identity_net(2), [0.5, 0.25])[0], [0.5, 0.25], atol=0.0
         )
 
     def test_corner_interpolation_is_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             net = random_net(rng, int(rng.integers(1, 4)))
-            top = eval_bb(net, np.ones(net.dimension))
+            top = eval_many(net, np.ones(net.dimension))[0]
             corner = net.points[tuple(p for p in net.degrees)]
             assert np.array_equal(top, corner)
             for vertex in itertools.product(*(range(2) for _ in range(net.dimension))):
-                value = eval_bb(net, np.array(vertex, dtype=float))
+                value = eval_many(net, np.array(vertex, dtype=float))[0]
                 expected = net.points[tuple(v * p for v, p in zip(vertex, net.degrees))]
                 assert np.array_equal(value, expected)
 
     def test_quad_net_center(self):
         # 0.25 * ((0,0) + (1,0) + (0,1) + (2,2)) = (0.75, 0.75)
-        value = eval_bb(quad_net(), [0.5, 0.5])
+        value = eval_many(quad_net(), [0.5, 0.5])[0]
         np.testing.assert_allclose(value, [0.75, 0.75], atol=1e-15)
         np.testing.assert_allclose(value, direct_bb_eval(quad_net(), [0.5, 0.5]), atol=1e-14)
 
@@ -57,19 +54,19 @@ class TestEval:
         for _ in range(25):
             net = random_net(rng, int(rng.integers(1, 4)))
             xs = rng.random((10, net.dimension))
-            got = eval_bb_many(net, xs)
+            got = eval_many(net, xs)
             want = np.array([direct_bb_eval(net, x) for x in xs])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_domain_violation(self):
         with pytest.raises(ValueError, match="outside the unit cube"):
-            eval_bb(identity_net(2), [1.5, 0.5])
+            eval_many(identity_net(2), [1.5, 0.5])
         with pytest.raises(ValueError, match="outside the unit cube"):
-            eval_bb(identity_net(2), [-0.1, 0.5])
+            eval_many(identity_net(2), [-0.1, 0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coordinates"):
-            eval_bb(identity_net(2), [0.5, 0.5, 0.5])
+            eval_many(identity_net(2), [0.5, 0.5, 0.5])
 
 
 class TestDerivativeNet:
@@ -88,8 +85,8 @@ class TestDerivativeNet:
         dnet = derivative_net(net, 0)
         np.testing.assert_array_equal(dnet.points.reshape(-1), [0.0, 2.0])
         for t in np.linspace(0.05, 0.95, 10):
-            fd = (eval_bb(net, [t + 1e-6])[0] - eval_bb(net, [t - 1e-6])[0]) / 2e-6
-            assert abs(eval_bb(dnet, [t])[0] - fd) < 1e-8
+            fd = (eval_many(net, [t + 1e-6])[0, 0] - eval_many(net, [t - 1e-6])[0, 0]) / 2e-6
+            assert abs(eval_many(dnet, [t])[0, 0] - fd) < 1e-8
 
     def test_degree_zero_axis_raises(self):
         net = ControlNet((0, 1), np.zeros((1, 2, 2)))
@@ -102,7 +99,7 @@ class TestDerivativeNet:
             n = int(rng.integers(1, 4))
             net = random_net(rng, n, min_degree=1)
             xs = 1e-4 + (1.0 - 2e-4) * rng.random((20, n))
-            dvals = [eval_bb_many(derivative_net(net, j), xs) for j in range(n)]
+            dvals = [eval_many(derivative_net(net, j), xs) for j in range(n)]
             for x, *cols in zip(xs, *dvals):
                 J = fd_jacobian(net, x, 1e-5)
                 np.testing.assert_allclose(np.column_stack(cols), J, atol=1e-6)
@@ -154,7 +151,7 @@ class TestConvexHullProperty:
             net = random_net(rng, int(rng.integers(1, 4)))
             hull_points = net.points.reshape(-1, net.dimension)
             for x in rng.random((100, net.dimension)):
-                assert hull_membership(eval_bb(net, x), hull_points, tol=1e-8)
+                assert hull_membership(eval_many(net, x)[0], hull_points, tol=1e-8)
 
 
 class TestLocatePatch:

@@ -72,7 +72,7 @@ class TestCertificateLp:
 
 class TestStrictVFamily:
     def test_identity_columns(self):
-        report = certify.test_strict_vfamily(IDENTITY_COLUMNS)
+        report = certify_matrix_family(IDENTITY_COLUMNS)
         assert report.certified
         assert report.generator_counts == (1, 1)
         for res in report.pattern_results:
@@ -81,7 +81,7 @@ class TestStrictVFamily:
 
     def test_collapsed_columns_fail_mixed_pattern(self):
         cols = [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])]
-        report = certify.test_strict_vfamily(cols)
+        report = certify_matrix_family(cols)
         assert not report.certified
         res = pattern_by_signs(report, (1, -1))
         assert res.status == certify.STATUS_NOT_STRICT
@@ -91,7 +91,7 @@ class TestStrictVFamily:
         np.testing.assert_allclose(res.witness.weights.sum(), 1.0, atol=1e-12)
 
     def test_quad_columns(self):
-        report = certify.test_strict_vfamily(QUAD_COLUMNS)
+        report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified
         plus = pattern_by_signs(report, (1, 1))
         mixed = pattern_by_signs(report, (1, -1))
@@ -100,7 +100,7 @@ class TestStrictVFamily:
 
     def test_degenerate_column_reported_not_raised(self):
         cols = [GeneratorSet(0, [[0.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]])]
-        report = certify.test_strict_vfamily(cols)
+        report = certify_matrix_family(cols)
         assert not report.certified
         assert report.degenerate_column == 0
         assert all(r.status == certify.STATUS_DEGENERATE for r in report.pattern_results)
@@ -110,7 +110,7 @@ class TestStrictVFamily:
         # Two nearly antipodal columns leave a positive but sub-threshold margin.
         tilt = 1e-9
         cols = [GeneratorSet(0, [[1.0, tilt]]), GeneratorSet(1, [[1.0, -tilt]])]
-        report = certify.test_strict_vfamily(cols)
+        report = certify_matrix_family(cols)
         res = pattern_by_signs(report, (1, -1))
         assert res.status == certify.STATUS_NOT_STRICT
         assert 0.0 < res.lp_margin <= certify.DEFAULT_THRESHOLD
@@ -126,7 +126,7 @@ class TestStrictVFamily:
             return a, t * (1.0 + 2e-9), duals
 
         monkeypatch.setattr(certify, "_margin_lp", inflated)
-        report = certify.test_strict_vfamily(QUAD_COLUMNS)
+        report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified
         for res in report.pattern_results:
             signed = apply_sign_pattern(QUAD_COLUMNS, res.pattern)
@@ -134,7 +134,7 @@ class TestStrictVFamily:
             assert res.certificate.epsilon <= verified
 
     def test_certificates_reverify_with_shaved_margin(self):
-        report = certify.test_strict_vfamily(QUAD_COLUMNS)
+        report = certify_matrix_family(QUAD_COLUMNS)
         for res in report.pattern_results:
             signed = apply_sign_pattern(QUAD_COLUMNS, res.pattern)
             assert verify_certificate(res.certificate.a,
@@ -228,7 +228,7 @@ class TestProperties:
             cols = [GeneratorSet(j, rng.uniform(-1, 1, size=(3, 2)) + 0.0)
                     for j in range(2)]
             try:
-                base = certify.test_strict_vfamily(cols)
+                base = certify_matrix_family(cols)
             except ValueError:
                 continue
             if base.degenerate_column is not None:
@@ -239,7 +239,7 @@ class TestProperties:
             extra = lam @ cols[j].vectors
             augmented = list(cols)
             augmented[j] = GeneratorSet(j, np.vstack([cols[j].vectors, extra]))
-            after = certify.test_strict_vfamily(augmented)
+            after = certify_matrix_family(augmented)
             for b, a in zip(base.pattern_results, after.pattern_results):
                 assert a.lp_margin == pytest.approx(b.lp_margin, abs=1e-9)
 
@@ -260,9 +260,9 @@ class TestProperties:
         rng = np.random.default_rng(229)
         for lam in (1e-3, 0.5, 7.0, 1e4):
             cols = [GeneratorSet(j, rng.uniform(0.2, 1.0, size=(2, 2))) for j in range(2)]
-            base = certify.test_strict_vfamily(cols)
+            base = certify_matrix_family(cols)
             scaled_cols = [GeneratorSet(0, lam * cols[0].vectors), cols[1]]
-            scaled = certify.test_strict_vfamily(scaled_cols)
+            scaled = certify_matrix_family(scaled_cols)
             assert base.verdict == scaled.verdict
             for b, s in zip(base.pattern_results, scaled.pattern_results):
                 assert b.lp_margin == pytest.approx(s.lp_margin, abs=1e-12)
@@ -278,14 +278,14 @@ class TestProperties:
             norms_ok = all(np.linalg.norm(c.vectors, axis=1).min() > 1e-6 for c in cols)
             if not norms_ok:
                 continue
-            base = certify.test_strict_vfamily(cols)
+            base = certify_matrix_family(cols)
             j = int(rng.integers(0, 2))
             extra = rng.normal(size=2)
             if np.linalg.norm(extra) < 1e-6:
                 continue
             grown = list(cols)
             grown[j] = GeneratorSet(j, np.vstack([cols[j].vectors, extra]))
-            after = certify.test_strict_vfamily(grown)
+            after = certify_matrix_family(grown)
             for b, a in zip(base.pattern_results, after.pattern_results):
                 assert a.lp_margin <= b.lp_margin + 1e-9
 

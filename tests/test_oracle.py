@@ -5,10 +5,7 @@ import pytest
 
 from invcert import (
     ControlNet,
-    acute_2d,
     certificate_lp,
-    fd_jacobian,
-    hull_membership,
     normalize_generators,
     sampled_injectivity,
 )
@@ -16,6 +13,7 @@ from invcert.cones import GeneratorSet
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
 from helpers import collapsed_net, folded_net, identity_net, quad_net, rotation_net
+from oracles import acute_2d, fd_jacobian, hull_membership
 
 
 class TestSampledInjectivity:

@@ -121,32 +121,42 @@ class CertificateReport:
 
 
 def _margin_lp(unit_generators: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Max-margin LP over unit generators; returns (a, t, generator duals).
+    """Max-margin LP over unit generators; returns (a, t, convex weights).
 
-    Maximizes ``t`` subject to ``a . w_k >= t`` for every generator and
-    ``-1 <= a_j <= 1``. Internally ``a`` is split into nonnegative parts
-    and ``t >= 0`` is imposed, which loses nothing (``a = 0, t = 0`` is
-    always feasible) and keeps the initial slack basis feasible, so the
-    solver never needs a phase 1.
+    The margin problem maximizes ``t`` subject to ``a . w_k >= t`` for
+    every generator, ``-1 <= a_j <= 1`` and ``t >= 0``. It is solved
+    through its LP dual: minimize ``|W^T lam|_1`` over ``lam >= 0`` with
+    ``sum(lam) >= 1``, written as maximize ``-sum(u)`` subject to
+    ``W^T lam - u <= 0``, ``-W^T lam - u <= 0`` and ``-sum(lam) <= -1``.
+    That is ``2n + 1`` rows however many generators there are. The primal
+    optimum is read from the row duals, ``a = y[:n] - y[n:2n]`` (dual
+    feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``; the optimal
+    ``lam``, scaled to sum to one, is the combination of generators that
+    comes closest to cancelling. Optima within the solver's pricing
+    tolerance of zero are reported as ``t = 0``.
     """
     W = np.atleast_2d(np.asarray(unit_generators, dtype=float))
     m, n = W.shape
     if m == 0:
         raise ValueError("empty generator list")
-    # Variables: a_plus (n), a_minus (n), t. Rows: t - (a_plus - a_minus).w_k <= 0.
-    rows = np.hstack([-W, W, np.ones((m, 1))])
+    # Variables: lam (m), u (n), all nonnegative.
+    rows = np.zeros((2 * n + 1, m + n))
+    rows[:n, :m] = W.T
+    rows[n:2 * n, :m] = -W.T
+    rows[:n, m:] = rows[n:2 * n, m:] = -np.eye(n)
+    rows[2 * n, :m] = -1.0
     lp = lpsolve.LinearProgram(
-        objective=np.concatenate([np.zeros(2 * n), [1.0]]),
+        objective=np.concatenate([np.zeros(m), -np.ones(n)]),
         constraint_matrix=rows,
-        constraint_bounds=np.zeros(m),
-        bounds=tuple([(0.0, 1.0)] * (2 * n) + [(0.0, None)]),
+        constraint_bounds=np.concatenate([np.zeros(2 * n), [-1.0]]),
     )
     sol = lpsolve.solve(lp)
     if sol.status != lpsolve.OPTIMAL:
         raise CertificationError(f"certificate LP terminated with status {sol.status}")
-    a = sol.x[:n] - sol.x[n:2 * n]
-    t = float(sol.x[2 * n])
-    return a, t, sol.duals
+    y = sol.duals
+    a = y[:n] - y[n:2 * n]
+    t = float(y[2 * n]) if -sol.objective_value > lpsolve.REDUCED_COST_TOL else 0.0
+    return a, t, sol.x[:m]
 
 
 def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
@@ -160,8 +170,8 @@ def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
     return a, t
 
 
-def _witness_from_duals(duals: np.ndarray, signed: np.ndarray) -> Witness | None:
-    lam = np.clip(np.asarray(duals, dtype=float), 0.0, None)
+def _witness_from_weights(lam: np.ndarray, signed: np.ndarray) -> Witness | None:
+    lam = np.clip(lam, 0.0, None)
     total = lam.sum()
     if total <= 0.0:
         return None
@@ -171,7 +181,7 @@ def _witness_from_duals(duals: np.ndarray, signed: np.ndarray) -> Witness | None
 
 
 def _pattern_result(pattern: SignPattern, signed: np.ndarray, threshold: float) -> PatternResult:
-    a_raw, t, duals = _margin_lp(signed)
+    a_raw, t, weights = _margin_lp(signed)
     if t > threshold:
         scale = np.linalg.norm(a_raw)
         a_unit = a_raw / scale
@@ -192,7 +202,7 @@ def _pattern_result(pattern: SignPattern, signed: np.ndarray, threshold: float) 
         STATUS_NOT_STRICT,
         None,
         t,
-        witness=_witness_from_duals(duals, signed),
+        witness=_witness_from_weights(weights, signed),
         note=note,
     )
 
@@ -235,8 +245,8 @@ def certify_matrix_family(
     gets its own max-margin LP; a pattern is strict only if the LP margin
     clears ``threshold`` and the rescaled certificate passes an
     independent generator-wise re-check. Failing patterns carry a witness
-    combination extracted from the LP duals. ``provenance`` labels the
-    report with where the generators came from.
+    combination whose weights are the dual LP's optimal convex weights.
+    ``provenance`` labels the report with where the generators came from.
     """
     columns = list(columns)
     n = len(columns)

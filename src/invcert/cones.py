@@ -10,6 +10,7 @@ extends to the whole cone by positive combination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,18 @@ def enumerate_sign_patterns(n: int) -> list[SignPattern]:
     """All 2^(n-1) sign patterns with leading +1, in binary-counting order."""
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
-    patterns = []
-    for code in range(1 << (n - 1)):
-        signs = [1] + [
+    return list(_sign_patterns(n))
+
+
+# Patterns are frozen, so every report of dimension n can share one set.
+@functools.lru_cache(maxsize=16)
+def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
+    return tuple(
+        SignPattern((1,) + tuple(
             -1 if (code >> (n - 1 - j)) & 1 else 1 for j in range(1, n)
-        ]
-        patterns.append(SignPattern(tuple(signs)))
-    return patterns
+        ))
+        for code in range(1 << (n - 1))
+    )
 
 
 def apply_sign_pattern(

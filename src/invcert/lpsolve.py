@@ -12,9 +12,9 @@ improves again. Termination is guaranteed and the solve deterministic:
 identical inputs take the identical pivot path and return bit-identical
 solutions. Row duals are read from the final objective row.
 
-Problem sizes here are tiny (tens of variables, a few hundred rows), so
-the dense tableau is the right tool; there is no sparse storage and no
-warm starting.
+Problem sizes here are tiny (a margin LP has 2n + 1 rows and one column
+per generator plus n), so the dense tableau is the right tool; there is
+no sparse storage and no warm starting.
 """
 
 from __future__ import annotations
@@ -31,16 +31,17 @@ __all__ = [
     "LpSolution",
     "OPTIMAL",
     "PIVOT_TOL",
+    "REDUCED_COST_TOL",
     "UNBOUNDED",
     "solve",
 ]
 
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
-_REDUCED_COST_TOL = 1e-10
-# Degenerate pivots in a row before Bland's rule takes over. A margin LP starts
-# with every generator row tight and its Dantzig path is degenerate almost
-# throughout (~110 pivots at n=10, m=40), so the run must be longer than that.
+REDUCED_COST_TOL = 1e-10
+# Degenerate pivots in a row before Bland's rule takes over. Margin LPs have
+# degenerate stretches of up to ~15 pivots (n=10, m=40); the run must stay
+# well above that so Bland's slow path is only a guard against cycling.
 _DEGENERATE_RUN = 500
 
 OPTIMAL = "optimal"
@@ -156,8 +157,8 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, n_cols: int)
         if degenerate < _DEGENERATE_RUN:
             enter = int(np.argmin(reduced))
         else:
-            enter = int(np.argmax(reduced < -_REDUCED_COST_TOL))
-        if reduced[enter] >= -_REDUCED_COST_TOL:
+            enter = int(np.argmax(reduced < -REDUCED_COST_TOL))
+        if reduced[enter] >= -REDUCED_COST_TOL:
             return OPTIMAL, pivots
         col = T[:, enter]
         positive = col > PIVOT_TOL
@@ -178,49 +179,48 @@ def solve(lp: LinearProgram) -> LpSolution:
     G, h, c = lp.constraint_matrix, lp.constraint_bounds, lp.objective
     m, n_var = G.shape
 
-    # Substitute x = shift + S y with y >= 0.
-    shift = np.zeros(n_var)
-    s_cols: list[np.ndarray] = []
-    upper_rows: list[tuple[int, float]] = []
+    # Substitute x = shift + S y with y >= 0. Column k of S is sign[k] times
+    # the unit vector of variable var[k]. Variables with a finite lower bound
+    # are shifted by it (and keep an upper-bound row if they have both),
+    # upper-bounded ones are mirrored, and free ones are split into adjacent
+    # positive and negative parts.
+    shift = [0.0] * n_var
+    var: list[int] = []
+    sign: list[float] = []
+    upper: list[int] = []
+    widths: list[float] = []
     for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and hi is not None and lo > hi:
-            return LpSolution(INFEASIBLE)
-        e = np.zeros(n_var)
-        e[j] = 1.0
         if lo is not None:
-            shift[j] = lo
-            s_cols.append(e)
             if hi is not None:
-                upper_rows.append((len(s_cols) - 1, hi - lo))
+                if lo > hi:
+                    return LpSolution(INFEASIBLE)
+                upper.append(len(var))
+                widths.append(hi - lo)
+            shift[j] = lo
+            var.append(j)
+            sign.append(1.0)
         elif hi is not None:
             shift[j] = hi
-            s_cols.append(-e)
+            var.append(j)
+            sign.append(-1.0)
         else:
-            s_cols.append(e)
-            s_cols.append(-e)
-    S = np.column_stack(s_cols)
-    n_std = S.shape[1]
-
-    A_rows = [G @ S]
-    b_rows = [h - G @ shift]
-    for k, ub in upper_rows:
-        row = np.zeros(n_std)
-        row[k] = 1.0
-        A_rows.append(row[None, :])
-        b_rows.append(np.array([ub]))
-    A_ub = np.vstack(A_rows)
-    b = np.concatenate(b_rows)
-    n_rows = A_ub.shape[0]
+            var += (j, j)
+            sign += (1.0, -1.0)
+    shift, var, sign = np.array(shift), np.array(var), np.array(sign)
+    n_std = var.size
+    n_rows = m + len(upper)
     n_total = n_std + n_rows
+
+    b = np.concatenate([h - G @ shift, widths])
     negated = b < 0.0
     art_rows = np.nonzero(negated)[0]
     n_art = art_rows.size
 
-    # The tableau is built in place: a margin LP's tableau exceeds malloc's
-    # mmap threshold, and stacking it from temporaries of the same size
-    # costs about a hundred page faults per LP.
+    # The tableau is built in place: stacking it from temporaries of its own
+    # size costs page faults once it exceeds malloc's mmap threshold.
     T = np.zeros((n_rows, n_total + n_art + 1))
-    T[:, :n_std] = A_ub
+    T[:m, :n_std] = G[:, var] * sign
+    T[m + np.arange(len(upper)), upper] = 1.0
     T[np.arange(n_rows), n_std + np.arange(n_rows)] = 1.0
     T[negated, :n_total] *= -1.0
     T[:, -1] = np.where(negated, -b, b)
@@ -233,8 +233,12 @@ def solve(lp: LinearProgram) -> LpSolution:
         costs1 = np.zeros(n_total + n_art)
         costs1[n_total:] = -1.0
         obj = _init_objective(T, basis, costs1)
-        status, pivots = _run_simplex(T, obj, basis, n_total + n_art)
-        if status != OPTIMAL or obj[-1] < -FEASIBILITY_TOL:
+        # Phase 1 maximizes minus the artificials' sum, which is bounded by
+        # zero, so an unbounded exit is round-off in the objective row (a
+        # reduced cost just past tolerance on a column with no pivot entry).
+        # Either way the basis reached is judged by its objective value.
+        _, pivots = _run_simplex(T, obj, basis, n_total + n_art)
+        if obj[-1] < -FEASIBILITY_TOL:
             return LpSolution(INFEASIBLE, pivots=pivots)
         # Pivot leftover artificials out; the slack block keeps every row
         # nonzero over the real columns, so a pivot entry always exists.
@@ -246,7 +250,7 @@ def solve(lp: LinearProgram) -> LpSolution:
                 _pivot(T, obj, basis, i, col)
         T = np.hstack([T[:, :n_total], T[:, -1:]])
 
-    costs2 = np.concatenate([S.T @ c, np.zeros(n_rows)])
+    costs2 = np.concatenate([c[var] * sign, np.zeros(n_rows)])
     obj = _init_objective(T, basis, costs2)
     status, phase2 = _run_simplex(T, obj, basis, n_total)
     pivots += phase2
@@ -255,7 +259,7 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     y = np.zeros(n_total)
     y[basis] = T[:, -1]
-    x = shift + S @ y[:n_std]
+    x = shift + np.bincount(var, sign * y[:n_std], minlength=n_var)
     value = float(c @ x)
 
     # Slack column i prices its own row: z_i - 0 = y . (+-e_i), so the sign

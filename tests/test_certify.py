@@ -37,6 +37,11 @@ QUAD_COLUMNS = [GeneratorSet(0, [[1.0, 0.0], [2.0, 1.0]]),
                 GeneratorSet(1, [[0.0, 1.0], [1.0, 2.0]])]
 
 
+def gaussian_columns(rng, n, m=20):
+    """Matrix family whose columns have m standard normal generators each."""
+    return [GeneratorSet(j, rng.normal(size=(m, n))) for j in range(n)]
+
+
 def pattern_by_signs(report, signs):
     for res in report.pattern_results:
         if res.pattern.signs == signs:
@@ -115,6 +120,26 @@ class TestStrictVFamily:
         assert res.status == certify.STATUS_NOT_STRICT
         assert 0.0 < res.lp_margin <= certify.DEFAULT_THRESHOLD
         assert res.note == "numerically marginal"
+
+    @pytest.mark.parametrize("columns, rejected, residual", [
+        (gaussian_columns(np.random.default_rng(7), 6), 32, 1e-12),
+        # The closest combination of this pair is (0, 1e-10) itself.
+        ([GeneratorSet(0, [[1.0, 1e-10]]), GeneratorSet(1, [[1.0, -1e-10]])], 1, 1e-10),
+    ], ids=["gaussian-n6", "tilt-1e-10-pair"])
+    def test_rejected_patterns_report_exact_zero_margins(self, columns, rejected, residual):
+        # A cancelling combination makes the optimal margin zero; round-off in
+        # the LP must not turn it into a tiny signed number or a marginal note.
+        report = certify_matrix_family(columns)
+        failing = [r for r in report.pattern_results
+                   if r.status == certify.STATUS_NOT_STRICT]
+        assert len(failing) == rejected
+        for res in failing:
+            assert res.lp_margin == 0.0
+            assert res.note is None
+            weights = res.witness.weights
+            assert np.all(weights >= 0.0)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert res.witness.residual_norm <= residual
 
     def test_claim_above_verified_margin_is_still_strict(self, monkeypatch):
         # Round-off can leave the LP's claimed margin slightly above what the

@@ -18,6 +18,14 @@ BEALE = LinearProgram(
 )
 
 
+def reproducer_columns():
+    """The n=8 near-identity family, drawn after n=4 and n=6 from default_rng(1)."""
+    rng = np.random.default_rng(1)
+    for n in (4, 6):
+        near_identity_columns(rng, n)
+    return near_identity_columns(rng, 8)
+
+
 def random_bounded_lp(rng, n_vars, n_rows):
     """Random LP with a known feasible point and a bounding box."""
     G = rng.normal(size=(n_rows, n_vars))
@@ -152,8 +160,15 @@ class TestPricing:
         with pytest.raises(RuntimeError, match="iteration limit"):
             solve(BEALE)
 
-    def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch):
+    @pytest.mark.parametrize("columns, patterns, mean_pivots", [
         # Bland's least-index rule took about 290 pivots per LP on this family.
+        (near_identity_columns(np.random.default_rng(6), 6), 32, 80),
+        # The n=8 family of tests/test_near_identity.py: about 48 pivots per
+        # LP through the primal margin LP, about 21 through its dual.
+        (reproducer_columns(), 128, 35),
+    ], ids=["n6", "n8-reproducer"])
+    def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch, columns,
+                                                      patterns, mean_pivots):
         pivots = []
         exact = lpsolve.solve
 
@@ -163,10 +178,10 @@ class TestPricing:
             return sol
 
         monkeypatch.setattr(lpsolve, "solve", counting)
-        report = certify_matrix_family(near_identity_columns(np.random.default_rng(6), 6))
+        report = certify_matrix_family(columns)
         assert report.certified
-        assert len(pivots) == 32
-        assert np.mean(pivots) < 80
+        assert len(pivots) == patterns
+        assert np.mean(pivots) < mean_pivots
 
 
 class TestDuals:

@@ -1,10 +1,10 @@
 """Near-identity matrix families checked against an independent LP solver.
 
-Columns ``e_j + 0.05 N(0, 1)`` are certifiable, and their margin LPs are
-the long, highly degenerate ones: each starts at a vertex where every
-generator row is tight. The families are drawn from ``default_rng(1)`` at
-n = 4, 6 and 8 in that order; at n = 8 round-off once made four patterns
-fail post-hoc verification although their LP margins are about 0.65.
+Columns ``e_j + 0.05 N(0, 1)`` are certifiable, so every pattern LP must
+reach a strictly positive margin, and they take the most pivots. The
+families are drawn from ``default_rng(1)`` at n = 4, 6 and 8 in that
+order; at n = 8 round-off once made four patterns fail post-hoc
+verification although their LP margins are about 0.65.
 """
 
 import numpy as np
@@ -59,3 +59,14 @@ def test_margins_match_highs(families, n):
         assert res.lp_margin == pytest.approx(reference, abs=1e-8)
         if reference >= 1e-6:
             assert res.status == "strict", res.note
+
+
+def test_phase1_roundoff_is_not_infeasibility():
+    # Family 104 of the seed-91 near-identity stream of bench/workloads.py.
+    # Round-off in the phase-1 objective row of one pattern LP left a reduced
+    # cost of -2.3e-10 on a column with no pivot entry; the solver took that
+    # for an unbounded phase 1 and reported the LP infeasible.
+    rng = np.random.default_rng([91, 2])
+    for k in range(105):
+        columns = near_identity_columns(rng, 4 if k % 5 == 0 else 6)
+    assert certify_matrix_family(columns).certified

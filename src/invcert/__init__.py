@@ -35,7 +35,6 @@ from .cones import (
     DegenerateColumn,
     GeneratorSet,
     SignPattern,
-    apply_sign_pattern,
     enumerate_sign_patterns,
     normalize_generators,
     verify_certificate,
@@ -61,7 +60,6 @@ __all__ = [
     "PatternResult",
     "SignPattern",
     "Witness",
-    "apply_sign_pattern",
     "certificate_lp",
     "certify_map",
     "certify_matrix_family",

@@ -250,6 +250,12 @@ def eval_many(map_like, xs) -> np.ndarray:
         raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
     grid = map_like
     pts = _check_unit_cube(xs, grid.dimension)
+    if len(grid.patches) == 1:
+        # The one cell is [0,1]^n itself: lo = 0 and width = 1 along every
+        # axis, so the local coordinates (pts - lo) / width are pts, bit
+        # for bit.
+        (net,) = grid.patches.values()
+        return _reduce_batch(net.points, pts)
     n = grid.dimension
     idx = np.empty((pts.shape[0], n), dtype=int)
     lo = np.empty_like(pts)

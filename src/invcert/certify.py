@@ -120,43 +120,60 @@ class CertificateReport:
         return self.verdict == VERDICT_STRICT
 
 
-def _margin_lp(unit_generators: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Max-margin LP over unit generators; returns (a, t, convex weights).
+# Pattern LPs are solved this many at a time. A chunk's tableaux bound the
+# memory; at n=10 a whole family at once ran about 40% slower than chunks
+# of 32, which were a few percent faster than chunks of 16.
+_CHUNK = 32
 
-    The margin problem maximizes ``t`` subject to ``a . w_k >= t`` for
-    every generator, ``-1 <= a_j <= 1`` and ``t >= 0``. It is solved
-    through its LP dual: minimize ``|W^T lam|_1`` over ``lam >= 0`` with
-    ``sum(lam) >= 1``, written as maximize ``-sum(u)`` subject to
-    ``W^T lam - u <= 0``, ``-W^T lam - u <= 0`` and ``-sum(lam) <= -1``.
-    That is ``2n + 1`` rows however many generators there are. The primal
-    optimum is read from the row duals, ``a = y[:n] - y[n:2n]`` (dual
-    feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``; the optimal
+
+def _margin_lps(units: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
+
+    ``units`` holds the m unit generators as rows, and program k signs row
+    r by ``signs[k, r]`` (+1 or -1). Each program maximizes ``t`` subject
+    to ``a . w >= t`` for every signed generator ``w``, ``-1 <= a_j <= 1``
+    and ``t >= 0``. It is solved through its LP dual: minimize
+    ``|W^T lam|_1`` over ``lam >= 0`` with ``sum(lam) >= 1``, written as
+    maximize ``-sum(u)`` subject to ``W^T lam - u <= 0``, ``-W^T lam - u <=
+    0`` and ``-sum(lam) <= -1``. That is ``2n + 1`` rows however many
+    generators there are, and the programs differ only in the signs of
+    their ``W^T`` blocks, so they are solved as batches of ``_CHUNK``. The
+    primal optimum is read from the row duals, ``a = y[:n] - y[n:2n]``
+    (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``; the optimal
     ``lam``, scaled to sum to one, is the combination of generators that
     comes closest to cancelling. Optima within the solver's pricing
     tolerance of zero are reported as ``t = 0``.
+
+    Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
+    ``lam`` of shape (B, m).
     """
-    W = np.atleast_2d(np.asarray(unit_generators, dtype=float))
+    W = np.atleast_2d(np.asarray(units, dtype=float))
     m, n = W.shape
     if m == 0:
         raise ValueError("empty generator list")
+    signs = np.asarray(signs, dtype=float)
+    size = signs.shape[0]
     # Variables: lam (m), u (n), all nonnegative.
-    rows = np.zeros((2 * n + 1, m + n))
-    rows[:n, :m] = W.T
-    rows[n:2 * n, :m] = -W.T
-    rows[:n, m:] = rows[n:2 * n, m:] = -np.eye(n)
-    rows[2 * n, :m] = -1.0
-    lp = lpsolve.LinearProgram(
-        objective=np.concatenate([np.zeros(m), -np.ones(n)]),
-        constraint_matrix=rows,
-        constraint_bounds=np.concatenate([np.zeros(2 * n), [-1.0]]),
-    )
-    sol = lpsolve.solve(lp)
-    if sol.status != lpsolve.OPTIMAL:
-        raise CertificationError(f"certificate LP terminated with status {sol.status}")
-    y = sol.duals
-    a = y[:n] - y[n:2 * n]
-    t = float(y[2 * n]) if -sol.objective_value > lpsolve.REDUCED_COST_TOL else 0.0
-    return a, t, sol.x[:m]
+    c = np.concatenate([np.zeros(m), -np.ones(n)])
+    b = np.concatenate([np.zeros(2 * n), [-1.0]])
+    a = np.empty((size, n))
+    t = np.empty(size)
+    weights = np.empty((size, m))
+    for start in range(0, size, _CHUNK):
+        chunk = signs[start:start + _CHUNK]
+        rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
+        rows[:, :n, :m] = W.T * chunk[:, None, :]
+        rows[:, n:2 * n, :m] = -rows[:, :n, :m]
+        rows[:, :n, m:] = rows[:, n:2 * n, m:] = -np.eye(n)
+        rows[:, 2 * n, :m] = -1.0
+        for k, sol in enumerate(lpsolve.solve_batch(rows, b, c), start):
+            if sol.status != lpsolve.OPTIMAL:
+                raise CertificationError(f"certificate LP terminated with status {sol.status}")
+            y = sol.duals
+            a[k] = y[:n] - y[n:2 * n]
+            t[k] = y[2 * n] if -sol.objective_value > lpsolve.REDUCED_COST_TOL else 0.0
+            weights[k] = sol.x[:m]
+    return a, t, weights
 
 
 def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
@@ -166,8 +183,9 @@ def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
     certificate exists over these generators exactly when ``t_star > 0``,
     and then ``(a_star/|a_star|, t_star/|a_star|)`` is one.
     """
-    a, t, _ = _margin_lp(unit_generators)
-    return a, t
+    W = np.atleast_2d(np.asarray(unit_generators, dtype=float))
+    a, t, _ = _margin_lps(W, np.ones((1, W.shape[0])))
+    return a[0], float(t[0])
 
 
 def _witness_from_weights(lam: np.ndarray, signed: np.ndarray) -> Witness | None:
@@ -180,8 +198,8 @@ def _witness_from_weights(lam: np.ndarray, signed: np.ndarray) -> Witness | None
     return Witness(weights, combination, float(np.linalg.norm(combination)))
 
 
-def _pattern_result(pattern: SignPattern, signed: np.ndarray, threshold: float) -> PatternResult:
-    a_raw, t, weights = _margin_lp(signed)
+def _pattern_result(pattern: SignPattern, signed: np.ndarray, threshold: float,
+                    a_raw: np.ndarray, t: float, weights: np.ndarray) -> PatternResult:
     if t > threshold:
         scale = np.linalg.norm(a_raw)
         a_unit = a_raw / scale
@@ -266,10 +284,16 @@ def certify_matrix_family(
     units = [u for u, _ in normalized]
     min_norms = tuple(mn for _, mn in normalized)
 
-    results = []
-    for pattern in enumerate_sign_patterns(n):
-        signed = np.vstack([s * u for s, u in zip(pattern.signs, units)])
-        results.append(_pattern_result(pattern, signed, threshold))
+    W = np.vstack(units)
+    patterns = enumerate_sign_patterns(n)
+    signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
+                      [u.shape[0] for u in units], axis=1)
+    a, t, weights = _margin_lps(W, signs)
+    results = [
+        _pattern_result(pattern, W * signs[k, :, None], threshold,
+                        a[k], float(t[k]), weights[k])
+        for k, pattern in enumerate(patterns)
+    ]
 
     verdict = (
         VERDICT_STRICT

@@ -46,7 +46,6 @@ from .oracle import sampled_injectivity
 __all__ = [
     "InputDocument",
     "InputError",
-    "document_to_json",
     "emit_report",
     "main",
     "parse_input",
@@ -211,33 +210,6 @@ def parse_input(text: str) -> InputDocument:
         payload = columns
 
     return InputDocument(mode, dim, payload, delta, threshold, fmt)
-
-
-def document_to_json(doc: InputDocument) -> str:
-    """Serialize an InputDocument back into the input schema."""
-    out: dict = {
-        "mode": doc.mode,
-        "dimension": doc.dimension,
-        "options": {"delta": doc.delta, "threshold": doc.threshold, "format": doc.fmt},
-    }
-    if doc.mode == "bb-patch":
-        net = doc.payload
-        out["degrees"] = list(net.degrees)
-        out["control_points"] = net.points.tolist()
-    elif doc.mode == "bb-grid":
-        grid = doc.payload
-        out["breakpoints"] = [b.tolist() for b in grid.breakpoints]
-        out["patches"] = [
-            {
-                "cell": list(cell),
-                "degrees": list(grid.patches[cell].degrees),
-                "control_points": grid.patches[cell].points.tolist(),
-            }
-            for cell in grid.cells()
-        ]
-    else:
-        out["columns"] = [col.vectors.tolist() for col in doc.payload]
-    return json.dumps(out, indent=2, sort_keys=True)
 
 
 def run(doc: InputDocument) -> CertificateReport:

@@ -21,7 +21,6 @@ __all__ = [
     "DegenerateColumn",
     "GeneratorSet",
     "SignPattern",
-    "apply_sign_pattern",
     "dedup_exact",
     "enumerate_sign_patterns",
     "normalize_generators",
@@ -163,30 +162,6 @@ def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
         ))
         for code in range(1 << (n - 1))
     )
-
-
-def apply_sign_pattern(
-    columns: list[GeneratorSet],
-    pattern: SignPattern,
-    delta: float = DEFAULT_DELTA,
-) -> np.ndarray:
-    """Concatenate the signed, unit-normalized generators of every column.
-
-    The positive hull of the result is the signed sum cone selected by
-    ``pattern``, so a certificate over these vectors certifies that cone.
-    """
-    n = len(pattern.signs)
-    if len(columns) != n:
-        raise ValueError(f"expected {n} columns, got {len(columns)}")
-    blocks = []
-    for sign, col in zip(pattern.signs, columns):
-        if col.dimension != n:
-            raise ValueError(
-                f"column {col.column} has vectors of length {col.dimension}, expected {n}"
-            )
-        units, _ = normalize_generators(col, delta)
-        blocks.append(sign * units)
-    return np.vstack(blocks)
 
 
 def verify_certificate(a: np.ndarray, epsilon: float, generators: np.ndarray) -> bool:

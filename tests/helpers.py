@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
-from invcert import ControlNet, GeneratorSet, PatchGrid
+from invcert import (
+    DEFAULT_DELTA,
+    ControlNet,
+    GeneratorSet,
+    PatchGrid,
+    SignPattern,
+    normalize_generators,
+)
+from invcert import lpsolve
+from invcert.cli import InputDocument
 
 
 def identity_net(n: int = 2) -> ControlNet:
@@ -95,3 +105,72 @@ def near_identity_columns(rng: np.random.Generator, n: int,
     """Certifiable matrix family: column j has m generators ``e_j + 0.05 N(0, 1)``."""
     return [GeneratorSet(j, np.eye(n)[j] + 0.05 * rng.normal(size=(m, n)))
             for j in range(n)]
+
+
+def apply_sign_pattern(
+    columns: list[GeneratorSet],
+    pattern: SignPattern,
+    delta: float = DEFAULT_DELTA,
+) -> np.ndarray:
+    """Concatenate the signed, unit-normalized generators of every column.
+
+    The positive hull of the result is the signed sum cone selected by
+    ``pattern``, so a certificate over these vectors certifies that cone.
+    """
+    n = len(pattern.signs)
+    if len(columns) != n:
+        raise ValueError(f"expected {n} columns, got {len(columns)}")
+    blocks = []
+    for sign, col in zip(pattern.signs, columns):
+        if col.dimension != n:
+            raise ValueError(
+                f"column {col.column} has vectors of length {col.dimension}, expected {n}"
+            )
+        units, _ = normalize_generators(col, delta)
+        blocks.append(sign * units)
+    return np.vstack(blocks)
+
+
+def document_to_json(doc: InputDocument) -> str:
+    """Serialize an InputDocument back into the input schema."""
+    out: dict = {
+        "mode": doc.mode,
+        "dimension": doc.dimension,
+        "options": {"delta": doc.delta, "threshold": doc.threshold, "format": doc.fmt},
+    }
+    if doc.mode == "bb-patch":
+        net = doc.payload
+        out["degrees"] = list(net.degrees)
+        out["control_points"] = net.points.tolist()
+    elif doc.mode == "bb-grid":
+        grid = doc.payload
+        out["breakpoints"] = [b.tolist() for b in grid.breakpoints]
+        out["patches"] = [
+            {
+                "cell": list(cell),
+                "degrees": list(grid.patches[cell].degrees),
+                "control_points": grid.patches[cell].points.tolist(),
+            }
+            for cell in grid.cells()
+        ]
+    else:
+        out["columns"] = [col.vectors.tolist() for col in doc.payload]
+    return json.dumps(out, indent=2, sort_keys=True)
+
+
+def record_batches(monkeypatch) -> list[tuple]:
+    """Record every ``lpsolve.solve_batch`` call as ``(A, b, c, solutions)``."""
+    calls = []
+    exact = lpsolve.solve_batch
+
+    def recording(A, b, c):
+        solutions = exact(A, b, c)
+        calls.append((A, b, c, solutions))
+        return solutions
+
+    monkeypatch.setattr(lpsolve, "solve_batch", recording)
+    return calls
+
+
+def pivots_per_lp(calls: list[tuple]) -> list[int]:
+    return [sol.pivots for *_, solutions in calls for sol in solutions]

@@ -28,9 +28,11 @@ from helpers import (
     collapsed_net,
     identity_net,
     perturbed_identity_net,
+    pivots_per_lp,
     quad_net,
     random_grid_2x2,
     random_net,
+    record_batches,
     rotation_net,
 )
 from oracles import acute_2d, lp_vertex_oracle, sweep_unit_margin
@@ -195,14 +197,20 @@ def random_unit_columns(rng, n, per_column):
     return columns
 
 
-def test_criterion_09_pattern_count_scaling():
+def test_criterion_09_pattern_count_scaling(monkeypatch):
     rng = np.random.default_rng(909)
     columns = random_unit_columns(rng, 10, 20)
+    calls = record_batches(monkeypatch)
     start = time.perf_counter()
     report = certify_matrix_family(columns)
     elapsed = time.perf_counter() - start
     assert len(report.pattern_results) == 512
     assert elapsed < 10.0, f"512 pattern LPs took {elapsed:.2f} s"
+    # Pivots per LP do not depend on the machine: mean 21.2, max 35 when
+    # this bound was set.
+    pivots = pivots_per_lp(calls)
+    assert len(pivots) == 512
+    assert np.mean(pivots) < 30, f"{np.mean(pivots):.1f} pivots per LP"
 
     def timed(per_column):
         cols = random_unit_columns(np.random.default_rng(910), 6, per_column)
@@ -218,7 +226,8 @@ def test_criterion_09_pattern_count_scaling():
     ratio = doubled / base
     assert ratio < 4.0, f"doubling generators scaled runtime by {ratio:.2f}x"
     announce(9, "pattern-count scaling",
-             f"512 LPs in {elapsed:.2f} s; doubling generators at n=6 scaled {ratio:.2f}x")
+             f"512 LPs in {elapsed:.2f} s, {np.mean(pivots):.1f} pivots each; "
+             f"doubling generators at n=6 scaled {ratio:.2f}x")
 
 
 def test_criterion_10_acute_lp_agreement():

@@ -187,6 +187,17 @@ class TestGridEvaluation:
         xs = np.random.default_rng(43).random((50, 2))
         np.testing.assert_allclose(eval_many(grid, xs), xs, atol=1e-14)
 
+    def test_one_cell_grid_matches_net_byte_for_byte(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                net = random_net(rng, n)
+                grid = PatchGrid.single(net)
+                xs = rng.random((20, n))
+                xs[:2] = np.round(xs[:2])  # domain vertices
+                assert eval_many(grid, xs).tobytes() == eval_many(net, xs).tobytes()
+                assert eval_many(grid, xs[3]).tobytes() == eval_many(net, xs[3]).tobytes()
+
 
 class TestValidation:
     def test_points_shape_must_match_degrees(self):

@@ -6,7 +6,6 @@ import pytest
 from invcert import (
     GeneratorSet,
     PatchGrid,
-    apply_sign_pattern,
     certificate_lp,
     certify_map,
     certify_matrix_family,
@@ -17,6 +16,7 @@ from invcert import certify
 from invcert.cones import dedup_exact
 
 from helpers import (
+    apply_sign_pattern,
     collapsed_net,
     folded_net,
     identity_grid_2x2,
@@ -144,13 +144,13 @@ class TestStrictVFamily:
     def test_claim_above_verified_margin_is_still_strict(self, monkeypatch):
         # Round-off can leave the LP's claimed margin slightly above what the
         # generators meet; the pattern is certified at the verified margin.
-        exact = certify._margin_lp
+        exact = certify._margin_lps
 
-        def inflated(signed):
-            a, t, duals = exact(signed)
-            return a, t * (1.0 + 2e-9), duals
+        def inflated(units, signs):
+            a, t, weights = exact(units, signs)
+            return a, t * (1.0 + 2e-9), weights
 
-        monkeypatch.setattr(certify, "_margin_lp", inflated)
+        monkeypatch.setattr(certify, "_margin_lps", inflated)
         report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified
         for res in report.pattern_results:

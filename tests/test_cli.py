@@ -11,14 +11,13 @@ from invcert import ControlNet, PatchGrid, GeneratorSet, lpsolve
 from invcert.cli import (
     InputDocument,
     InputError,
-    document_to_json,
     emit_report,
     main,
     parse_input,
     run,
 )
 
-from helpers import identity_grid_2x2, identity_net, quad_net
+from helpers import document_to_json, identity_grid_2x2, identity_net, quad_net
 
 IDENTITY_PATCH_DOC = json.dumps({
     "mode": "bb-patch",

@@ -9,11 +9,12 @@ from invcert import (
     DegenerateColumn,
     GeneratorSet,
     SignPattern,
-    apply_sign_pattern,
     enumerate_sign_patterns,
     normalize_generators,
     verify_certificate,
 )
+
+from helpers import apply_sign_pattern
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)

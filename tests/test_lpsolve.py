@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from invcert import certify_matrix_family, lpsolve
-from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
+from invcert import GeneratorSet, certify_matrix_family, lpsolve
+from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve, solve_batch
 
-from helpers import near_identity_columns
+from helpers import near_identity_columns, pivots_per_lp, record_batches
 from oracles import lp_vertex_oracle
 
 # Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
@@ -18,12 +18,15 @@ BEALE = LinearProgram(
 )
 
 
-def reproducer_columns():
-    """The n=8 near-identity family, drawn after n=4 and n=6 from default_rng(1)."""
+def near_identity_families():
+    """The n=4, 6 and 8 near-identity families, drawn in turn from default_rng(1)."""
     rng = np.random.default_rng(1)
-    for n in (4, 6):
-        near_identity_columns(rng, n)
-    return near_identity_columns(rng, 8)
+    return [near_identity_columns(rng, n) for n in (4, 6, 8)]
+
+
+def reproducer_columns():
+    """The n=8 family of tests/test_near_identity.py."""
+    return near_identity_families()[2]
 
 
 def random_bounded_lp(rng, n_vars, n_rows):
@@ -169,17 +172,10 @@ class TestPricing:
     ], ids=["n6", "n8-reproducer"])
     def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch, columns,
                                                       patterns, mean_pivots):
-        pivots = []
-        exact = lpsolve.solve
-
-        def counting(lp):
-            sol = exact(lp)
-            pivots.append(sol.pivots)
-            return sol
-
-        monkeypatch.setattr(lpsolve, "solve", counting)
+        calls = record_batches(monkeypatch)
         report = certify_matrix_family(columns)
         assert report.certified
+        pivots = pivots_per_lp(calls)
         assert len(pivots) == patterns
         assert np.mean(pivots) < mean_pivots
 
@@ -226,3 +222,87 @@ class TestDuals:
             assert np.all(G.T @ sol.duals >= c - 1e-9)
             assert h @ sol.duals == pytest.approx(sol.objective_value, abs=1e-9)
         assert negated > 10
+
+
+def margin_lp_batches(monkeypatch, families) -> list[tuple]:
+    """The ``(A, b, c)`` stacks that certifying each family passes to the solver."""
+    with monkeypatch.context() as patch:
+        calls = record_batches(patch)
+        for columns in families:
+            certify_matrix_family(columns)
+    return [(A, b, c) for A, b, c, _ in calls]
+
+
+def random_families():
+    rng = np.random.default_rng(5)
+    return [[GeneratorSet(j, rng.normal(size=(m, 6))) for j in range(6)] for m in (20, 40)]
+
+
+def assert_same_solution(got, alone):
+    assert got.status == alone.status
+    assert got.pivots == alone.pivots
+    assert got.objective_value == alone.objective_value
+    for field in ("x", "duals"):
+        a, b = getattr(got, field), getattr(alone, field)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+
+
+def assert_batch_matches_members(A, b, c) -> list[int]:
+    batch = solve_batch(A, b, c)
+    assert len(batch) == A.shape[0]
+    for k, got in enumerate(batch):
+        assert_same_solution(got, solve_batch(A[k:k + 1], b, c)[0])
+    return [sol.pivots for sol in batch]
+
+
+class TestBatch:
+    """A batch returns exactly what each member returns in a batch of one."""
+
+    @pytest.mark.parametrize("families", [near_identity_families, random_families],
+                             ids=["near-identity-n4-n6-n8", "random-n6"])
+    def test_margin_lps(self, monkeypatch, families):
+        batches = margin_lp_batches(monkeypatch, families())
+        spread = 0
+        for A, b, c in batches:
+            pivots = assert_batch_matches_members(A, b, c)
+            spread = max(spread, max(pivots) - min(pivots))
+        # Members leave the batch at different pivot counts.
+        assert spread > 0
+
+    def test_members_switch_to_bland_mid_batch(self, monkeypatch):
+        (A, b, c), = margin_lp_batches(monkeypatch, [random_families()[1]])
+        dantzig = [sol.pivots for sol in solve_batch(A, b, c)]
+        monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 2)
+        bland = assert_batch_matches_members(A, b, c)
+        # Some members reach a degenerate run of 2 and change their path,
+        # others never do and keep Dantzig's.
+        changed = sum(p != q for p, q in zip(dantzig, bland))
+        assert 0 < changed < len(bland)
+
+    def test_mixed_statuses(self):
+        # Shared b with a negative entry gives every member a phase 1;
+        # random rows make some members infeasible, some unbounded and
+        # some optimal, and each must leave the batch with its own status.
+        rng = np.random.default_rng(131)
+        A = rng.normal(size=(60, 3, 3))
+        b = np.array([1.0, 2.0, -0.5])
+        c = np.array([1.0, 0.5, -0.25])
+        assert_batch_matches_members(A, b, c)
+        statuses = {sol.status for sol in solve_batch(A, b, c)}
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            solve_batch(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            solve_batch(np.zeros((1, 2, 3)), np.zeros(3), np.zeros(3))
+
+    def test_solve_is_a_batch_of_one(self):
+        rng = np.random.default_rng(137)
+        A = rng.normal(size=(20, 4, 3))
+        b = rng.uniform(-0.5, 2.0, size=4)
+        c = rng.normal(size=3)
+        for k, got in enumerate(solve_batch(A, b, c)):
+            assert_same_solution(got, solve(LinearProgram(c, A[k], b)))

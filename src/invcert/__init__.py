@@ -39,7 +39,6 @@ from .cones import (
     normalize_generators,
     verify_certificate,
 )
-from .lpsolve import LinearProgram, LpSolution, solve
 from .oracle import CollisionReport, sampled_injectivity
 
 __version__ = "0.1.0"
@@ -54,8 +53,6 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "DegenerateColumn",
     "GeneratorSet",
-    "LinearProgram",
-    "LpSolution",
     "PatchGrid",
     "PatternResult",
     "SignPattern",
@@ -72,6 +69,5 @@ __all__ = [
     "normalize_generators",
     "patch_column_generators",
     "sampled_injectivity",
-    "solve",
     "verify_certificate",
 ]

@@ -126,10 +126,10 @@ class CertificateReport:
 _CHUNK = 32
 
 
-def _margin_lps(units: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
 
-    ``units`` holds the m unit generators as rows, and program k signs row
+    ``W`` holds the m unit generators as rows, and program k signs row
     r by ``signs[k, r]`` (+1 or -1). Each program maximizes ``t`` subject
     to ``a . w >= t`` for every signed generator ``w``, ``-1 <= a_j <= 1``
     and ``t >= 0``. It is solved through its LP dual: minimize
@@ -147,11 +147,7 @@ def _margin_lps(units: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
     Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
     ``lam`` of shape (B, m).
     """
-    W = np.atleast_2d(np.asarray(units, dtype=float))
     m, n = W.shape
-    if m == 0:
-        raise ValueError("empty generator list")
-    signs = np.asarray(signs, dtype=float)
     size = signs.shape[0]
     # Variables: lam (m), u (n), all nonnegative.
     c = np.concatenate([np.zeros(m), -np.ones(n)])
@@ -181,9 +177,14 @@ def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
 
     Returns ``(a_star, t_star)`` with ``a_star`` in the unit box; a strict
     certificate exists over these generators exactly when ``t_star > 0``,
-    and then ``(a_star/|a_star|, t_star/|a_star|)`` is one.
+    and then ``(a_star/|a_star|, t_star/|a_star|)`` is one. The generators
+    must form a non-empty (m, n) array of finite numbers.
     """
     W = np.atleast_2d(np.asarray(unit_generators, dtype=float))
+    if W.ndim != 2 or W.size == 0:
+        raise ValueError(f"need a non-empty (m, n) array of generators, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("generators must be finite")
     a, t, _ = _margin_lps(W, np.ones((1, W.shape[0])))
     return a[0], float(t[0])
 

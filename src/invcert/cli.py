@@ -418,16 +418,14 @@ def main(argv=None) -> int:
         print(f"invcert: invalid input: {exc}", file=sys.stderr)
         return 3
 
-    if args.delta is not None:
-        if not args.delta > 0.0:
-            print("invcert: --delta must be positive", file=sys.stderr)
+    for flag in ("delta", "threshold"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if not (math.isfinite(value) and value > 0.0):
+            print(f"invcert: --{flag} must be finite and positive", file=sys.stderr)
             return 3
-        doc = replace(doc, delta=args.delta)
-    if args.threshold is not None:
-        if not args.threshold > 0.0:
-            print("invcert: --threshold must be positive", file=sys.stderr)
-            return 3
-        doc = replace(doc, threshold=args.threshold)
+        doc = replace(doc, **{flag: value})
     if args.format is not None:
         doc = replace(doc, fmt=args.format)
     if args.oracle is not None and args.oracle < 1:

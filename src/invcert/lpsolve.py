@@ -1,25 +1,23 @@
 """Dense two-phase primal simplex for small linear programs, in lockstep batches.
 
-Solves ``maximize c.x`` subject to ``G x <= h`` and per-variable bounds.
-Bounded variables are shifted (finite lower bound), mirrored (finite
-upper bound only), or split into positive and negative parts (free);
-inequality rows get slack variables, and rows whose right-hand side turns
-negative get phase-1 artificials. Pricing follows Dantzig's rule (most
-negative reduced cost, lowest index on ties; ratio ties leave by the
-lowest basis index) and falls back to Bland's least-index rule, which
-cannot cycle, after a run of degenerate pivots until the objective
-improves again. Termination is guaranteed and the solve deterministic:
-identical inputs take the identical pivot path and return bit-identical
-solutions. Row duals are read from the final objective row.
+Solves ``maximize c.x`` subject to ``A x <= b`` and ``x >= 0``. Every
+row gets a slack variable, and rows with a negative right-hand side get
+phase-1 artificials. Pricing follows Dantzig's rule (most negative
+reduced cost, lowest index on ties; ratio ties leave by the lowest basis
+index) and falls back to Bland's least-index rule, which cannot cycle,
+after a run of degenerate pivots until the objective improves again.
+Termination is guaranteed and the solve deterministic: identical inputs
+take the identical pivot path and return bit-identical solutions. Row
+duals are read from the final objective row.
 
-The kernel pivots a stack of tableaux in lockstep. :func:`solve_batch`
-takes B programs ``maximize c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` that
-share ``b`` and ``c``, so their slack and artificial columns are the
-same. Every member keeps its own pricing rule, degenerate-run counter
-and iteration limit, and leaves the active set when it stops. Its
-arithmetic is exactly that of solving it alone, so a batch returns the
-same bits and pivot counts as its members solved one at a time.
-:func:`solve` substitutes the bounds and solves a batch of one.
+The kernel pivots a stack of tableaux in lockstep. :func:`solve_batch`,
+the only entry point, takes B programs ``maximize c.x`` s.t.
+``A[k] x <= b``, ``x >= 0`` that share ``b`` and ``c``, so their slack
+and artificial columns are the same. Every member keeps its own pricing
+rule, degenerate-run counter and iteration limit, and leaves the active
+set when it stops. Its arithmetic is exactly that of solving it alone,
+so a batch returns the same bits and pivot counts as its members solved
+one at a time.
 
 Problem sizes here are tiny (a margin LP has 2n + 1 rows and one column
 per generator plus n), so the dense tableau is the right tool; batching
@@ -30,20 +28,17 @@ is no sparse storage and no warm starting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FEASIBILITY_TOL",
     "INFEASIBLE",
-    "LinearProgram",
     "LpSolution",
     "OPTIMAL",
     "PIVOT_TOL",
     "REDUCED_COST_TOL",
     "UNBOUNDED",
-    "solve",
     "solve_batch",
 ]
 
@@ -58,71 +53,6 @@ _DEGENERATE_RUN = 500
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-Bound = tuple[float | None, float | None]
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """``maximize objective . x`` s.t. ``constraint_matrix x <= constraint_bounds``.
-
-    ``bounds[j]`` is the (lower, upper) pair for variable ``j``; ``None``
-    means unbounded on that side. When ``bounds`` is omitted every
-    variable gets ``(0, None)``.
-    """
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    constraint_bounds: np.ndarray
-    bounds: tuple[Bound, ...] | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        G = np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float))
-        h = np.asarray(self.constraint_bounds, dtype=float).ravel()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("objective must be a non-empty vector")
-        if G.size == 0:
-            G = G.reshape(0, c.size)
-        if G.shape[1] != c.size:
-            raise ValueError(
-                f"constraint rows have {G.shape[1]} coefficients, objective has {c.size}"
-            )
-        if h.shape != (G.shape[0],):
-            raise ValueError(
-                f"got {h.size} constraint bounds for {G.shape[0]} rows"
-            )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
-            raise ValueError("all coefficients must be finite")
-        bounds = self.bounds
-        if bounds is None:
-            bounds = tuple((0.0, None) for _ in range(c.size))
-        else:
-            bounds = tuple(
-                (None if lo is None else float(lo), None if hi is None else float(hi))
-                for lo, hi in bounds
-            )
-            if len(bounds) != c.size:
-                raise ValueError(f"got {len(bounds)} bounds for {c.size} variables")
-            for j, (lo, hi) in enumerate(bounds):
-                if lo is not None and not np.isfinite(lo):
-                    raise ValueError(f"variable {j}: finite or None lower bound required")
-                if hi is not None and not np.isfinite(hi):
-                    raise ValueError(f"variable {j}: finite or None upper bound required")
-        for arr in (c, G, h):
-            arr.setflags(write=False)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", G)
-        object.__setattr__(self, "constraint_bounds", h)
-        object.__setattr__(self, "bounds", bounds)
-
-    @property
-    def n_variables(self) -> int:
-        return self.objective.size
-
-    @property
-    def n_constraints(self) -> int:
-        return self.constraint_matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -263,9 +193,10 @@ def solve_batch(A, b, c) -> list[LpSolution]:
     """Solve ``maximize c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` for every k.
 
     ``A`` has shape (B, rows, variables) and the B programs share ``b`` and
-    ``c``; every coefficient must be finite, as :class:`LinearProgram`
-    checks. Returns one solution per program; ``duals`` price every row.
-    Each solution is bit-identical to the one its program gets alone.
+    ``c``. Every coefficient must be finite; nothing here checks, so the
+    caller validates its input. Returns one solution per program;
+    ``duals`` price every row. Each solution is bit-identical to the one
+    its program gets alone.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -343,55 +274,10 @@ def solve_batch(A, b, c) -> list[LpSolution]:
         if unbounded[q]:
             solutions[k] = LpSolution(UNBOUNDED, pivots=int(pivots[k]))
             continue
-        # Adding 0.0 turns a -0.0 into 0.0, as the bound substitution of
-        # solve does, so a batch member and solve agree bit for bit.
+        # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
+        # witness weights that reports print.
         x = y[p, :n_var] + 0.0
         x.setflags(write=False)
         solutions[k] = LpSolution(OPTIMAL, x, float(c @ x), duals[p], int(pivots[k]))
     return solutions
 
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the program as a batch of one; returns a vertex optimizer when one exists."""
-    G, h, c = lp.constraint_matrix, lp.constraint_bounds, lp.objective
-    m, n_var = G.shape
-
-    # Substitute x = shift + S y with y >= 0. Column k of S is sign[k] times
-    # the unit vector of variable var[k]. Variables with a finite lower bound
-    # are shifted by it (and keep an upper-bound row if they have both),
-    # upper-bounded ones are mirrored, and free ones are split into adjacent
-    # positive and negative parts.
-    shift = [0.0] * n_var
-    var: list[int] = []
-    sign: list[float] = []
-    upper: list[int] = []
-    widths: list[float] = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
-            if hi is not None:
-                if lo > hi:
-                    return LpSolution(INFEASIBLE)
-                upper.append(len(var))
-                widths.append(hi - lo)
-            shift[j] = lo
-            var.append(j)
-            sign.append(1.0)
-        elif hi is not None:
-            shift[j] = hi
-            var.append(j)
-            sign.append(-1.0)
-        else:
-            var += (j, j)
-            sign += (1.0, -1.0)
-    shift, var, sign = np.array(shift), np.array(var), np.array(sign)
-
-    A = np.zeros((1, m + len(upper), var.size))
-    A[0, :m] = G[:, var] * sign
-    A[0, m + np.arange(len(upper)), upper] = 1.0
-    b = np.concatenate([h - G @ shift, widths])
-    sol, = solve_batch(A, b, c[var] * sign)
-    if sol.status != OPTIMAL:
-        return sol
-    x = shift + np.bincount(var, sign * sol.x, minlength=n_var)
-    x.setflags(write=False)
-    return LpSolution(OPTIMAL, x, float(c @ x), sol.duals[:m], sol.pivots)

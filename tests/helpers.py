@@ -172,5 +172,19 @@ def record_batches(monkeypatch) -> list[tuple]:
     return calls
 
 
+def solve_one(c, G, h, box=None) -> lpsolve.LpSolution:
+    """Solve ``maximize c.x`` s.t. ``G x <= h``, ``0 <= x <= box`` as a batch of one.
+
+    A box, when given, becomes the rows ``I x <= box`` under ``G``, so the
+    first ``len(h)`` duals price the rows of ``G``.
+    """
+    A, b = np.asarray(G, dtype=float), np.asarray(h, dtype=float)
+    if box is not None:
+        A = np.vstack([A, np.eye(A.shape[1])])
+        b = np.concatenate([b, box])
+    sol, = lpsolve.solve_batch(A[None], b, c)
+    return sol
+
+
 def pivots_per_lp(calls: list[tuple]) -> list[int]:
     return [sol.pivots for *_, solutions in calls for sol in solutions]

@@ -22,7 +22,6 @@ from invcert import (
 )
 from invcert import certify
 from invcert.cli import emit_report
-from invcert.lpsolve import LinearProgram, solve
 
 from helpers import (
     collapsed_net,
@@ -34,6 +33,7 @@ from helpers import (
     random_net,
     record_batches,
     rotation_net,
+    solve_one,
 )
 from oracles import acute_2d, lp_vertex_oracle, sweep_unit_margin
 from test_certify import manual_aggregation, pattern_by_signs
@@ -144,7 +144,7 @@ def test_criterion_06_lp_oracle_equivalence():
         h = G @ x0 + rng.uniform(0.1, 2.0, size=n_rows)
         cvec = rng.normal(size=n_vars)
         bounds = tuple((0.0, float(b)) for b in box)
-        sol = solve(LinearProgram(cvec, G, h, bounds))
+        sol = solve_one(cvec, G, h, box)
         assert sol.status == "optimal"
         oracle = lp_vertex_oracle(cvec, G, h, bounds)
         worst = max(worst, abs(sol.objective_value - oracle))

@@ -74,6 +74,13 @@ class TestCertificateLp:
         with pytest.raises(ValueError, match="empty"):
             certificate_lp(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("generators", [
+        [[np.nan, 1.0]], [[np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [], [[]],
+    ], ids=["nan", "inf", "minus-inf", "empty", "no-coordinates"])
+    def test_nonfinite_or_empty_input_rejected(self, generators):
+        with pytest.raises(ValueError):
+            certificate_lp(generators)
+
 
 class TestStrictVFamily:
     def test_identity_columns(self):

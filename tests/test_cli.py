@@ -232,6 +232,15 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert captured.err == "invcert: internal error: simplex iteration limit exceeded\n"
 
+    @pytest.mark.parametrize("flag", ["--delta", "--threshold"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_flag_must_be_finite_and_positive(self, tmp_path, capsys, flag, value):
+        code = main(["--input", self.write(tmp_path, MATRIX_DOC), flag, value])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"invcert: {flag} must be finite and positive\n"
+
     def test_missing_file_exits_three(self, capsys):
         code = main(["--input", "/nonexistent/doc.json"])
         assert code == 3

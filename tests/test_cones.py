@@ -43,6 +43,15 @@ class TestNormalize:
         assert min_norm == pytest.approx(1e-6)
 
 
+class TestGeneratorSet:
+    # The only check between library input and the solver on the way
+    # through certify_matrix_family.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            GeneratorSet(1, [[1.0, 0.0], [0.5, value]])
+
+
 class TestSignPatterns:
     def test_n1(self):
         assert [p.signs for p in enumerate_sign_patterns(1)] == [(1,)]

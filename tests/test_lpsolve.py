@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from invcert import GeneratorSet, certify_matrix_family, lpsolve
-from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve, solve_batch
+from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_batch
 
-from helpers import near_identity_columns, pivots_per_lp, record_batches
+from helpers import near_identity_columns, pivots_per_lp, record_batches, solve_one
 from oracles import lp_vertex_oracle
 
 # Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
-# at x = (1, 0, 1, 0).
-BEALE = LinearProgram(
+# at x = (1, 0, 1, 0). Given as (c, G, h).
+BEALE = (
     [0.75, -20.0, 0.5, -6.0],
     [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
     [0.0, 0.0, 1.0],
@@ -30,19 +30,18 @@ def reproducer_columns():
 
 
 def random_bounded_lp(rng, n_vars, n_rows):
-    """Random LP with a known feasible point and a bounding box."""
+    """Random LP with a known feasible point and a bounding box ``0 <= x <= box``."""
     G = rng.normal(size=(n_rows, n_vars))
     box = rng.uniform(1.0, 5.0, size=n_vars)
     x0 = rng.random(n_vars) * box
     h = G @ x0 + rng.uniform(0.1, 2.0, size=n_rows)
     c = rng.normal(size=n_vars)
-    bounds = tuple((0.0, float(b)) for b in box)
-    return c, G, h, bounds
+    return c, G, h, box
 
 
 class TestExamples:
     def test_single_variable(self):
-        sol = solve(LinearProgram([1.0], [[1.0]], [1.0]))
+        sol = solve_one([1.0], [[1.0]], [1.0])
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.x, [1.0])
         assert sol.objective_value == pytest.approx(1.0)
@@ -50,53 +49,27 @@ class TestExamples:
     def test_two_variable_vertex(self):
         # max x+y s.t. x+2y <= 4, 3x+y <= 6; best vertex from pairwise
         # constraint intersections is (1.6, 1.2) with value 2.8.
-        lp = LinearProgram([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
-        sol = solve(lp)
+        G, h = [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0]
+        sol = solve_one([1.0, 1.0], G, h)
         assert sol.status == OPTIMAL
         np.testing.assert_allclose(sol.x, [1.6, 1.2], atol=1e-9)
         assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
-        oracle = lp_vertex_oracle([1, 1], lp.constraint_matrix, lp.constraint_bounds,
-                                  [(0.0, 10.0), (0.0, 10.0)])
+        oracle = lp_vertex_oracle([1, 1], G, h, [(0.0, 10.0), (0.0, 10.0)])
         assert sol.objective_value == pytest.approx(oracle, abs=1e-9)
 
     def test_infeasible(self):
-        sol = solve(LinearProgram([1.0], [[1.0]], [-1.0]))
+        sol = solve_one([1.0], [[1.0]], [-1.0])
         assert sol.status == INFEASIBLE
         assert sol.x is None
 
     def test_unbounded(self):
-        sol = solve(LinearProgram([1.0], np.zeros((0, 1)), []))
+        sol = solve_one([1.0], np.zeros((0, 1)), [])
         assert sol.status == UNBOUNDED
 
-    def test_free_variable_split(self):
-        sol = solve(LinearProgram([-1.0], [[-1.0]], [3.0], bounds=((None, None),)))
-        assert sol.status == OPTIMAL
-        np.testing.assert_allclose(sol.x, [-3.0], atol=1e-9)
-
-    def test_upper_bound_only_variable(self):
-        sol = solve(LinearProgram([1.0], np.zeros((0, 1)), [], bounds=((None, 2.0),)))
-        assert sol.status == OPTIMAL
-        np.testing.assert_allclose(sol.x, [2.0])
-
-    def test_crossed_bounds_infeasible(self):
-        sol = solve(LinearProgram([1.0], np.zeros((0, 1)), [], bounds=((1.0, 0.0),)))
-        assert sol.status == INFEASIBLE
-
     def test_phase1_negative_rhs(self):
-        lp = LinearProgram([1.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-2.0, 5.0])
-        sol = solve(lp)
+        sol = solve_one([1.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-2.0, 5.0])
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(5.0, abs=1e-9)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            LinearProgram([1.0, 2.0], [[1.0]], [1.0])
-        with pytest.raises(ValueError, match="bounds"):
-            LinearProgram([1.0], [[1.0], [2.0]], [1.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            LinearProgram([np.inf], [[1.0]], [1.0])
 
 
 class TestRandomSuite:
@@ -105,10 +78,10 @@ class TestRandomSuite:
         for _ in range(100):
             n_vars = int(rng.integers(2, 4))
             n_rows = int(rng.integers(1, 9))
-            c, G, h, bounds = random_bounded_lp(rng, n_vars, n_rows)
-            sol = solve(LinearProgram(c, G, h, bounds))
+            c, G, h, box = random_bounded_lp(rng, n_vars, n_rows)
+            sol = solve_one(c, G, h, box)
             assert sol.status == OPTIMAL
-            oracle = lp_vertex_oracle(c, G, h, bounds)
+            oracle = lp_vertex_oracle(c, G, h, [(0.0, hi) for hi in box])
             assert sol.objective_value == pytest.approx(oracle, abs=1e-8)
 
     def test_reported_optimum_is_feasible(self):
@@ -116,22 +89,21 @@ class TestRandomSuite:
         for _ in range(60):
             n_vars = int(rng.integers(2, 6))
             n_rows = int(rng.integers(1, 13))
-            c, G, h, bounds = random_bounded_lp(rng, n_vars, n_rows)
-            sol = solve(LinearProgram(c, G, h, bounds))
+            c, G, h, box = random_bounded_lp(rng, n_vars, n_rows)
+            sol = solve_one(c, G, h, box)
             assert sol.status == OPTIMAL
             assert np.all(G @ sol.x <= h + 1e-9)
-            for xj, (lo, hi) in zip(sol.x, bounds):
-                assert lo - 1e-9 <= xj <= hi + 1e-9
+            assert np.all(sol.x >= -1e-9)
+            assert np.all(sol.x <= box + 1e-9)
 
     def test_weak_duality_on_sampled_points(self):
         rng = np.random.default_rng(107)
         checked = 0
         for _ in range(40):
             n_vars = int(rng.integers(2, 5))
-            c, G, h, bounds = random_bounded_lp(rng, n_vars, int(rng.integers(1, 9)))
-            sol = solve(LinearProgram(c, G, h, bounds))
+            c, G, h, box = random_bounded_lp(rng, n_vars, int(rng.integers(1, 9)))
+            sol = solve_one(c, G, h, box)
             assert sol.status == OPTIMAL
-            box = np.array([hi for _, hi in bounds])
             samples = rng.random((200, n_vars)) * box
             feasible = samples[np.all(G @ samples.T <= h[:, None], axis=0)]
             if feasible.size:
@@ -142,9 +114,8 @@ class TestRandomSuite:
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(109)
         for _ in range(20):
-            c, G, h, bounds = random_bounded_lp(rng, 3, 6)
-            lp = LinearProgram(c, G, h, bounds)
-            first, second = solve(lp), solve(lp)
+            c, G, h, box = random_bounded_lp(rng, 3, 6)
+            first, second = solve_one(c, G, h, box), solve_one(c, G, h, box)
             assert first.status == second.status
             assert first.x.tobytes() == second.x.tobytes()
             assert first.objective_value == second.objective_value
@@ -153,7 +124,7 @@ class TestRandomSuite:
 
 class TestPricing:
     def test_beale_reaches_optimum(self):
-        sol = solve(BEALE)
+        sol = solve_one(*BEALE)
         assert sol.status == OPTIMAL
         assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
         np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
@@ -161,7 +132,7 @@ class TestPricing:
     def test_beale_cycles_without_bland_fallback(self, monkeypatch):
         monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 10**9)
         with pytest.raises(RuntimeError, match="iteration limit"):
-            solve(BEALE)
+            solve_one(*BEALE)
 
     @pytest.mark.parametrize("columns, patterns, mean_pivots", [
         # Bland's least-index rule took about 290 pivots per LP on this family.
@@ -183,7 +154,7 @@ class TestPricing:
 class TestDuals:
     def test_strong_duality_simple(self):
         # max x+y s.t. x <= 1, y <= 2: duals (1, 1) and value 3.
-        sol = solve(LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]))
+        sol = solve_one([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
         np.testing.assert_allclose(sol.duals, [1.0, 1.0], atol=1e-12)
 
     def test_duals_price_the_constraints(self):
@@ -195,13 +166,12 @@ class TestDuals:
             x0 = rng.random(n_vars)
             h = G @ x0 + rng.uniform(0.1, 1.0, size=n_rows)
             c = rng.normal(size=n_vars)
-            bounds = tuple((0.0, 3.0) for _ in range(n_vars))
-            sol = solve(LinearProgram(c, G, h, bounds))
+            sol = solve_one(c, G, h, np.full(n_vars, 3.0))
             assert sol.status == OPTIMAL
             assert np.all(sol.duals >= -1e-9)
             # Complementary slackness: positive duals sit on tight rows.
             slack = h - G @ sol.x
-            assert np.all(slack[sol.duals > 1e-7] <= 1e-7)
+            assert np.all(slack[sol.duals[:n_rows] > 1e-7] <= 1e-7)
 
     def test_strong_duality_with_negated_rows(self):
         # Rows with a negative right-hand side are negated inside the solver;
@@ -216,7 +186,7 @@ class TestDuals:
             h = G @ rng.random(n_vars) + rng.uniform(0.1, 1.0, size=n_rows + n_vars)
             c = rng.normal(size=n_vars)
             negated += int(np.any(h < 0.0))
-            sol = solve(LinearProgram(c, G, h))
+            sol = solve_one(c, G, h)
             assert sol.status == OPTIMAL
             assert np.all(sol.duals >= -1e-9)
             assert np.all(G.T @ sol.duals >= c - 1e-9)
@@ -298,11 +268,3 @@ class TestBatch:
             solve_batch(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((1, 2, 3)), np.zeros(3), np.zeros(3))
-
-    def test_solve_is_a_batch_of_one(self):
-        rng = np.random.default_rng(137)
-        A = rng.normal(size=(20, 4, 3))
-        b = rng.uniform(-0.5, 2.0, size=4)
-        c = rng.normal(size=3)
-        for k, got in enumerate(solve_batch(A, b, c)):
-            assert_same_solution(got, solve(LinearProgram(c, A[k], b)))

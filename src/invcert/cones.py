@@ -23,6 +23,7 @@ __all__ = [
     "SignPattern",
     "dedup_exact",
     "enumerate_sign_patterns",
+    "margin_holds",
     "normalize_generators",
     "verify_certificate",
 ]
@@ -164,6 +165,15 @@ def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
     )
 
 
+def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
+    """Check ``a . v >= epsilon * |v|`` from every generator's ``a . v`` and ``|v|``.
+
+    This is :func:`verify_certificate`'s test. A caller that tries several
+    ``a`` or ``epsilon`` on one generator set passes the norms it has.
+    """
+    return bool((projections >= epsilon * norms).all())
+
+
 def verify_certificate(a: np.ndarray, epsilon: float, generators: np.ndarray) -> bool:
     """Check ``a . v >= epsilon * |v|`` for every generator ``v``.
 
@@ -175,5 +185,4 @@ def verify_certificate(a: np.ndarray, epsilon: float, generators: np.ndarray) ->
     if np.linalg.norm(a) == 0.0:
         raise ValueError("certificate vector must be nonzero")
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    norms = np.linalg.norm(gens, axis=1)
-    return bool(np.all(gens @ a >= epsilon * norms))
+    return margin_holds(gens @ a, np.linalg.norm(gens, axis=1), epsilon)

@@ -10,14 +10,17 @@ Termination is guaranteed and the solve deterministic: identical inputs
 take the identical pivot path and return bit-identical solutions. Row
 duals are read from the final objective row.
 
-The kernel pivots a stack of tableaux in lockstep. :func:`solve_batch`,
-the only entry point, takes B programs ``maximize c.x`` s.t.
-``A[k] x <= b``, ``x >= 0`` that share ``b`` and ``c``, so their slack
-and artificial columns are the same. Every member keeps its own pricing
-rule, degenerate-run counter and iteration limit, and leaves the active
-set when it stops. Its arithmetic is exactly that of solving it alone,
-so a batch returns the same bits and pivot counts as its members solved
-one at a time.
+The kernel pivots a stack of tableaux in lockstep, with one ``einsum``
+forming the rank-one update of the whole stack at each step.
+:func:`solve_batch`, the only entry point, takes B programs ``maximize
+c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` that share ``b`` and ``c``, so
+their slack and artificial columns are the same, and returns their
+outcomes as one :class:`LpBatch` of arrays indexed by program. Every
+member keeps its own pricing rule, degenerate-run counter and iteration
+limit, and leaves the active set when it stops. Its arithmetic is
+exactly that of solving it alone, so a batch returns the same bits,
+signed zeros included, and pivot counts as its members solved one at a
+time.
 
 Problem sizes here are tiny (a margin LP has 2n + 1 rows and one column
 per generator plus n), so the dense tableau is the right tool; batching
@@ -27,14 +30,14 @@ is no sparse storage and no warm starting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FEASIBILITY_TOL",
     "INFEASIBLE",
-    "LpSolution",
+    "LpBatch",
     "OPTIMAL",
     "PIVOT_TOL",
     "REDUCED_COST_TOL",
@@ -55,20 +58,20 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    """Solver outcome; ``x``, ``objective_value`` and ``duals`` only when optimal.
+class LpBatch(NamedTuple):
+    """Outcomes of a batch of programs; entry k belongs to program ``A[k]``.
 
-    ``duals[i]`` is the nonnegative multiplier of constraint row ``i`` at
-    the optimum (zero on slack rows). ``pivots`` counts the simplex pivots
-    of both phases.
+    ``status[k]`` is :data:`OPTIMAL`, :data:`INFEASIBLE` or
+    :data:`UNBOUNDED`. ``x[k]`` is program k's optimal point and
+    ``duals[k, i]`` the nonnegative multiplier of its row ``i`` (zero on
+    slack rows); both rows are NaN unless the program is optimal.
+    ``pivots[k]`` counts the simplex pivots of both phases.
     """
 
-    status: str
-    x: np.ndarray | None = None
-    objective_value: float | None = None
-    duals: np.ndarray | None = None
-    pivots: int = 0
+    status: np.ndarray
+    x: np.ndarray
+    duals: np.ndarray
+    pivots: np.ndarray
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, members: np.ndarray,
@@ -80,12 +83,19 @@ def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, members: np.ndarra
     overwritten; ``members`` is ``arange`` over the stack.
     """
     prow = T[members, rows] / factors[members, rows][:, None]
+    # The pivot row becomes prow - 0 * prow: prow with each -0.0 made 0.0.
+    prow += 0.0
     T[members, rows] = prow
     factors[members, rows] = 0.0
-    np.multiply(factors[:, :, None], prow[:, None, :], out=scratch)
+    # einsum forms the products at about half np.multiply's cost on these
+    # broadcast views, with the same bits except that a zero product is
+    # always 0.0. That can leave a -0.0 where np.multiply would give 0.0,
+    # but only in rows never pivoted on, from which no result reads the sign
+    # of a zero: pivot rows hold no -0.0, and updates keep them so.
+    np.einsum("bi,bj->bij", factors, prow, out=scratch)
     T -= scratch
-    # The pivot row as updated (prow - 0 * prow), as for a single tableau.
-    obj -= obj[members, cols][:, None] * T[members, rows]
+    # prow is the pivot row as updated, as for a single tableau.
+    obj -= obj[members, cols][:, None] * prow
     basis[members, rows] = cols
 
 
@@ -154,14 +164,14 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
         members = everyone[:active]
         reduced = obj[:active, :n_cols]
         enter = reduced.argmin(axis=1)
+        # Either rule enters a negative reduced cost whenever there is one.
+        improving = reduced[members, enter] < -REDUCED_COST_TOL
         # A run grows by at most one per step, so none can be long before.
         if step >= _DEGENERATE_RUN:
             bland = degenerate[:active] >= _DEGENERATE_RUN
             enter[bland] = np.argmax(reduced[bland] < -REDUCED_COST_TOL, axis=1)
         col = T[members, :, enter]
         positive = col > PIVOT_TOL
-        # Either rule enters a negative reduced cost whenever there is one.
-        improving = np.minimum.reduce(reduced, axis=1) < -REDUCED_COST_TOL
         go = improving & np.logical_or.reduce(positive, axis=1)
         if np.count_nonzero(go) < active:
             # Optimal members and those with no pivot entry (unbounded) leave.
@@ -189,14 +199,15 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
     return order, unbounded, pivots
 
 
-def solve_batch(A, b, c) -> list[LpSolution]:
+def solve_batch(A, b, c) -> LpBatch:
     """Solve ``maximize c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` for every k.
 
     ``A`` has shape (B, rows, variables) and the B programs share ``b`` and
     ``c``. Every coefficient must be finite; nothing here checks, so the
-    caller validates its input. Returns one solution per program;
-    ``duals`` price every row. Each solution is bit-identical to the one
-    its program gets alone.
+    caller validates its input. Returns the outcomes as one
+    :class:`LpBatch` of arrays indexed by program; ``duals`` price every
+    row. Each program's entries are bit-identical to the ones it gets
+    alone.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -217,13 +228,12 @@ def solve_batch(A, b, c) -> list[LpSolution]:
     # Phase 2 keeps the artificial columns but never prices them; a pivot
     # updates each column from itself and the pivot column alone, so they
     # change no other entry.
-    sign = np.where(negated, -1.0, 1.0)
     eye = np.eye(n_rows)
     T = np.zeros((size, n_rows, n_total + n_art + 1))
     T[:, :, :n_var] = A
     T[:, :, n_var:n_total] = eye
-    T[:, :, :n_total] *= sign[:, None]  # times 1.0 leaves a row exactly as it is
-    T[:, :, -1] = sign * b
+    T[:, art_rows, :n_total] *= -1.0  # rows with b < 0 flip to get b >= 0
+    T[:, :, -1] = np.where(negated, -b, b)
     T[:, :, n_total:-1] = eye[:, negated]
     start = n_var + np.arange(n_rows)
     start[art_rows] = n_total + np.arange(n_art)
@@ -255,29 +265,24 @@ def solve_batch(A, b, c) -> list[LpSolution]:
         feasible = _compact(ok, T, basis, members)
         costs[n_total:] = 0.0
 
-    solutions: list = [None] * size
-    for k in members[feasible:]:
-        solutions[k] = LpSolution(INFEASIBLE, pivots=int(pivots[k]))
+    status = np.full(size, INFEASIBLE, dtype=object)
+    x = np.full((size, n_var), np.nan)
+    duals = np.full((size, n_rows), np.nan)
     costs[:n_var] = c
     T, basis = T[:feasible], basis[:feasible]
     obj = _init_objective(T, basis, costs)
     moved, unbounded, phase2 = _run_simplex(T, obj, basis, n_total)
     pivots[members[:feasible]] += phase2
+    # programs[p] is the program whose tableau phase 2 left at position p.
+    programs, optimal = members[moved], ~unbounded[moved]
+    status[programs] = np.where(optimal, OPTIMAL, UNBOUNDED)
+    programs = programs[optimal]
     y = np.zeros((feasible, n_total))
     y[np.arange(feasible)[:, None], basis] = T[:, :, -1]
+    # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
+    # witness weights that reports print.
+    x[programs] = y[optimal, :n_var] + 0.0
     # Slack column i prices its own row: z_i - 0 = y . (+-e_i), so the sign
     # of a negated row cancels and the entry is the row dual itself.
-    duals = obj[:, n_var:n_total].copy()
-    duals.setflags(write=False)
-    for p, q in enumerate(moved):
-        k = members[q]
-        if unbounded[q]:
-            solutions[k] = LpSolution(UNBOUNDED, pivots=int(pivots[k]))
-            continue
-        # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
-        # witness weights that reports print.
-        x = y[p, :n_var] + 0.0
-        x.setflags(write=False)
-        solutions[k] = LpSolution(OPTIMAL, x, float(c @ x), duals[p], int(pivots[k]))
-    return solutions
-
+    duals[programs] = obj[optimal, n_var:n_total]
+    return LpBatch(status, x, duals, pivots)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,20 +160,39 @@ def document_to_json(doc: InputDocument) -> str:
 
 
 def record_batches(monkeypatch) -> list[tuple]:
-    """Record every ``lpsolve.solve_batch`` call as ``(A, b, c, solutions)``."""
+    """Record every ``lpsolve.solve_batch`` call as ``(A, b, c, batch)``."""
     calls = []
     exact = lpsolve.solve_batch
 
     def recording(A, b, c):
-        solutions = exact(A, b, c)
-        calls.append((A, b, c, solutions))
-        return solutions
+        batch = exact(A, b, c)
+        calls.append((A, b, c, batch))
+        return batch
 
     monkeypatch.setattr(lpsolve, "solve_batch", recording)
     return calls
 
 
-def solve_one(c, G, h, box=None) -> lpsolve.LpSolution:
+class Solution(NamedTuple):
+    """One program's outcome; ``x``, ``objective_value`` and ``duals`` only when optimal."""
+
+    status: str
+    x: np.ndarray | None
+    objective_value: float | None
+    duals: np.ndarray | None
+    pivots: int
+
+
+def member(batch: lpsolve.LpBatch, k: int, c) -> Solution:
+    """Program k's outcome in ``batch``, whose programs maximize ``c.x``."""
+    if batch.status[k] != lpsolve.OPTIMAL:
+        return Solution(batch.status[k], None, None, None, int(batch.pivots[k]))
+    x = batch.x[k]
+    return Solution(batch.status[k], x, float(np.asarray(c, dtype=float) @ x), batch.duals[k],
+                    int(batch.pivots[k]))
+
+
+def solve_one(c, G, h, box=None) -> Solution:
     """Solve ``maximize c.x`` s.t. ``G x <= h``, ``0 <= x <= box`` as a batch of one.
 
     A box, when given, becomes the rows ``I x <= box`` under ``G``, so the
@@ -182,9 +202,8 @@ def solve_one(c, G, h, box=None) -> lpsolve.LpSolution:
     if box is not None:
         A = np.vstack([A, np.eye(A.shape[1])])
         b = np.concatenate([b, box])
-    sol, = lpsolve.solve_batch(A[None], b, c)
-    return sol
+    return member(lpsolve.solve_batch(A[None], b, c), 0, c)
 
 
 def pivots_per_lp(calls: list[tuple]) -> list[int]:
-    return [sol.pivots for *_, solutions in calls for sol in solutions]
+    return [int(p) for *_, batch in calls for p in batch.pivots]

@@ -8,6 +8,12 @@ polar angles (vs the LP margin), Jacobians by central differences (vs
 derivative nets), and hull membership by a nonnegative least-squares fit
 (vs the convex-hull property of control nets). The last three are test-only, so they live
 here rather than in the package, which keeps scipy out of its imports.
+
+Two references keep an earlier, plainer form of a runtime step, which the
+runtime must match bit for bit: the simplex pivot through ``np.multiply``
+(vs ``einsum``), and the judging of one sign pattern from its signed
+generators, re-checked through ``verify_certificate`` (vs norms and
+products shared across a family's patterns).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from math import comb
 import numpy as np
 from scipy.optimize import nnls
 
-from invcert import eval_many
+from invcert import Certificate, PatternResult, Witness, eval_many, verify_certificate
+from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
 from invcert.oracle import _dimension
 
 
@@ -162,3 +169,50 @@ def hull_membership(point, vertices, tol: float = 1e-9) -> bool:
     b = np.append(p, 1.0)
     _, residual = nnls(A, b)
     return bool(residual <= tol)
+
+
+def multiply_pivot(T, obj, basis, members, rows, cols, factors, scratch) -> None:
+    """``lpsolve._pivot`` with the rank-one update formed by ``np.multiply``.
+
+    ``np.multiply`` keeps the sign of a zero product, which ``einsum`` does
+    not; the solver's results must not depend on that.
+    """
+    prow = T[members, rows] / factors[members, rows][:, None]
+    T[members, rows] = prow
+    factors[members, rows] = 0.0
+    np.multiply(factors[:, :, None], prow[:, None, :], out=scratch)
+    T -= scratch
+    obj -= obj[members, cols][:, None] * T[members, rows]
+    basis[members, rows] = cols
+
+
+def _reference_witness(lam, signed) -> Witness | None:
+    lam = np.clip(lam, 0.0, None)
+    total = lam.sum()
+    if total <= 0.0:
+        return None
+    weights = lam / total
+    combination = weights @ signed
+    return Witness(weights, combination, float(np.linalg.norm(combination)))
+
+
+def reference_pattern_result(pattern, signed, threshold, a_raw, t, weights) -> PatternResult:
+    """One pattern's result from its LP optimum ``(a_raw, t, weights)``.
+
+    ``signed`` holds the pattern's signed unit generators as rows; the
+    certificate is re-checked against them through ``verify_certificate``.
+    """
+    if t > threshold:
+        scale = np.linalg.norm(a_raw)
+        a_unit = a_raw / scale
+        achieved = float(np.min(signed @ a_unit / np.linalg.norm(signed, axis=1)))
+        epsilon = min(t / scale, achieved)
+        for _ in range(3):
+            if epsilon > 0.0 and verify_certificate(a_unit, epsilon, signed):
+                return PatternResult(pattern, STATUS_STRICT, Certificate(a_unit, epsilon), t)
+            epsilon = float(np.nextafter(epsilon, 0.0))
+        note = "certificate failed post-hoc verification"
+    else:
+        note = "numerically marginal" if t > 0.0 else None
+    return PatternResult(pattern, STATUS_NOT_STRICT, None, t,
+                         witness=_reference_witness(weights, signed), note=note)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invcert import (
+    ControlNet,
     GeneratorSet,
     PatchGrid,
     certificate_lp,
@@ -21,12 +22,13 @@ from helpers import (
     folded_net,
     identity_grid_2x2,
     identity_net,
+    near_identity_columns,
     perturbed_identity_net,
     quad_net,
     random_grid_2x2,
     rotation_net,
 )
-from oracles import sweep_unit_margin
+from oracles import reference_pattern_result, sweep_unit_margin
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -165,6 +167,30 @@ class TestStrictVFamily:
             verified = np.min(signed @ res.certificate.a / np.linalg.norm(signed, axis=1))
             assert res.certificate.epsilon <= verified
 
+    def test_certificate_failing_post_hoc_check_is_rejected(self, monkeypatch):
+        # Tilt the (+, +) direction until it has a negative product with the
+        # generator (1, 0): no margin shaved off the LP's can then verify.
+        exact = certify._margin_lps
+        passed = {}
+
+        def tilted(units, signs):
+            a, t, weights = exact(units, signs)
+            a[0] = [-0.1, 1.0]
+            passed["t"] = float(t[0])
+            return a, t, weights
+
+        monkeypatch.setattr(certify, "_margin_lps", tilted)
+        report = certify_matrix_family(QUAD_COLUMNS)
+        res = pattern_by_signs(report, (1, 1))
+        assert not report.certified
+        assert res.status == certify.STATUS_NOT_STRICT
+        assert res.note == "certificate failed post-hoc verification"
+        assert res.certificate is None
+        assert res.lp_margin == passed["t"] > certify.DEFAULT_THRESHOLD
+        assert res.witness is not None
+        assert res.witness.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pattern_by_signs(report, (1, -1)).status == certify.STATUS_STRICT
+
     def test_certificates_reverify_with_shaved_margin(self):
         report = certify_matrix_family(QUAD_COLUMNS)
         for res in report.pattern_results:
@@ -206,8 +232,6 @@ class TestCertifyMap:
         assert abs(res.lp_margin) <= 1e-9
 
     def test_constant_axis_is_degenerate(self):
-        from invcert import ControlNet
-
         net = ControlNet((1, 0), np.array([[[0.0, 0.0]], [[1.0, 0.0]]]))
         report = certify_map(net)
         assert not report.certified
@@ -230,6 +254,18 @@ class TestCertifyMatrixFamily:
                 GeneratorSet(1, [[0.0, 1.0], [-s, c]])]
         report = certify_matrix_family(cols)
         assert not report.certified
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["delta", "threshold"])
+    @pytest.mark.parametrize("entry, subject", [
+        (certify_matrix_family, QUAD_COLUMNS),
+        (certify_map, quad_net()),
+        # Checked before the constant axis makes the report degenerate.
+        (certify_map, ControlNet((1, 0), np.array([[[0.0, 0.0]], [[1.0, 0.0]]]))),
+    ], ids=["matrix-family", "map", "constant-axis-map"])
+    def test_tolerances_must_be_finite_and_positive(self, entry, subject, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            entry(subject, **{name: value})
 
     def test_arity_mismatch_rejected(self):
         cols = [GeneratorSet(0, [[1.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]]),
@@ -332,3 +368,46 @@ def manual_aggregation(grid):
         for j in range(n):
             per_column[j].append(column_generators(net, j).vectors / widths[j])
     return [GeneratorSet(j, dedup_exact(np.vstack(per_column[j]))) for j in range(n)]
+
+
+def reference_families():
+    rng = np.random.default_rng(1)
+    near_identity = [near_identity_columns(rng, n) for n in (4, 6, 8)]
+    tilt = 1e-9
+    marginal = [GeneratorSet(0, [[1.0, tilt]]), GeneratorSet(1, [[1.0, -tilt]])]
+    return near_identity + [gaussian_columns(np.random.default_rng(7), 6), QUAD_COLUMNS, marginal]
+
+
+def result_bytes(res) -> tuple:
+    """Every field of a pattern result, floats and arrays as raw bytes."""
+    def raw(x):
+        return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+    cert, wit = res.certificate, res.witness
+    return (res.pattern, res.status, res.note, raw(res.lp_margin),
+            None if cert is None else (raw(cert.a), raw(cert.epsilon)),
+            None if wit is None else (raw(wit.weights), raw(wit.combination),
+                                      raw(wit.residual_norm)))
+
+
+@pytest.mark.parametrize("columns", reference_families(),
+                         ids=["near-identity-n4", "near-identity-n6", "near-identity-n8",
+                              "gaussian-n6", "quad", "marginal-pair"])
+def test_pattern_results_match_reference(monkeypatch, columns):
+    # Each pattern judged as one signed generator matrix, re-checked through
+    # verify_certificate, gives the very bytes of the shared-norm path.
+    seen = []
+    exact = certify._margin_lps
+
+    def recording(units, signs):
+        optimum = exact(units, signs)
+        seen.append((units, signs, optimum))
+        return optimum
+
+    monkeypatch.setattr(certify, "_margin_lps", recording)
+    report = certify_matrix_family(columns)
+    (W, signs, (a, t, weights)), = seen
+    for k, res in enumerate(report.pattern_results):
+        want = reference_pattern_result(res.pattern, W * signs[k, :, None],
+                                        certify.DEFAULT_THRESHOLD, a[k], float(t[k]), weights[k])
+        assert result_bytes(res) == result_bytes(want)

@@ -6,8 +6,8 @@ import pytest
 from invcert import GeneratorSet, certify_matrix_family, lpsolve
 from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_batch
 
-from helpers import near_identity_columns, pivots_per_lp, record_batches, solve_one
-from oracles import lp_vertex_oracle
+from helpers import member, near_identity_columns, pivots_per_lp, record_batches, solve_one
+from oracles import lp_vertex_oracle, multiply_pivot
 
 # Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
 # at x = (1, 0, 1, 0). Given as (c, G, h).
@@ -221,10 +221,10 @@ def assert_same_solution(got, alone):
 
 def assert_batch_matches_members(A, b, c) -> list[int]:
     batch = solve_batch(A, b, c)
-    assert len(batch) == A.shape[0]
-    for k, got in enumerate(batch):
-        assert_same_solution(got, solve_batch(A[k:k + 1], b, c)[0])
-    return [sol.pivots for sol in batch]
+    assert all(len(field) == A.shape[0] for field in batch)
+    for k in range(A.shape[0]):
+        assert_same_solution(member(batch, k, c), member(solve_batch(A[k:k + 1], b, c), 0, c))
+    return batch.pivots.tolist()
 
 
 class TestBatch:
@@ -243,7 +243,7 @@ class TestBatch:
 
     def test_members_switch_to_bland_mid_batch(self, monkeypatch):
         (A, b, c), = margin_lp_batches(monkeypatch, [random_families()[1]])
-        dantzig = [sol.pivots for sol in solve_batch(A, b, c)]
+        dantzig = solve_batch(A, b, c).pivots.tolist()
         monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 2)
         bland = assert_batch_matches_members(A, b, c)
         # Some members reach a degenerate run of 2 and change their path,
@@ -260,11 +260,55 @@ class TestBatch:
         b = np.array([1.0, 2.0, -0.5])
         c = np.array([1.0, 0.5, -0.25])
         assert_batch_matches_members(A, b, c)
-        statuses = {sol.status for sol in solve_batch(A, b, c)}
-        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        batch = solve_batch(A, b, c)
+        assert set(batch.status) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        stopped = batch.status != OPTIMAL
+        assert np.isnan(batch.x[stopped]).all() and np.isnan(batch.duals[stopped]).all()
+        assert not np.isnan(batch.x[~stopped]).any()
 
     def test_shapes_are_checked(self):
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((1, 2, 3)), np.zeros(3), np.zeros(3))
+
+
+def integer_families():
+    """Small families with integer generators: exact zeros everywhere."""
+    rng = np.random.default_rng(139)
+    families = []
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        families.append([GeneratorSet(j, rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)))
+                         for j in range(n)])
+    return families
+
+
+def integer_lps():
+    """Batches of integer LPs; a negative entry of ``b`` gives them a phase 1."""
+    rng = np.random.default_rng(137)
+    lps = []
+    for _ in range(40):
+        n_rows, n_vars = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        lps.append((rng.integers(-2, 3, size=(16, n_rows, n_vars)).astype(float),
+                    rng.integers(-2, 3, size=n_rows).astype(float),
+                    rng.integers(-2, 3, size=n_vars).astype(float)))
+    return lps
+
+
+def test_rank_one_update_matches_np_multiply(monkeypatch):
+    # einsum writes every zero product as 0.0 where np.multiply keeps its
+    # sign; status, pivots, x and duals, signed zeros included, must not
+    # show it.
+    negative_zeros = 0
+    for A, b, c in margin_lp_batches(monkeypatch, integer_families()) + integer_lps():
+        got = solve_batch(A, b, c)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpsolve, "_pivot", multiply_pivot)
+            want = solve_batch(A, b, c)
+        assert got.status.tolist() == want.status.tolist()
+        assert got.pivots.tolist() == want.pivots.tolist()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.duals.tobytes() == want.duals.tobytes()
+        negative_zeros += np.count_nonzero((got.duals == 0.0) & np.signbit(got.duals))
+    assert negative_zeros > 0

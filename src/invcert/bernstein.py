@@ -156,19 +156,21 @@ def _reduce_batch(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """De Casteljau reduction of a point tensor at a batch of parameters.
 
     ``points`` has shape (m_1, ..., m_n, n); ``xs`` has shape (N, n).
-    Returns the N evaluated codomain vectors, shape (N, n).
+    Returns the N evaluated codomain vectors, shape (N, n). The batch axis
+    is kept last, so every step runs over rows of N values; each value is
+    computed by the same operations in any layout.
     """
-    b = points[..., None, :]
+    b = points[..., None]
     for axis in range(xs.shape[1]):
-        t = xs[:, axis][:, None]
+        t = xs[:, axis]
         while b.shape[0] > 1:
             b = (1.0 - t) * b[:-1] + t * b[1:]
         b = b[0]
-    if b.shape[0] != xs.shape[0]:
+    if b.shape[1] != xs.shape[0]:
         # Degree-0 axes never touch the parameters, so the batch axis may
         # not have materialized through broadcasting.
-        b = np.broadcast_to(b, (xs.shape[0], points.shape[-1])).copy()
-    return b
+        b = np.broadcast_to(b, (points.shape[-1], xs.shape[0]))
+    return np.ascontiguousarray(b.T)
 
 
 def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
@@ -177,9 +179,10 @@ def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
         xs = xs[None, :]
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"expected points with {n} coordinates, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("evaluation points must be finite")
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    # NaN fails both comparisons, so only the slow path tells the errors apart.
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("evaluation points must be finite")
         raise ValueError("evaluation point lies outside the unit cube")
     return xs
 
@@ -216,6 +219,39 @@ def column_generators(net: ControlNet, axis: int) -> GeneratorSet:
     return GeneratorSet(column=axis, vectors=dedup_exact(vectors))
 
 
+def _cell_groups(grid: PatchGrid, pts: np.ndarray):
+    """Split checked global points by the cell that contains them.
+
+    Returns ``[(cell, rows, local)]``: ``rows`` selects the points of the
+    cell and ``local`` holds their affine local coordinates in it. A point
+    on a shared face goes to the lexicographically smallest containing
+    cell. In a one-cell grid the cell is [0,1]^n itself: lo = 0 and
+    width = 1 along every axis, so the local coordinates are the points,
+    bit for bit.
+    """
+    if len(grid.patches) == 1:
+        (cell,) = grid.patches
+        return [(cell, slice(None), pts)]
+    n = grid.dimension
+    idx = np.empty((pts.shape[0], n), dtype=int)
+    lo = np.empty_like(pts)
+    width = np.empty_like(pts)
+    for axis, breaks in enumerate(grid.breakpoints):
+        k = np.searchsorted(breaks, pts[:, axis], side="left") - 1
+        k = np.clip(k, 0, len(breaks) - 2)
+        idx[:, axis] = k
+        lo[:, axis] = breaks[k]
+        width[:, axis] = breaks[k + 1] - breaks[k]
+    local = (pts - lo) / width
+    flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+    groups = []
+    for cell_id in np.unique(flat):
+        rows = flat == cell_id
+        cell = tuple(int(i) for i in np.unravel_index(cell_id, grid.shape))
+        groups.append((cell, rows, local[rows]))
+    return groups
+
+
 def locate_patch(grid: PatchGrid, x) -> tuple[tuple[int, ...], np.ndarray]:
     """Cell containing ``x`` and the affine local coordinates inside it.
 
@@ -226,15 +262,8 @@ def locate_patch(grid: PatchGrid, x) -> tuple[tuple[int, ...], np.ndarray]:
     xs = _check_unit_cube(x, grid.dimension)
     if xs.shape[0] != 1:
         raise ValueError("locate_patch takes a single point")
-    cell = []
-    local = []
-    for axis, breaks in enumerate(grid.breakpoints):
-        k = int(np.searchsorted(breaks, xs[0, axis], side="left")) - 1
-        k = min(max(k, 0), len(breaks) - 2)
-        lo, hi = breaks[k], breaks[k + 1]
-        cell.append(k)
-        local.append((xs[0, axis] - lo) / (hi - lo))
-    return tuple(cell), np.array(local)
+    ((cell, _, local),) = _cell_groups(grid, xs)
+    return cell, np.array(local[0])
 
 
 def eval_many(map_like, xs) -> np.ndarray:
@@ -250,27 +279,12 @@ def eval_many(map_like, xs) -> np.ndarray:
         raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
     grid = map_like
     pts = _check_unit_cube(xs, grid.dimension)
-    if len(grid.patches) == 1:
-        # The one cell is [0,1]^n itself: lo = 0 and width = 1 along every
-        # axis, so the local coordinates (pts - lo) / width are pts, bit
-        # for bit.
-        (net,) = grid.patches.values()
-        return _reduce_batch(net.points, pts)
-    n = grid.dimension
-    idx = np.empty((pts.shape[0], n), dtype=int)
-    lo = np.empty_like(pts)
-    width = np.empty_like(pts)
-    for axis, breaks in enumerate(grid.breakpoints):
-        k = np.searchsorted(breaks, pts[:, axis], side="left") - 1
-        k = np.clip(k, 0, len(breaks) - 2)
-        idx[:, axis] = k
-        lo[:, axis] = breaks[k]
-        width[:, axis] = breaks[k + 1] - breaks[k]
-    local = (pts - lo) / width
-    flat = np.ravel_multi_index(tuple(idx.T), grid.shape)
+    groups = _cell_groups(grid, pts)
+    if len(groups) == 1:
+        # Every point lies in one cell, in order: no scatter needed.
+        ((cell, _, local),) = groups
+        return _reduce_batch(grid.patches[cell].points, local)
     out = np.empty_like(pts)
-    for cell_id in np.unique(flat):
-        mask = flat == cell_id
-        cell = tuple(int(i) for i in np.unravel_index(cell_id, grid.shape))
-        out[mask] = _reduce_batch(grid.patches[cell].points, local[mask])
+    for cell, rows, local in groups:
+        out[rows] = _reduce_batch(grid.patches[cell].points, local)
     return out

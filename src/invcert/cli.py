@@ -41,7 +41,7 @@ from .certify import (
     patch_column_generators,
 )
 from .cones import DEFAULT_DELTA, GeneratorSet
-from .oracle import sampled_injectivity
+from .oracle import MAX_TRIALS, sampled_injectivity
 
 __all__ = [
     "InputDocument",
@@ -393,9 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--per-patch", action="store_true",
                         help="additionally certify each grid patch alone")
     parser.add_argument("--oracle", type=int, default=None, metavar="TRIALS",
-                        help="also run injectivity sampling with this many pairs")
+                        help="also run injectivity sampling with this many pairs "
+                             f"(1 to {MAX_TRIALS})")
     parser.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for --oracle sampling")
+                        help="non-negative seed for --oracle sampling")
     return parser
 
 
@@ -428,8 +429,11 @@ def main(argv=None) -> int:
         doc = replace(doc, **{flag: value})
     if args.format is not None:
         doc = replace(doc, fmt=args.format)
-    if args.oracle is not None and args.oracle < 1:
-        print("invcert: --oracle needs at least one trial", file=sys.stderr)
+    if args.oracle is not None and not 1 <= args.oracle <= MAX_TRIALS:
+        print(f"invcert: --oracle takes 1 to {MAX_TRIALS} trials", file=sys.stderr)
+        return 3
+    if args.seed < 0:
+        print("invcert: --seed must be a non-negative integer", file=sys.stderr)
         return 3
 
     oracle_dict = oracle_lines = None

@@ -6,10 +6,20 @@ machinery with the certification path, and it is one-sided in the
 opposite direction from the certifier: a collision it reports is a
 genuine witness of non-injectivity, while finding none proves nothing.
 That is what makes the agreement checks meaningful.
+
+The candidate pairs are refined in lockstep: each round evaluates the
+Jacobians of every running candidate together, solves all their damped
+Gauss-Newton systems in one stacked solve and tries every step length of
+every candidate in one evaluation. The result is the same, bit for bit,
+as refining the candidates one at a time in order and returning the
+first collision: each candidate takes exactly the steps it would take
+alone, and a candidate's collision is returned only once every earlier
+candidate has stopped without one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +28,14 @@ from .bernstein import (
     ConstantAxis,
     ControlNet,
     PatchGrid,
+    _cell_groups,
     derivative_net,
     eval_many,
-    locate_patch,
 )
 
 __all__ = [
     "COLLISION_TOL",
+    "MAX_TRIALS",
     "SEPARATION_FLOOR",
     "CollisionReport",
     "sampled_injectivity",
@@ -36,8 +47,20 @@ __all__ = [
 COLLISION_TOL = 1e-9
 SEPARATION_FLOOR = 1e-3
 
+# Largest number of sample pairs one run accepts. The pairs themselves
+# take (2n + 1) * 8 bytes each, about 56 MB at n = 3.
+MAX_TRIALS = 1_000_000
+
 _REFINE_CANDIDATES = 8
 _REFINE_MAX_ITER = 80
+# Sample pairs evaluated per block, so evaluation memory does not grow
+# with the number of trials.
+_BLOCK = 2**15
+# Backtracking step lengths 1, 1/2, ..., 2^-13, longest first.
+_ALPHAS = np.ldexp(1.0, -np.arange(14))
+
+# Per-candidate outcome while refining.
+_RUNNING, _CLEAN, _COLLIDED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -53,111 +76,202 @@ class CollisionReport:
     seed: int
 
 
-def _dimension(map_like) -> int:
-    if isinstance(map_like, (ControlNet, PatchGrid)):
-        return map_like.dimension
+def _as_grid(map_like) -> PatchGrid:
+    if isinstance(map_like, PatchGrid):
+        return map_like
+    if isinstance(map_like, ControlNet):
+        return PatchGrid.single(map_like)
     raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
 
 
-class _JacobianCache:
-    """Evaluate exact Jacobians of a net or grid via derivative nets.
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    Degree-0 axes contribute a zero column (the map is constant along
-    them), so refinement never trips over ConstantAxis.
+
+class _Jacobians:
+    """Exact Jacobians of a grid at a batch of points, via derivative nets.
+
+    Each derivative net is built on first use and wrapped as a one-cell
+    grid. Degree-0 axes contribute a zero column (the map is constant
+    along them), so refinement never trips over ConstantAxis.
     """
 
-    def __init__(self, map_like):
-        self._map = map_like
-        self._nets: dict[tuple, ControlNet | None] = {}
+    def __init__(self, grid: PatchGrid):
+        self._grid = grid
+        self._nets: dict[tuple, PatchGrid | None] = {}
 
-    def _dnet(self, net: ControlNet, axis: int, key: tuple) -> ControlNet | None:
+    def _dnet(self, cell: tuple, axis: int) -> PatchGrid | None:
+        key = cell + (axis,)
         if key not in self._nets:
             try:
-                self._nets[key] = derivative_net(net, axis)
+                dnet = derivative_net(self._grid.patches[cell], axis)
+                self._nets[key] = PatchGrid.single(dnet)
             except ConstantAxis:
                 self._nets[key] = None
         return self._nets[key]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        n = _dimension(self._map)
-        J = np.zeros((n, n))
-        if isinstance(self._map, ControlNet):
-            net, local, widths = self._map, x, np.ones(n)
-            cell: tuple = ()
-        else:
-            cell, local = locate_patch(self._map, x)
-            net = self._map.patches[cell]
-            widths = self._map.cell_widths(cell)
-        for axis in range(n):
-            dnet = self._dnet(net, axis, cell + (axis,))
-            if dnet is not None:
-                J[:, axis] = eval_many(dnet, local[None, :])[0] / widths[axis]
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """Jacobians at the rows of ``xs``, shape (N, n) -> (N, n, n)."""
+        n = self._grid.dimension
+        J = np.zeros((xs.shape[0], n, n))
+        for cell, rows, local in _cell_groups(self._grid, xs):
+            widths = self._grid.cell_widths(cell)
+            for axis in range(n):
+                dnet = self._dnet(cell, axis)
+                if dnet is not None:
+                    J[rows, :, axis] = eval_many(dnet, local) / widths[axis]
         return J
 
 
-def _pair_mismatch(map_like, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(eval_many(map_like, U) - eval_many(map_like, V), axis=1)
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(d, axis=1)``.
 
-
-def _residual(map_like, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``F(u) - F(v)`` and its norm, computed exactly as ``_pair_mismatch`` does."""
-    r = eval_many(map_like, u[None, :]) - eval_many(map_like, v[None, :])
-    return r[0], float(np.linalg.norm(r, axis=1)[0])
-
-
-def _refine_pair(map_like, jac: _JacobianCache, u0: np.ndarray, v0: np.ndarray):
-    """Drive ``|F(u) - F(v)|`` toward zero with damped Gauss-Newton steps.
-
-    Both points stay inside the unit cube and at least SEPARATION_FLOOR
-    apart, so any limit with zero mismatch is a genuine collision rather
-    than the trivial ``u = v`` one.
+    That reduction adds the squares of a row from left to right; so do
+    these column sums, without a reduction loop per row.
     """
-    u, v = u0.copy(), v0.copy()
-    r, gap = _residual(map_like, u, v)
-    stalls = 0
-    for _ in range(_REFINE_MAX_ITER):
-        if gap <= 1e-12 or stalls >= 3:
-            break
-        M = np.hstack([jac(u), -jac(v)])
-        MMt = M @ M.T
-        damping = 1e-12 * max(1.0, float(np.trace(MMt)))
-        try:
-            step = -M.T @ np.linalg.solve(MMt + damping * np.eye(M.shape[0]), r)
-        except np.linalg.LinAlgError:
-            break
-        n = u.size
-        improved = False
-        alpha = 1.0
-        while alpha > 1e-4:
-            u_new = np.clip(u + alpha * step[:n], 0.0, 1.0)
-            v_new = np.clip(v + alpha * step[n:], 0.0, 1.0)
-            sep = np.linalg.norm(u_new - v_new)
-            if sep < SEPARATION_FLOOR:
-                u_new, v_new = _push_apart(u_new, v_new)
-                sep = np.linalg.norm(u_new - v_new)
-            if sep >= SEPARATION_FLOOR:
-                r_new, gap_new = _residual(map_like, u_new, v_new)
-                if gap_new < gap:
-                    stalls = stalls + 1 if gap_new > 0.99 * gap else 0
-                    u, v, r, gap = u_new, v_new, r_new, gap_new
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-    return u, v, gap
+    sq = (d * d).T
+    total = sq[0]
+    for column in sq[1:]:
+        total = total + column
+    return np.sqrt(total)
 
 
-def _push_apart(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = v - u
-    dist = np.linalg.norm(d)
-    if dist == 0.0:
-        return u, v
-    mid = (u + v) / 2.0
-    direction = d / dist
-    u2 = np.clip(mid - direction * SEPARATION_FLOOR / 2.0, 0.0, 1.0)
-    v2 = np.clip(mid + direction * SEPARATION_FLOOR / 2.0, 0.0, 1.0)
-    return u2, v2
+def _dot_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(row)``.
+
+    The one-vector norm goes through a BLAS dot product; a stacked
+    vector-by-vector matmul makes the same call once per row.
+    """
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+def _pair_mismatch(grid: PatchGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``|F(u) - F(v)|`` for every pair, evaluated _BLOCK pairs at a time."""
+    out = np.empty(U.shape[0])
+    for start in range(0, U.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = _row_norms(eval_many(grid, U[block]) - eval_many(grid, V[block]))
+    return out
+
+
+def _gauss_newton_steps(M: np.ndarray, r: np.ndarray):
+    """Damped steps ``-Mᵀ (M Mᵀ + λI)⁻¹ r`` for a stack of systems.
+
+    ``M`` is (K, n, 2n) and ``r`` is (K, n). Returns the (K, 2n) steps and
+    a mask of the systems that could be solved. Each step has the bits of
+    the same system solved alone.
+    """
+    K, n, _ = M.shape
+    MMt = M @ M.transpose(0, 2, 1)
+    # fmax ignores a NaN trace, as Python's max(1.0, trace) does.
+    damping = 1e-12 * np.fmax(1.0, np.trace(MMt, axis1=1, axis2=2))
+    A = MMt + damping[:, None, None] * np.eye(n)
+    ok = np.ones(K, dtype=bool)
+    try:
+        sol = np.linalg.solve(A, r[..., None])
+    except np.linalg.LinAlgError:
+        # One singular system fails the whole stack: solve them one by one.
+        sol = np.zeros((K, n, 1))
+        for k in range(K):
+            try:
+                sol[k] = np.linalg.solve(A[k], r[k, :, None])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    return ((-M.transpose(0, 2, 1)) @ sol)[..., 0], ok
+
+
+def _push_apart(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move each pair of rows apart to SEPARATION_FLOOR about its midpoint.
+
+    A pair of equal points stays as it is.
+    """
+    D = V - U
+    dist = _dot_norms(D)
+    moved = dist != 0.0
+    mid = (U[moved] + V[moved]) / 2.0
+    half = D[moved] / dist[moved, None] * SEPARATION_FLOOR / 2.0
+    U, V = U.copy(), V.copy()
+    U[moved] = np.clip(mid - half, 0.0, 1.0)
+    V[moved] = np.clip(mid + half, 0.0, 1.0)
+    return U, V
+
+
+def _line_search(grid, u, v, step, gap):
+    """Try every step length of every candidate in one evaluation.
+
+    A candidate accepts its longest step length whose clipped points are
+    at least SEPARATION_FLOOR apart (after pushing them apart if needed)
+    and lower its mismatch. Returns the mask of candidates that accepted
+    one, and their new points, residuals and mismatches.
+    """
+    K, n = u.shape
+    U = np.clip(u[:, None, :] + _ALPHAS[:, None] * step[:, None, :n], 0.0, 1.0)
+    V = np.clip(v[:, None, :] + _ALPHAS[:, None] * step[:, None, n:], 0.0, 1.0)
+    U, V = U.reshape(-1, n), V.reshape(-1, n)
+    sep = _dot_norms(U - V)
+    close = np.flatnonzero(sep < SEPARATION_FLOOR)
+    if close.size:
+        U[close], V[close] = _push_apart(U[close], V[close])
+        sep[close] = _dot_norms(U[close] - V[close])
+    tried = np.flatnonzero(sep >= SEPARATION_FLOOR)
+    images = eval_many(grid, np.vstack([U[tried], V[tried]]))
+    R = np.zeros((U.shape[0], n))
+    R[tried] = images[:tried.size] - images[tried.size:]
+    gaps = np.full(U.shape[0], np.nan)
+    gaps[tried] = _row_norms(R[tried])
+    better = gaps.reshape(K, _ALPHAS.size) < gap[:, None]
+    accepted = better.any(axis=1)
+    rows = (np.arange(K) * _ALPHAS.size + better.argmax(axis=1))[accepted]
+    return accepted, U[rows], V[rows], R[rows], gaps[rows]
+
+
+def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
+    """Drive ``|F(u) - F(v)|`` toward zero for candidate pairs, in lockstep.
+
+    Damped Gauss-Newton steps keep both points inside the unit cube and at
+    least SEPARATION_FLOOR apart, so any limit with zero mismatch is a
+    genuine collision rather than the trivial ``u = v`` one. A candidate
+    stops when its mismatch drops to 1e-12, after three steps in a row
+    that shrink it by less than 1%, when no step length lowers it, or
+    after _REFINE_MAX_ITER steps.
+
+    Returns the ``(u, v)`` of the first candidate, in the given order,
+    that stops with a collision, or None.
+    """
+    K, n = U0.shape
+    u, v = U0.copy(), V0.copy()
+    images = eval_many(grid, np.vstack([u, v]))
+    r = images[:K] - images[K:]
+    gap = _row_norms(r)
+    stalls = np.zeros(K, dtype=int)
+    halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
+    outcome = np.full(K, _RUNNING)
+    jac = _Jacobians(grid)
+    for it in itertools.count():
+        stopping = (outcome == _RUNNING) & (halted | (gap <= 1e-12) | (stalls >= 3)
+                                            | (it == _REFINE_MAX_ITER))
+        if stopping.any():
+            collided = ((gap[stopping] <= COLLISION_TOL)
+                        & (_dot_norms(u[stopping] - v[stopping]) >= SEPARATION_FLOOR))
+            outcome[stopping] = np.where(collided, _COLLIDED, _CLEAN)
+        # Candidates after the first collision cannot change the answer.
+        hits = np.flatnonzero(outcome == _COLLIDED)
+        first = hits[0] if hits.size else K
+        live = np.flatnonzero(outcome[:first] == _RUNNING)
+        if live.size == 0:
+            return (u[first], v[first]) if hits.size else None
+
+        J = jac(np.vstack([u[live], v[live]]))
+        M = np.concatenate([J[:live.size], -J[live.size:]], axis=2)
+        step, solved = _gauss_newton_steps(M, r[live])
+        halted[live[~solved]] = True
+        live, step = live[solved], step[solved]
+        accepted, u_new, v_new, r_new, gap_new = _line_search(
+            grid, u[live], v[live], step, gap[live])
+        halted[live[~accepted]] = True
+        live = live[accepted]
+        stalls[live] = np.where(gap_new > 0.99 * gap[live], stalls[live] + 1, 0)
+        u[live], v[live], r[live], gap[live] = u_new, v_new, r_new, gap_new
 
 
 def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport:
@@ -170,35 +284,55 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
     tolerance even on badly folded maps, so the refinement is what turns
     near-misses into exact witnesses; it respects the separation floor,
     and every step is deterministic for a fixed seed.
+
+    ``trials`` must be an integer from 1 to MAX_TRIALS and ``seed`` a
+    non-negative integer; anything else raises ValueError.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    n = _dimension(map_like)
+    if not _is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    grid = _as_grid(map_like)
+    n = grid.dimension
     rng = np.random.Generator(np.random.Philox(int(seed)))
     U = rng.random((trials, n))
     V = rng.random((trials, n))
     while True:
-        close = np.linalg.norm(U - V, axis=1) < SEPARATION_FLOOR
+        close = _row_norms(U - V) < SEPARATION_FLOOR
         if not close.any():
             break
         U[close] = rng.random((int(close.sum()), n))
         V[close] = rng.random((int(close.sum()), n))
 
-    mismatch = _pair_mismatch(map_like, U, V)
-    order = np.argsort(mismatch, kind="stable")
+    mismatch = _pair_mismatch(grid, U, V)
+    order = _smallest(mismatch, _REFINE_CANDIDATES)
 
     best = int(order[0])
     if mismatch[best] <= COLLISION_TOL:
-        return CollisionReport(True, _witness(map_like, U[best], V[best]), trials, int(seed))
+        return CollisionReport(True, _witness(grid, U[best], V[best]), trials, int(seed))
 
-    jac = _JacobianCache(map_like)
-    for idx in order[:_REFINE_CANDIDATES]:
-        u, v, gap = _refine_pair(map_like, jac, U[idx], V[idx])
-        if gap <= COLLISION_TOL and np.linalg.norm(u - v) >= SEPARATION_FLOOR:
-            return CollisionReport(True, _witness(map_like, u, v), trials, int(seed))
-    return CollisionReport(False, None, trials, int(seed))
+    pair = _refine(grid, U[order], V[order])
+    if pair is None:
+        return CollisionReport(False, None, trials, int(seed))
+    return CollisionReport(True, _witness(grid, *pair), trials, int(seed))
 
 
-def _witness(map_like, u: np.ndarray, v: np.ndarray):
-    images = eval_many(map_like, np.vstack([u, v]))
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` entries of ``np.argsort(values, kind="stable")``.
+
+    A partition finds the k-th smallest value; only the entries not above
+    it are sorted. NaN sorts last in both, and ``~(values > kth)`` keeps
+    every entry when ``kth`` itself is NaN.
+    """
+    if values.size <= k:
+        return np.argsort(values, kind="stable")
+    kth = np.partition(values, k - 1)[k - 1]
+    survivors = np.flatnonzero(~(values > kth))
+    return survivors[np.argsort(values[survivors], kind="stable")][:k]
+
+
+def _witness(grid: PatchGrid, u: np.ndarray, v: np.ndarray):
+    images = eval_many(grid, np.vstack([u, v]))
     return (u.copy(), v.copy(), images[0], images[1])

@@ -9,11 +9,14 @@ derivative nets), and hull membership by a nonnegative least-squares fit
 (vs the convex-hull property of control nets). The last three are test-only, so they live
 here rather than in the package, which keeps scipy out of its imports.
 
-Two references keep an earlier, plainer form of a runtime step, which the
-runtime must match bit for bit: the simplex pivot through ``np.multiply``
-(vs ``einsum``), and the judging of one sign pattern from its signed
-generators, re-checked through ``verify_certificate`` (vs norms and
-products shared across a family's patterns).
+Four references keep an earlier, plainer form of a runtime step, which
+the runtime must match bit for bit: the simplex pivot through
+``np.multiply`` (vs ``einsum``), the judging of one sign pattern from its
+signed generators, re-checked through ``verify_certificate`` (vs norms and
+products shared across a family's patterns), de Casteljau reduction with
+the codomain axis innermost (vs the batch axis innermost), and injectivity
+sampling that refines its candidate pairs one at a time, one point per
+evaluation (vs all candidates in lockstep).
 """
 
 from __future__ import annotations
@@ -24,9 +27,20 @@ from math import comb
 import numpy as np
 from scipy.optimize import nnls
 
-from invcert import Certificate, PatternResult, Witness, eval_many, verify_certificate
+from invcert import (
+    Certificate,
+    CollisionReport,
+    ConstantAxis,
+    ControlNet,
+    PatternResult,
+    Witness,
+    derivative_net,
+    eval_many,
+    locate_patch,
+    verify_certificate,
+)
 from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
-from invcert.oracle import _dimension
+from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
 
 def direct_bb_eval(net, xi) -> np.ndarray:
@@ -39,6 +53,19 @@ def direct_bb_eval(net, xi) -> np.ndarray:
             weight *= comb(p, i) * t**i * (1.0 - t) ** (p - i)
         total += weight * net.points[index]
     return total
+
+
+def reference_reduce_batch(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """De Casteljau reduction on a (m_1, ..., m_n, N, n) stack of points."""
+    b = points[..., None, :]
+    for axis in range(xs.shape[1]):
+        t = xs[:, axis][:, None]
+        while b.shape[0] > 1:
+            b = (1.0 - t) * b[:-1] + t * b[1:]
+        b = b[0]
+    if b.shape[0] != xs.shape[0]:
+        b = np.broadcast_to(b, (xs.shape[0], points.shape[-1])).copy()
+    return b
 
 
 def sweep_unit_margin(generators, n_angles: int = 10**6) -> tuple[float, np.ndarray]:
@@ -139,7 +166,7 @@ def fd_jacobian(map_like, x, h: float) -> np.ndarray:
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    n = _dimension(map_like)
+    n = map_like.dimension
     if x.shape != (n,):
         raise ValueError(f"expected a point with {n} coordinates, got shape {x.shape}")
     if np.any(x < h) or np.any(x > 1.0 - h):
@@ -216,3 +243,144 @@ def reference_pattern_result(pattern, signed, threshold, a_raw, t, weights) -> P
         note = "numerically marginal" if t > 0.0 else None
     return PatternResult(pattern, STATUS_NOT_STRICT, None, t,
                          witness=_reference_witness(weights, signed), note=note)
+
+
+class _ReferenceJacobian:
+    """Exact Jacobian of a net or grid at one point, via derivative nets."""
+
+    def __init__(self, map_like):
+        self._map = map_like
+        self._nets: dict[tuple, ControlNet | None] = {}
+
+    def _dnet(self, net: ControlNet, axis: int, key: tuple) -> ControlNet | None:
+        if key not in self._nets:
+            try:
+                self._nets[key] = derivative_net(net, axis)
+            except ConstantAxis:
+                self._nets[key] = None
+        return self._nets[key]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n = self._map.dimension
+        J = np.zeros((n, n))
+        if isinstance(self._map, ControlNet):
+            net, local, widths = self._map, x, np.ones(n)
+            cell: tuple = ()
+        else:
+            cell, local = locate_patch(self._map, x)
+            net = self._map.patches[cell]
+            widths = self._map.cell_widths(cell)
+        for axis in range(n):
+            dnet = self._dnet(net, axis, cell + (axis,))
+            if dnet is not None:
+                J[:, axis] = eval_many(dnet, local[None, :])[0] / widths[axis]
+        return J
+
+
+def _reference_residual(map_like, u, v) -> tuple[np.ndarray, float]:
+    r = eval_many(map_like, u[None, :]) - eval_many(map_like, v[None, :])
+    return r[0], float(np.linalg.norm(r, axis=1)[0])
+
+
+def _reference_push_apart(u, v):
+    d = v - u
+    dist = np.linalg.norm(d)
+    if dist == 0.0:
+        return u, v
+    mid = (u + v) / 2.0
+    direction = d / dist
+    u2 = np.clip(mid - direction * SEPARATION_FLOOR / 2.0, 0.0, 1.0)
+    v2 = np.clip(mid + direction * SEPARATION_FLOOR / 2.0, 0.0, 1.0)
+    return u2, v2
+
+
+def reference_refine_pair(map_like, jac, u0, v0):
+    """Damped Gauss-Newton descent on ``|F(u) - F(v)|`` for one pair.
+
+    Returns ``(u, v, gap, steps)``, ``steps`` being the number of
+    Gauss-Newton steps taken.
+    """
+    u, v = u0.copy(), v0.copy()
+    r, gap = _reference_residual(map_like, u, v)
+    stalls = 0
+    steps = 0
+    for _ in range(80):
+        if gap <= 1e-12 or stalls >= 3:
+            break
+        M = np.hstack([jac(u), -jac(v)])
+        MMt = M @ M.T
+        damping = 1e-12 * max(1.0, float(np.trace(MMt)))
+        try:
+            step = -M.T @ np.linalg.solve(MMt + damping * np.eye(M.shape[0]), r)
+        except np.linalg.LinAlgError:
+            break
+        n = u.size
+        improved = False
+        alpha = 1.0
+        while alpha > 1e-4:
+            u_new = np.clip(u + alpha * step[:n], 0.0, 1.0)
+            v_new = np.clip(v + alpha * step[n:], 0.0, 1.0)
+            sep = np.linalg.norm(u_new - v_new)
+            if sep < SEPARATION_FLOOR:
+                u_new, v_new = _reference_push_apart(u_new, v_new)
+                sep = np.linalg.norm(u_new - v_new)
+            if sep >= SEPARATION_FLOOR:
+                r_new, gap_new = _reference_residual(map_like, u_new, v_new)
+                if gap_new < gap:
+                    stalls = stalls + 1 if gap_new > 0.99 * gap else 0
+                    u, v, r, gap = u_new, v_new, r_new, gap_new
+                    improved = True
+                    steps += 1
+                    break
+            alpha *= 0.5
+        if not improved:
+            break
+    return u, v, gap, steps
+
+
+def reference_candidates(map_like, trials: int, seed: int):
+    """The sample pairs, their mismatches and the refinement order."""
+    n = map_like.dimension
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    U = rng.random((trials, n))
+    V = rng.random((trials, n))
+    while True:
+        close = np.linalg.norm(U - V, axis=1) < SEPARATION_FLOOR
+        if not close.any():
+            break
+        U[close] = rng.random((int(close.sum()), n))
+        V[close] = rng.random((int(close.sum()), n))
+    mismatch = np.linalg.norm(eval_many(map_like, U) - eval_many(map_like, V), axis=1)
+    return U, V, mismatch, np.argsort(mismatch, kind="stable")
+
+
+def reference_sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport:
+    """``sampled_injectivity`` refining the 8 best pairs one at a time."""
+    U, V, mismatch, order = reference_candidates(map_like, trials, seed)
+    best = int(order[0])
+    if mismatch[best] <= COLLISION_TOL:
+        return CollisionReport(True, _reference_collision(map_like, U[best], V[best]),
+                               trials, int(seed))
+    jac = _ReferenceJacobian(map_like)
+    for idx in order[:8]:
+        u, v, gap, _ = reference_refine_pair(map_like, jac, U[idx], V[idx])
+        if gap <= COLLISION_TOL and np.linalg.norm(u - v) >= SEPARATION_FLOOR:
+            return CollisionReport(True, _reference_collision(map_like, u, v), trials, int(seed))
+    return CollisionReport(False, None, trials, int(seed))
+
+
+def reference_candidate_runs(map_like, trials: int, seed: int = 0) -> list[tuple[bool, int]]:
+    """``(collided, steps)`` of each of the 8 best pairs, refined alone."""
+    U, V, _, order = reference_candidates(map_like, trials, seed)
+    jac = _ReferenceJacobian(map_like)
+    runs = []
+    for idx in order[:8]:
+        u, v, gap, steps = reference_refine_pair(map_like, jac, U[idx], V[idx])
+        runs.append((bool(gap <= COLLISION_TOL and np.linalg.norm(u - v) >= SEPARATION_FLOOR),
+                     steps))
+    return runs
+
+
+def _reference_collision(map_like, u, v):
+    images = eval_many(map_like, np.vstack([u, v]))
+    return (u.copy(), v.copy(), images[0], images[1])

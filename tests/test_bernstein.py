@@ -16,7 +16,7 @@ from invcert import (
 )
 
 from helpers import identity_net, quad_net, random_net
-from oracles import direct_bb_eval, fd_jacobian, hull_membership
+from oracles import direct_bb_eval, fd_jacobian, hull_membership, reference_reduce_batch
 
 
 def uniform_grid_2x2(net_for_cell):
@@ -58,11 +58,28 @@ class TestEval:
             want = np.array([direct_bb_eval(net, x) for x in xs])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_matches_codomain_innermost_reduction_byte_for_byte(self):
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 3):
+            for count in (1, 2, 7, 300):
+                for _ in range(8):
+                    net = random_net(rng, n)
+                    xs = rng.random((count, n))
+                    got = eval_many(net, xs)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == reference_reduce_batch(net.points, xs).tobytes()
+
+    def test_no_points(self):
+        assert eval_many(quad_net(), np.empty((0, 2))).shape == (0, 2)
+
     def test_domain_violation(self):
         with pytest.raises(ValueError, match="outside the unit cube"):
             eval_many(identity_net(2), [1.5, 0.5])
         with pytest.raises(ValueError, match="outside the unit cube"):
             eval_many(identity_net(2), [-0.1, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                eval_many(identity_net(2), [0.5, bad])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="coordinates"):

@@ -17,7 +17,11 @@ from invcert.cli import (
     run,
 )
 
+from invcert import cli
+from invcert.oracle import MAX_TRIALS
+
 from helpers import document_to_json, identity_grid_2x2, identity_net, quad_net
+from oracles import reference_sampled_injectivity
 
 IDENTITY_PATCH_DOC = json.dumps({
     "mode": "bb-patch",
@@ -30,6 +34,13 @@ MATRIX_DOC = json.dumps({
     "mode": "matrix-family",
     "dimension": 2,
     "columns": [[[1, 0]], [[0, 1]]],
+})
+
+FOLDED_DOC = json.dumps({
+    "mode": "bb-patch",
+    "dimension": 2,
+    "degrees": [1, 1],
+    "control_points": [[[0, 0], [0, 1]], [[1, 0], [0.1, 0.1]]],
 })
 
 COLLAPSED_DOC = json.dumps({
@@ -265,6 +276,51 @@ class TestMainExitCodes:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle"]["collided"] is False
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_oracle_output_matches_sequential_reference(self, tmp_path, capsys,
+                                                        monkeypatch, fmt):
+        runs = []
+        for k, doc in enumerate((FOLDED_DOC, COLLAPSED_DOC, IDENTITY_PATCH_DOC, GRID_DOC)):
+            path = tmp_path / f"doc-{k}.json"
+            path.write_text(doc)
+            for trials, seed in (("3", "0"), ("50", "6"), ("2000", "7")):
+                runs.append(["--input", str(path), "--format", fmt,
+                             "--oracle", trials, "--seed", seed])
+        outputs = []
+        for argv in runs:
+            outputs.append((main(argv), capsys.readouterr()))
+        monkeypatch.setattr(cli, "sampled_injectivity", reference_sampled_injectivity)
+        for argv, expected in zip(runs, outputs):
+            assert (main(argv), capsys.readouterr()) == expected, argv
+        assert sum("oracle collision: u" in out.out or '"f_u"' in out.out
+                   for _, out in outputs) >= 3
+
+    @pytest.mark.parametrize("trials", ["0", str(MAX_TRIALS + 1), "1000000000000"])
+    def test_oracle_trials_out_of_range_exit_three(self, tmp_path, capsys, trials):
+        code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC), "--oracle", trials])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"invcert: --oracle takes 1 to {MAX_TRIALS} trials\n"
+
+    def test_negative_seed_exits_three(self, tmp_path, capsys):
+        code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC),
+                     "--oracle", "10", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "invcert: --seed must be a non-negative integer\n"
+
+    def test_huge_oracle_in_a_process_of_its_own(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "invcert", "--input", self.write(tmp_path, IDENTITY_PATCH_DOC),
+             "--oracle", "1000000000000"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"invcert: --oracle takes 1 to {MAX_TRIALS} trials"]
 
     def test_per_patch_flag(self, tmp_path, capsys):
         code = main(["--input", self.write(tmp_path, GRID_DOC), "--per-patch"])

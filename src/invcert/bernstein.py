@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# The breakpoints of a one-cell axis, shared by every PatchGrid.single.
+_UNIT_BREAKS = np.array([0.0, 1.0])
+_UNIT_BREAKS.setflags(write=False)
+
+
 class ConstantAxis(ValueError):
     """Derivative requested along an axis of degree zero."""
 
@@ -139,8 +144,14 @@ class PatchGrid:
     @classmethod
     def single(cls, net: ControlNet) -> "PatchGrid":
         """Wrap one net as a grid with a single cell covering [0,1]^n."""
-        breaks = tuple(np.array([0.0, 1.0]) for _ in range(net.dimension))
-        return cls(breaks, {(0,) * net.dimension: net})
+        if not isinstance(net, ControlNet):
+            raise TypeError(f"expected a ControlNet, got {type(net)!r}")
+        # One cell over [0,1]^n is a valid grid for any net, so the checks of
+        # __init__ are skipped; the axes share one read-only breakpoint array.
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "breakpoints", (_UNIT_BREAKS,) * net.dimension)
+        object.__setattr__(grid, "patches", {(0,) * net.dimension: net})
+        return grid
 
     def cells(self) -> list[tuple[int, ...]]:
         return sorted(self.patches)
@@ -187,6 +198,34 @@ def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
+def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -> np.ndarray:
+    """Control points ``p * (f[..., i+1, ...] - f[..., i, ...])`` along ``axis``.
+
+    ``p`` is the degree along the axis; the result has the net's index
+    order, one index fewer along the axis, and is divided by ``width``
+    when one is given. Raises :class:`ConstantAxis` for degree 0 and
+    ``ValueError`` for an axis out of range or when a point overflows the
+    float range, which finite control points near the float maximum can.
+    """
+    if not 0 <= axis < net.dimension:
+        raise ValueError(f"axis {axis} out of range for dimension {net.dimension}")
+    p = net.degrees[axis]
+    if p == 0:
+        raise ConstantAxis(axis)
+    lead = (slice(None),) * axis
+    f = net.points
+    # Finite inputs can only leave the float range by overflow, which numpy
+    # flags after each operation, so no separate finiteness check is needed.
+    try:
+        with np.errstate(over="raise"):
+            points = p * (f[lead + (slice(1, None),)] - f[lead + (slice(None, -1),)])
+            if width is not None:
+                points /= width
+    except FloatingPointError:
+        raise ValueError("derivative control points overflow") from None
+    return points
+
+
 def derivative_net(net: ControlNet, axis: int) -> ControlNet:
     """Net of the partial derivative along ``axis`` (0-based).
 
@@ -194,17 +233,11 @@ def derivative_net(net: ControlNet, axis: int) -> ControlNet:
     ``p`` is the degree along the axis; evaluating the result equals the
     analytic partial derivative of the original net everywhere.
     """
-    if not 0 <= axis < net.dimension:
-        raise ValueError(f"axis {axis} out of range for dimension {net.dimension}")
-    p = net.degrees[axis]
-    if p == 0:
-        raise ConstantAxis(axis)
-    moved = np.moveaxis(net.points, axis, 0)
-    diff = p * (moved[1:] - moved[:-1])
+    points = _derivative_points(net, axis)
     degrees = tuple(
         d - 1 if k == axis else d for k, d in enumerate(net.degrees)
     )
-    return ControlNet(degrees, np.moveaxis(diff, 0, axis))
+    return ControlNet(degrees, points)
 
 
 def column_generators(net: ControlNet, axis: int) -> GeneratorSet:
@@ -214,8 +247,7 @@ def column_generators(net: ControlNet, axis: int) -> GeneratorSet:
     every realized column value is a convex combination of them. Exact
     duplicates are dropped.
     """
-    dnet = derivative_net(net, axis)
-    vectors = dnet.points.reshape(-1, net.dimension)
+    vectors = _derivative_points(net, axis).reshape(-1, net.dimension)
     return GeneratorSet(column=axis, vectors=dedup_exact(vectors))
 
 

@@ -15,18 +15,23 @@ For a piecewise Bezier map the column generators are the per-patch
 derivative control points, rescaled by the cell widths so they live in
 global coordinates, and aggregated by union across patches. The union is
 enough: the test only sees cone hulls, which convex aggregation does not
-enlarge.
+enlarge. They are formed in one pass over the control points, with no
+derivative net per cell, and exact duplicates are dropped once per
+column. Coordinates may have any finite size: generators are normalized
+before any LP sees them, and a derivative control point or generator
+norm beyond the float range raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lpsolve
-from .bernstein import ConstantAxis, ControlNet, PatchGrid, column_generators
+from .bernstein import ConstantAxis, ControlNet, PatchGrid, _derivative_points
 from .cones import (
     DEFAULT_DELTA,
     Certificate,
@@ -37,6 +42,7 @@ from .cones import (
     enumerate_sign_patterns,
     margin_holds,
     normalize_generators,
+    row_norms,
 )
 
 __all__ = [
@@ -129,6 +135,14 @@ class CertificateReport:
 _CHUNK = 32
 
 
+@functools.lru_cache(maxsize=16)
+def _pattern_signs(n: int) -> np.ndarray:
+    """Row k holds the column signs of the k-th sign pattern of dimension n."""
+    signs = np.array([p.signs for p in enumerate_sign_patterns(n)], dtype=float)
+    signs.setflags(write=False)
+    return signs
+
+
 def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
 
@@ -151,31 +165,35 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``lam`` of shape (B, m).
     """
     m, n = W.shape
-    size = signs.shape[0]
     # Variables: lam (m), u (n), all nonnegative.
-    c = np.concatenate([np.zeros(m), -np.ones(n)])
-    b = np.concatenate([np.zeros(2 * n), [-1.0]])
-    a = np.empty((size, n))
-    t = np.empty(size)
-    weights = np.empty((size, m))
-    for start in range(0, size, _CHUNK):
+    c = np.zeros(m + n)
+    c[m:] = -1.0
+    b = np.zeros(2 * n + 1)
+    b[-1] = -1.0
+    neg_eye = -np.eye(n)
+    parts = []
+    for start in range(0, signs.shape[0], _CHUNK):
         chunk = signs[start:start + _CHUNK]
         rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
         rows[:, :n, :m] = W.T * chunk[:, None, :]
         rows[:, n:2 * n, :m] = -rows[:, :n, :m]
-        rows[:, :n, m:] = rows[:, n:2 * n, m:] = -np.eye(n)
+        rows[:, :n, m:] = rows[:, n:2 * n, m:] = neg_eye
         rows[:, 2 * n, :m] = -1.0
         batch = lpsolve.solve_batch(rows, b, c)
         failed = batch.status != lpsolve.OPTIMAL
         if failed.any():
             raise CertificationError(
                 f"certificate LP terminated with status {batch.status[failed][0]}")
-        y, stop = batch.duals, start + chunk.shape[0]
-        a[start:stop] = y[:, :n] - y[:, n:2 * n]
-        # One c @ x per program: a matrix-vector product may round differently.
-        value = np.array([c @ x for x in batch.x])
-        t[start:stop] = np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0)
-        weights[start:stop] = batch.x[:, :m]
+        y, x = batch.duals, batch.x
+        # One dot product per program, as c @ x makes: a matrix-vector
+        # product may round differently.
+        value = (x[:, None, :] @ c[:, None])[:, 0, 0]
+        parts.append((y[:, :n] - y[:, n:2 * n],
+                      np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0),
+                      x[:, :m]))
+    if len(parts) == 1:
+        return parts[0]
+    a, t, weights = (np.concatenate(p) for p in zip(*parts))
     return a, t, weights
 
 
@@ -306,11 +324,10 @@ def certify_matrix_family(
     units = [u for u, _ in normalized]
     min_norms = tuple(mn for _, mn in normalized)
 
-    W = np.vstack(units)
+    W = np.concatenate(units)
     patterns = enumerate_sign_patterns(n)
-    signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
-                      [u.shape[0] for u in units], axis=1)
-    norms = np.linalg.norm(W, axis=1)
+    signs = np.repeat(_pattern_signs(n), counts, axis=1)
+    norms = row_norms(W)
     a, t, weights = _margin_lps(W, signs)
     results = [
         _pattern_result(pattern, W, norms, signs[k], threshold, a[k], float(t[k]), weights[k])
@@ -334,31 +351,43 @@ def certify_matrix_family(
     )
 
 
+def _column_rows(grid: PatchGrid, cells) -> list[list[np.ndarray]]:
+    """Per column, the derivative control points of each cell as scaled rows.
+
+    A cell's points along axis ``j`` are divided by its width along ``j``
+    (chain rule), so they live in global coordinates; the factor is
+    positive, so cone hulls are unchanged. Raises :class:`ConstantAxis`
+    for the first cell, in the given order, with a degree-0 axis.
+    """
+    n = grid.dimension
+    rows: list[list[np.ndarray]] = [[] for _ in range(n)]
+    for cell in cells:
+        net = grid.patches[cell]
+        widths = grid.cell_widths(cell)
+        for j in range(n):
+            rows[j].append(_derivative_points(net, j, widths[j]).reshape(-1, n))
+    return rows
+
+
 def patch_column_generators(grid: PatchGrid, cell: tuple[int, ...]) -> list[GeneratorSet]:
     """Column generators of one cell, rescaled to global coordinates.
 
     Local derivative control points are divided by the cell width along
-    the column's axis (chain rule). The factor is positive, so cone hulls
-    are unchanged; it is applied so margins refer to global derivatives.
+    the column's axis; exact duplicates are dropped.
     """
-    net = grid.patches[tuple(cell)]
-    widths = grid.cell_widths(tuple(cell))
-    return [
-        GeneratorSet(j, column_generators(net, j).vectors / widths[j])
-        for j in range(grid.dimension)
-    ]
+    rows = _column_rows(grid, [tuple(cell)])
+    return [GeneratorSet(j, dedup_exact(block)) for j, (block,) in enumerate(rows)]
 
 
 def grid_column_generators(grid: PatchGrid) -> list[GeneratorSet]:
-    """Union of the scaled per-patch generators, one set per column."""
-    n = grid.dimension
-    stacked: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for cell in grid.cells():
-        for j, gens in enumerate(patch_column_generators(grid, cell)):
-            stacked[j].append(gens.vectors)
-    return [
-        GeneratorSet(j, dedup_exact(np.vstack(stacked[j]))) for j in range(n)
-    ]
+    """Union of the scaled per-patch generators, one set per column.
+
+    Cells are stacked in ``grid.cells()`` order and exact duplicates are
+    dropped once, keeping first occurrences.
+    """
+    rows = _column_rows(grid, grid.cells())
+    return [GeneratorSet(j, dedup_exact(np.concatenate(blocks)))
+            for j, blocks in enumerate(rows)]
 
 
 def certify_map(

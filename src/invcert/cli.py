@@ -24,6 +24,7 @@ error (a solver or certification failure that should not happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -376,6 +377,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+# Parsing leaves the parser unchanged, so one process builds it once.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="invcert",

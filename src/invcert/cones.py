@@ -11,6 +11,7 @@ extends to the whole cone by positive combination.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ __all__ = [
 # Default separation threshold: generators with Euclidean norm below this
 # are treated as touching the origin, which makes the column uncertifiable.
 DEFAULT_DELTA = 1e-12
+
+# Below this sum-of-squares norm a row's squares may have underflowed and
+# lost bits (each square of a larger entry is at least 2**-1000, a normal
+# float), so _generator_norms recomputes such norms by rescaling.
+_TINY_NORM = 2.0 ** -500
 
 
 class DegenerateColumn(ValueError):
@@ -65,7 +71,7 @@ class GeneratorSet:
         vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ValueError("generator set must contain at least one vector")
-        if not np.all(np.isfinite(vectors)):
+        if not np.isfinite(vectors).all():
             raise ValueError(f"column {self.column}: generators must be finite")
         object.__setattr__(self, "column", int(self.column))
         object.__setattr__(self, "vectors", _readonly(vectors))
@@ -110,9 +116,9 @@ class Certificate:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1:
             raise ValueError("certificate vector must be one-dimensional")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        if abs(math.sqrt(a @ a) - 1.0) > 1e-12:
             raise ValueError("certificate vector must have unit Euclidean norm")
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"certificate margin must be positive, got {self.epsilon}")
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -131,20 +137,60 @@ def dedup_exact(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(vectors, axis=1)``.
+
+    The same two ufunc calls without ``norm``'s dispatch. Squares may
+    overflow or underflow, as they do there.
+    """
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=1))
+
+
+def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Euclidean norm of each row of a non-empty stack, with the smallest and largest.
+
+    Rows get :func:`row_norms`'s sum-of-squares norm, except where that
+    overflows or falls below ``_TINY_NORM``, where squares may have
+    underflowed: those rows are recomputed as ``s * |row / s|`` with ``s``
+    their largest absolute entry, whose squares do neither. So the norms
+    are accurate for entries of any finite size; zero rows get 0 and rows
+    whose true norm exceeds the float range get inf.
+    """
+    with np.errstate(over="ignore"):
+        norms = row_norms(vectors)
+        low, high = norms.min(), norms.max()
+        if not (low >= _TINY_NORM and high < np.inf):
+            redo = ~((norms >= _TINY_NORM) & (norms < np.inf))
+            rows = vectors[redo]
+            scale = np.abs(rows).max(axis=1)
+            nonzero = scale > 0.0
+            scale = scale[nonzero, None]
+            fixed = np.zeros(rows.shape[0])
+            fixed[nonzero] = scale[:, 0] * row_norms(rows[nonzero] / scale)
+            norms[redo] = fixed
+            low, high = norms.min(), norms.max()
+    return norms, low, high
+
+
 def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tuple[np.ndarray, float]:
     """Scale every generator to unit norm.
 
     Returns ``(units, min_norm)`` where ``min_norm`` is the smallest
-    original generator norm, kept for reporting alongside the margin.
-    Raises :class:`DegenerateColumn` if any generator has norm below
-    ``delta``: the cone then touches the origin and no margin can hold.
+    original generator norm (see :func:`_generator_norms`), kept for
+    reporting alongside the margin. Raises :class:`DegenerateColumn` if
+    any generator has norm below ``delta``: the cone then touches the
+    origin and no margin can hold. Raises ``ValueError`` if a generator's
+    norm exceeds the float range.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    norms = np.linalg.norm(gens.vectors, axis=1)
-    if np.any(norms < delta):
-        raise DegenerateColumn(gens.column, float(norms.min()))
-    return gens.vectors / norms[:, None], float(norms.min())
+    norms, low, high = _generator_norms(gens.vectors)
+    if low < delta:
+        raise DegenerateColumn(gens.column, float(low))
+    if high == np.inf:
+        raise ValueError(
+            f"column {gens.column} has a generator whose norm exceeds the float range")
+    return gens.vectors / norms[:, None], float(low)
 
 
 def enumerate_sign_patterns(n: int) -> list[SignPattern]:

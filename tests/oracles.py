@@ -9,14 +9,16 @@ derivative nets), and hull membership by a nonnegative least-squares fit
 (vs the convex-hull property of control nets). The last three are test-only, so they live
 here rather than in the package, which keeps scipy out of its imports.
 
-Four references keep an earlier, plainer form of a runtime step, which
+Five references keep an earlier, plainer form of a runtime step, which
 the runtime must match bit for bit: the simplex pivot through
 ``np.multiply`` (vs ``einsum``), the judging of one sign pattern from its
 signed generators, re-checked through ``verify_certificate`` (vs norms and
 products shared across a family's patterns), de Casteljau reduction with
-the codomain axis innermost (vs the batch axis innermost), and injectivity
+the codomain axis innermost (vs the batch axis innermost), injectivity
 sampling that refines its candidate pairs one at a time, one point per
-evaluation (vs all candidates in lockstep).
+evaluation (vs all candidates in lockstep), and column generators built
+through a derivative net per cell and axis, deduplicated per cell and
+again per column (vs one pass over the control points).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from invcert import (
     CollisionReport,
     ConstantAxis,
     ControlNet,
+    GeneratorSet,
     PatternResult,
     Witness,
     derivative_net,
@@ -40,6 +43,7 @@ from invcert import (
     verify_certificate,
 )
 from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
+from invcert.cones import dedup_exact
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
 
@@ -196,6 +200,36 @@ def hull_membership(point, vertices, tol: float = 1e-9) -> bool:
     b = np.append(p, 1.0)
     _, residual = nnls(A, b)
     return bool(residual <= tol)
+
+
+def reference_column_generators(net: ControlNet, axis: int) -> GeneratorSet:
+    """One cell's generators of column ``axis``: its derivative net's points, deduplicated."""
+    p = net.degrees[axis]
+    if p == 0:
+        raise ConstantAxis(axis)
+    moved = np.moveaxis(net.points, axis, 0)
+    diff = p * (moved[1:] - moved[:-1])
+    degrees = tuple(d - 1 if k == axis else d for k, d in enumerate(net.degrees))
+    dnet = ControlNet(degrees, np.moveaxis(diff, 0, axis))
+    return GeneratorSet(axis, dedup_exact(dnet.points.reshape(-1, net.dimension)))
+
+
+def reference_patch_column_generators(grid, cell) -> list[GeneratorSet]:
+    """One cell's column generators, divided by its widths after deduplication."""
+    net = grid.patches[tuple(cell)]
+    widths = grid.cell_widths(tuple(cell))
+    return [GeneratorSet(j, reference_column_generators(net, j).vectors / widths[j])
+            for j in range(grid.dimension)]
+
+
+def reference_grid_column_generators(grid) -> list[GeneratorSet]:
+    """Every cell's scaled generators stacked per column and deduplicated again."""
+    n = grid.dimension
+    stacked: list[list[np.ndarray]] = [[] for _ in range(n)]
+    for cell in grid.cells():
+        for j, gens in enumerate(reference_patch_column_generators(grid, cell)):
+            stacked[j].append(gens.vectors)
+    return [GeneratorSet(j, dedup_exact(np.vstack(stacked[j]))) for j in range(n)]
 
 
 def multiply_pivot(T, obj, basis, members, rows, cols, factors, scratch) -> None:

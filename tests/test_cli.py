@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -351,3 +352,129 @@ class TestMainExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 3
+
+
+def patch_doc(points, **extra) -> str:
+    points = np.asarray(points, dtype=float)
+    return json.dumps({"mode": "bb-patch", "dimension": points.shape[-1],
+                       "degrees": [s - 1 for s in points.shape[:-1]],
+                       "control_points": points.tolist(), **extra})
+
+
+HUGE_LINEAR_DOC = patch_doc([[[0, 0], [0, 1e200]], [[1e200, 0], [1e200, 1e200]]])
+OVERFLOWING_DERIVATIVE_DOC = patch_doc([[[-1e308, 0], [-1e308, 1]], [[1e308, 0], [1e308, 1]]])
+
+
+def cli_small_like_documents() -> list[tuple[str, list[str]]]:
+    """Documents of the kinds the benchmark's CLI workload sends, with their flags."""
+    rng = np.random.default_rng(21)
+    docs = []
+    identity = np.array([[[0, 0], [0, 1]], [[1, 0], [1, 1]]], dtype=float)
+    for k in range(8):
+        docs.append((patch_doc(identity + rng.uniform(-0.6, 0.6, size=(2, 2, 2))), []))
+        quad = np.array([[[0, 0], [0, 1]], [[1, 0], [2, 2]]]) + rng.uniform(-0.05, 0.05, (2, 2, 2))
+        docs.append((patch_doc(quad, options={"format": "structured"}), []))
+        axes = [np.linspace(0.0, 1.0, p + 1) for p in (1 + k % 2, 2)]
+        net = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        docs.append((patch_doc(net + rng.uniform(-0.3, 0.3, size=net.shape)), []))
+        n = 2 + k % 3
+        columns = [(np.eye(n)[j] + (0.2 + k % 2) * rng.normal(size=(6, n))).tolist()
+                   for j in range(n)]
+        docs.append((json.dumps({"mode": "matrix-family", "dimension": n,
+                                 "columns": columns}), []))
+        docs.append((patch_doc(np.array([[[0.0, 0.0]], [[1.0, 0.1]]])), []))
+        docs.append((GRID_DOC, ["--per-patch"]))
+    docs.append((COLLAPSED_DOC, ["--oracle", "200"]))
+    docs.append((HUGE_LINEAR_DOC, []))
+    docs.append((MATRIX_DOC.replace("[[1, 0]]", "[[1e-170, 0]]")[:-1]
+                 + ', "options": {"delta": 1e-200}}', []))
+    return docs
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestExtremeSizes:
+    def write(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_huge_linear_map_certifies(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", self.write(tmp_path, HUGE_LINEAR_DOC)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert "min generator norm per column: 1e+200 1e+200" in captured.out
+
+    def test_derivative_overflow_exits_three(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", self.write(tmp_path, OVERFLOWING_DERIVATIVE_DOC)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "invcert: derivative control points overflow\n"
+
+    def test_norm_beyond_float_range_exits_three(self, tmp_path, capsys):
+        doc = MATRIX_DOC.replace("[[1, 0]]", "[[1.5e308, 1.5e308]]")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", self.write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("invcert: column 0 has a generator whose norm "
+                                "exceeds the float range\n")
+
+    def test_tiny_generator_with_tiny_delta_certifies(self, tmp_path, capsys):
+        doc = MATRIX_DOC.replace("[[1, 0]]", "[[1e-170, 0]]")
+        code = main(["--input", self.write(tmp_path, doc), "--delta", "1e-200"])
+        assert code == 0
+        assert "min generator norm per column: 1e-170 1" in capsys.readouterr().out
+
+    def test_derivative_overflow_in_a_process_of_its_own(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "invcert", "--input",
+             self.write(tmp_path, OVERFLOWING_DERIVATIVE_DOC)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "invcert: derivative control points overflow\n"
+
+
+class TestStructuredOutputIsJson:
+    def test_cli_small_like_corpus_parses_strictly(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        codes = set()
+        for text, flags in cli_small_like_documents():
+            path.write_text(text)
+            codes.add(main(["--input", str(path), "--format", "structured", *flags]))
+            captured = capsys.readouterr()
+            json.loads(captured.out, parse_constant=reject_constant)
+        assert codes == {0, 1, 2}
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_keeps_no_state_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(IDENTITY_PATCH_DOC)
+        first = main(["--input", str(path), "--format", "structured", "--delta", "0.5"])
+        first_out = capsys.readouterr().out
+        assert json.loads(first_out)["delta"] == 0.5
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--no-such-flag"])
+        assert exit_info.value.code == 3
+        capsys.readouterr()
+        assert main(["--input", str(path)]) == first == 0
+        out = capsys.readouterr().out
+        assert "delta: 1e-12" in out
+        assert main(["--input", str(path), "--format", "structured", "--delta", "0.5"]) == 0
+        assert capsys.readouterr().out == first_out

@@ -33,11 +33,6 @@ __all__ = [
 ]
 
 
-# The breakpoints of a one-cell axis, shared by every PatchGrid.single.
-_UNIT_BREAKS = np.array([0.0, 1.0])
-_UNIT_BREAKS.setflags(write=False)
-
-
 class ConstantAxis(ValueError):
     """Derivative requested along an axis of degree zero."""
 
@@ -103,9 +98,11 @@ class PatchGrid:
             b = np.asarray(raw, dtype=float)
             if b.ndim != 1 or b.size < 2:
                 raise ValueError(f"axis {axis}: need at least two breakpoints")
-            if b[0] != 0.0 or b[-1] != 1.0:
+            # A few Python floats compare faster than numpy calls on them.
+            cuts = b.tolist()
+            if cuts[0] != 0.0 or cuts[-1] != 1.0:
                 raise ValueError(f"axis {axis}: breakpoints must start at 0 and end at 1")
-            if np.any(np.diff(b) <= 0.0):
+            if any(hi <= lo for lo, hi in zip(cuts, cuts[1:])):
                 raise ValueError(f"axis {axis}: breakpoints must be strictly increasing")
             b.setflags(write=False)
             breaks.append(b)
@@ -144,14 +141,8 @@ class PatchGrid:
     @classmethod
     def single(cls, net: ControlNet) -> "PatchGrid":
         """Wrap one net as a grid with a single cell covering [0,1]^n."""
-        if not isinstance(net, ControlNet):
-            raise TypeError(f"expected a ControlNet, got {type(net)!r}")
-        # One cell over [0,1]^n is a valid grid for any net, so the checks of
-        # __init__ are skipped; the axes share one read-only breakpoint array.
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "breakpoints", (_UNIT_BREAKS,) * net.dimension)
-        object.__setattr__(grid, "patches", {(0,) * net.dimension: net})
-        return grid
+        breaks = tuple(np.array([0.0, 1.0]) for _ in range(net.dimension))
+        return cls(breaks, {(0,) * net.dimension: net})
 
     def cells(self) -> list[tuple[int, ...]]:
         return sorted(self.patches)

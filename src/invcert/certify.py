@@ -24,7 +24,6 @@ norm beyond the float range raises ``ValueError``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,6 @@ from .cones import (
     enumerate_sign_patterns,
     margin_holds,
     normalize_generators,
-    row_norms,
 )
 
 __all__ = [
@@ -135,14 +133,6 @@ class CertificateReport:
 _CHUNK = 32
 
 
-@functools.lru_cache(maxsize=16)
-def _pattern_signs(n: int) -> np.ndarray:
-    """Row k holds the column signs of the k-th sign pattern of dimension n."""
-    signs = np.array([p.signs for p in enumerate_sign_patterns(n)], dtype=float)
-    signs.setflags(write=False)
-    return signs
-
-
 def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
 
@@ -171,8 +161,11 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     b = np.zeros(2 * n + 1)
     b[-1] = -1.0
     neg_eye = -np.eye(n)
-    parts = []
-    for start in range(0, signs.shape[0], _CHUNK):
+    size = signs.shape[0]
+    a = np.empty((size, n))
+    t = np.empty(size)
+    weights = np.empty((size, m))
+    for start in range(0, size, _CHUNK):
         chunk = signs[start:start + _CHUNK]
         rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
         rows[:, :n, :m] = W.T * chunk[:, None, :]
@@ -184,16 +177,13 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if failed.any():
             raise CertificationError(
                 f"certificate LP terminated with status {batch.status[failed][0]}")
-        y, x = batch.duals, batch.x
+        y, x, stop = batch.duals, batch.x, start + chunk.shape[0]
+        a[start:stop] = y[:, :n] - y[:, n:2 * n]
         # One dot product per program, as c @ x makes: a matrix-vector
         # product may round differently.
         value = (x[:, None, :] @ c[:, None])[:, 0, 0]
-        parts.append((y[:, :n] - y[:, n:2 * n],
-                      np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0),
-                      x[:, :m]))
-    if len(parts) == 1:
-        return parts[0]
-    a, t, weights = (np.concatenate(p) for p in zip(*parts))
+        t[start:stop] = np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0)
+        weights[start:stop] = x[:, :m]
     return a, t, weights
 
 
@@ -324,10 +314,11 @@ def certify_matrix_family(
     units = [u for u, _ in normalized]
     min_norms = tuple(mn for _, mn in normalized)
 
-    W = np.concatenate(units)
+    W = np.vstack(units)
     patterns = enumerate_sign_patterns(n)
-    signs = np.repeat(_pattern_signs(n), counts, axis=1)
-    norms = row_norms(W)
+    signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
+                      [u.shape[0] for u in units], axis=1)
+    norms = np.linalg.norm(W, axis=1)
     a, t, weights = _margin_lps(W, signs)
     results = [
         _pattern_result(pattern, W, norms, signs[k], threshold, a[k], float(t[k]), weights[k])

@@ -11,7 +11,6 @@ extends to the whole cone by positive combination.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,7 @@ class GeneratorSet:
         vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if vectors.ndim != 2 or vectors.shape[0] == 0:
             raise ValueError("generator set must contain at least one vector")
-        if not np.isfinite(vectors).all():
+        if not np.all(np.isfinite(vectors)):
             raise ValueError(f"column {self.column}: generators must be finite")
         object.__setattr__(self, "column", int(self.column))
         object.__setattr__(self, "vectors", _readonly(vectors))
@@ -116,9 +115,9 @@ class Certificate:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1:
             raise ValueError("certificate vector must be one-dimensional")
-        if abs(math.sqrt(a @ a) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise ValueError("certificate vector must have unit Euclidean norm")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
             raise ValueError(f"certificate margin must be positive, got {self.epsilon}")
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -137,19 +136,10 @@ def dedup_exact(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def row_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(vectors, axis=1)``.
-
-    The same two ufunc calls without ``norm``'s dispatch. Squares may
-    overflow or underflow, as they do there.
-    """
-    return np.sqrt(np.add.reduce(vectors * vectors, axis=1))
-
-
 def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Euclidean norm of each row of a non-empty stack, with the smallest and largest.
 
-    Rows get :func:`row_norms`'s sum-of-squares norm, except where that
+    Rows get ``np.linalg.norm``'s sum-of-squares norm, except where that
     overflows or falls below ``_TINY_NORM``, where squares may have
     underflowed: those rows are recomputed as ``s * |row / s|`` with ``s``
     their largest absolute entry, whose squares do neither. So the norms
@@ -157,7 +147,7 @@ def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
     whose true norm exceeds the float range get inf.
     """
     with np.errstate(over="ignore"):
-        norms = row_norms(vectors)
+        norms = np.linalg.norm(vectors, axis=1)
         low, high = norms.min(), norms.max()
         if not (low >= _TINY_NORM and high < np.inf):
             redo = ~((norms >= _TINY_NORM) & (norms < np.inf))
@@ -166,7 +156,7 @@ def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
             nonzero = scale > 0.0
             scale = scale[nonzero, None]
             fixed = np.zeros(rows.shape[0])
-            fixed[nonzero] = scale[:, 0] * row_norms(rows[nonzero] / scale)
+            fixed[nonzero] = scale[:, 0] * np.linalg.norm(rows[nonzero] / scale, axis=1)
             norms[redo] = fixed
             low, high = norms.min(), norms.max()
     return norms, low, high

@@ -106,11 +106,9 @@ def _compact(keep: np.ndarray, *stacks: np.ndarray) -> int:
     finished members copies those few and not the whole stack.
     """
     kept = int(np.count_nonzero(keep))
-    if not kept:
-        return 0
-    holes = (~keep[:kept]).nonzero()[0]
+    holes = np.flatnonzero(~keep[:kept])
     if holes.size:
-        movers = kept + keep[kept:].nonzero()[0]
+        movers = kept + np.flatnonzero(keep[kept:])
         dst = np.concatenate([holes, movers])
         src = np.concatenate([movers, holes])
         for stack in stacks:
@@ -127,7 +125,7 @@ def _init_objective(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> np.n
     obj[:, :-1] = -costs
     obj[:, -1] = 0.0
     basic = costs[basis]
-    rows = basic.any(axis=0).nonzero()[0]
+    rows = np.nonzero(basic.any(axis=0))[0]
     if rows.size:
         cost = basic[:, rows, None]
         terms = T[:, rows]
@@ -153,9 +151,9 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
     size, n_rows, width = T.shape
     max_iter = 10_000 + 50 * (n_rows + n_cols)
     everyone = np.arange(size)
-    order = np.arange(size)
+    order = everyone.copy()
     unbounded = np.zeros(size, dtype=bool)
-    pivots = np.empty(size, dtype=int)
+    pivots = np.zeros(size, dtype=int)
     degenerate = np.zeros(size, dtype=int)
     scratch = np.empty_like(T)
     ratio_buffer = np.empty((size, n_rows))
@@ -221,40 +219,34 @@ def solve_batch(A, b, c) -> LpBatch:
         )
     size, n_rows, n_var = A.shape
     n_total = n_var + n_rows
-    art_rows = (b < 0.0).nonzero()[0]
+    negated = b < 0.0
+    art_rows = np.nonzero(negated)[0]
     n_art = art_rows.size
-    width = n_total + n_art + 1
-    # Rows with b < 0 are negated to get b >= 0: their zeros become -0.0, as
-    # any product with -1.0 does, and every other row is multiplied by 1.0.
-    flip = np.ones((n_rows, 1))
-    flip[art_rows] = -1.0
 
     # The tableaux are built in place: stacking them from temporaries of their
     # own size costs page faults once they exceed malloc's mmap threshold.
     # Phase 2 keeps the artificial columns but never prices them; a pivot
     # updates each column from itself and the pivot column alone, so they
     # change no other entry.
-    T = np.zeros((size, n_rows, width))
-    np.multiply(A, flip, out=T[:, :, :n_var])
-    T[:, :, n_var:n_total] = np.eye(n_rows) * flip
-    T[:, :, -1] = b * flip[:, 0]
-    basis = np.empty((size, n_rows), dtype=int)
-    basis[:] = np.arange(n_var, n_total)
+    eye = np.eye(n_rows)
+    T = np.zeros((size, n_rows, n_total + n_art + 1))
+    T[:, :, :n_var] = A
+    T[:, :, n_var:n_total] = eye
+    T[:, art_rows, :n_total] *= -1.0  # rows with b < 0 flip to get b >= 0
+    T[:, :, -1] = np.where(negated, -b, b)
+    T[:, :, n_total:-1] = eye[:, negated]
+    start = n_var + np.arange(n_rows)
+    start[art_rows] = n_total + np.arange(n_art)
+    basis = np.repeat(start[None], size, axis=0)
+    costs = np.zeros(n_total + n_art)
 
     # members[p] is the program whose tableau sits at position p.
     members = np.arange(size)
     pivots = np.zeros(size, dtype=int)
     feasible = size
     if n_art:
-        T[:, art_rows, n_total + np.arange(n_art)] = 1.0
-        basis[:, art_rows] = np.arange(n_total, n_total + n_art)
-        # Only the artificials carry a cost (-1), and each is basic in its own
-        # row, so z - c is their unit costs minus those rows, in row order.
-        obj = np.full((size, width), -0.0)
-        obj[:, n_total:-1] = 1.0
-        obj[:, -1] = 0.0
-        for i in art_rows:
-            obj -= T[:, i]
+        costs[n_total:] = -1.0
+        obj = _init_objective(T, basis, costs)
         # Phase 1 maximizes minus the artificials' sum, which is bounded by
         # zero, so an unbounded exit is round-off in the objective row (a
         # reduced cost just past tolerance on a column with no pivot entry).
@@ -270,38 +262,27 @@ def solve_batch(A, b, c) -> LpBatch:
             one = slice(p, p + 1)
             _pivot(T[one], obj[one], basis[one], np.zeros(1, dtype=int), np.array([i]),
                    np.array([col]), T[one, :, col].copy(), np.empty_like(T[one]))
-        if not ok.all():
-            feasible = _compact(ok, T, basis, members)
-            T, basis = T[:feasible], basis[:feasible]
+        feasible = _compact(ok, T, basis, members)
+        costs[n_total:] = 0.0
 
-    costs = np.zeros(width - 1)
+    status = np.full(size, INFEASIBLE, dtype=object)
+    x = np.full((size, n_var), np.nan)
+    duals = np.full((size, n_rows), np.nan)
     costs[:n_var] = c
+    T, basis = T[:feasible], basis[:feasible]
     obj = _init_objective(T, basis, costs)
     moved, unbounded, phase2 = _run_simplex(T, obj, basis, n_total)
     pivots[members[:feasible]] += phase2
     # programs[p] is the program whose tableau phase 2 left at position p.
-    programs = members[moved]
+    programs, optimal = members[moved], ~unbounded[moved]
+    status[programs] = np.where(optimal, OPTIMAL, UNBOUNDED)
+    programs = programs[optimal]
+    y = np.zeros((feasible, n_total))
+    y[np.arange(feasible)[:, None], basis] = T[:, :, -1]
     # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
     # witness weights that reports print.
-    values = T[:, :, -1] + 0.0
+    x[programs] = y[optimal, :n_var] + 0.0
     # Slack column i prices its own row: z_i - 0 = y . (+-e_i), so the sign
     # of a negated row cancels and the entry is the row dual itself.
-    row_duals = obj[:, n_var:n_total]
-    if feasible == size and not unbounded.any():
-        status = np.array([OPTIMAL] * size, dtype=object)
-        x = np.empty((size, n_var))
-        duals = np.empty((size, n_rows))
-    else:
-        status = np.full(size, INFEASIBLE, dtype=object)
-        optimal = ~unbounded[moved]
-        status[programs] = np.where(optimal, OPTIMAL, UNBOUNDED)
-        programs, values, basis, row_duals = (
-            programs[optimal], values[optimal], basis[optimal], row_duals[optimal])
-        x = np.full((size, n_var), np.nan)
-        duals = np.full((size, n_rows), np.nan)
-    # Basic variables take their row's right-hand side; the others are 0.0.
-    y = np.zeros((programs.size, n_total))
-    y[np.arange(programs.size)[:, None], basis] = values
-    x[programs] = y[:, :n_var]
-    duals[programs] = row_duals
+    duals[programs] = obj[optimal, n_var:n_total]
     return LpBatch(status, x, duals, pivots)

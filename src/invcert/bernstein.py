@@ -15,6 +15,7 @@ generators.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -100,6 +101,8 @@ class PatchGrid:
                 raise ValueError(f"axis {axis}: need at least two breakpoints")
             # A few Python floats compare faster than numpy calls on them.
             cuts = b.tolist()
+            if not all(map(math.isfinite, cuts)):
+                raise ValueError(f"axis {axis}: breakpoints must be finite")
             if cuts[0] != 0.0 or cuts[-1] != 1.0:
                 raise ValueError(f"axis {axis}: breakpoints must start at 0 and end at 1")
             if any(hi <= lo for lo, hi in zip(cuts, cuts[1:])):

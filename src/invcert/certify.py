@@ -137,53 +137,109 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
 
     ``W`` holds the m unit generators as rows, and program k signs row
-    r by ``signs[k, r]`` (+1 or -1). Each program maximizes ``t`` subject
-    to ``a . w >= t`` for every signed generator ``w``, ``-1 <= a_j <= 1``
-    and ``t >= 0``. It is solved through its LP dual: minimize
-    ``|W^T lam|_1`` over ``lam >= 0`` with ``sum(lam) >= 1``, written as
-    maximize ``-sum(u)`` subject to ``W^T lam - u <= 0``, ``-W^T lam - u <=
-    0`` and ``-sum(lam) <= -1``. That is ``2n + 1`` rows however many
-    generators there are, and the programs differ only in the signs of
-    their ``W^T`` blocks, so they are solved as batches of ``_CHUNK``. The
-    primal optimum is read from the row duals, ``a = y[:n] - y[n:2n]``
-    (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``; the optimal
-    ``lam``, scaled to sum to one, is the combination of generators that
-    comes closest to cancelling. Optima within the solver's pricing
-    tolerance of zero are reported as ``t = 0``.
+    r by ``signs[k, r]`` (+1 or -1); every program signs row 0 by +1.
+    Each program maximizes ``t`` subject to ``a . w >= t`` for every
+    signed generator ``w``, ``-1 <= a_j <= 1`` and ``t >= 0``. It is solved
+    through its LP dual: minimize ``|W_s^T lam|_1`` over ``lam >= 0`` with
+    ``sum(lam) >= 1``, written with ``u >= |W_s^T lam|`` as rows ``W_s^T lam
+    - u <= 0`` (row i), ``-W_s^T lam - u <= 0`` (row n + i) and ``-sum(lam)
+    <= -1`` (row 2n). That is ``2n + 1`` rows however many generators there
+    are.
+
+    The slack basis is infeasible for the last row, but a vertex is known:
+    ``lam = e_0`` and ``u = |w_0|``. With ``s = sign(w_0)`` (+1 where
+    ``w_0i`` is zero),
+    coordinate i's "tight" row is row i if ``s_i = +1`` and row n + i
+    otherwise. The basis holds ``lam_0`` on row 2n, ``u_i`` on the tight row
+    and the slack of the other, "loose", row; its primal reading is ``a = s``,
+    ``t = |w_0|_1``. Each program is handed to the solver as its dictionary
+    at that vertex, whose entries are closed-form: the variables are the
+    nonbasic ``lam_1 .. lam_{m-1}``, the tight rows' slacks and row 2n's
+    slack, the rows' own slacks are the basic variables, and with ``D_ik =
+    |w_0i| - s_i W_s[k, i]`` the rows read
+
+    * tight row of i: ``D_ik`` on ``lam_k``, -1 on its slack, ``-|w_0i|`` on
+      row 2n's slack, right-hand side ``|w_0i|``;
+    * loose row of i: twice the tight row's ``lam`` and row-2n entries, -1 on
+      the tight slack, right-hand side ``2|w_0i|``;
+    * row 2n: 1 on each ``lam_k``, -1 on its slack, right-hand side 1.
+
+    The objective ``-sum(u)`` becomes ``-|w_0|_1`` plus costs ``|w_0|_1 -
+    sum_i s_i W_s[k, i]`` on ``lam_k``, -1 on each tight slack and
+    ``-|w_0|_1`` on row 2n's slack. The right-hand side is nonnegative and
+    shared by every program, so the solver starts feasible with no phase
+    1; the costs differ per program and go to it as one row each. The
+    dictionary lists the loose rows, then the tight rows, then row 2n, so a
+    ratio tie lets a loose row's slack leave first; that took 10% to 30%
+    fewer pivots than the tight rows first. Programs are solved as batches
+    of ``_CHUNK``.
+
+    The original LP's row duals ``y`` give the primal optimum, ``a = y[:n]
+    - y[n:2n]`` (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``.
+    A loose row's dual is the solver's dual of that row; the tight rows'
+    and row 2n's duals are the reduced costs of their slacks, formed from
+    the solver's duals. The optimal ``lam``, scaled to sum to one, is the
+    combination of generators that comes closest to cancelling. Optima
+    whose ``|W_s^T lam|_1`` is within the solver's pricing tolerance of zero
+    are reported as ``t = 0``.
 
     Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
     ``lam`` of shape (B, m).
     """
     m, n = W.shape
-    # Variables: lam (m), u (n), all nonnegative.
-    c = np.zeros(m + n)
-    c[m:] = -1.0
-    b = np.zeros(2 * n + 1)
-    b[-1] = -1.0
-    neg_eye = -np.eye(n)
+    w0 = W[0]
+    s0 = np.where(w0 < 0.0, -1.0, 1.0)
+    mag = np.abs(w0)
+    norm1 = mag.sum()
+    # Rows: the n loose rows, the n tight rows, row 2n. Variables: lam_1 ..
+    # lam_{m-1}, the n tight slacks, row 2n's slack.
+    k = m - 1
+    fixed = np.zeros((2 * n + 1, m + n))
+    fixed[:n, k:-1] = fixed[n:2 * n, k:-1] = -np.eye(n)
+    fixed[:n, -1] = -2.0 * mag
+    fixed[n:2 * n, -1] = -mag
+    fixed[2 * n, :k] = 1.0
+    fixed[2 * n, -1] = -1.0
+    b = np.concatenate([2.0 * mag, mag, [1.0]])
+    # s_i W[k, i] for the unsigned rows; program p multiplies by signs[p, k].
+    oriented = s0[:, None] * W[1:].T
     size = signs.shape[0]
+    c = np.empty((size, m + n))
+    c[:, :k] = norm1 - signs[:, 1:] * (W[1:] @ s0)
+    c[:, k:-1] = -1.0
+    c[:, -1] = -norm1
     a = np.empty((size, n))
     t = np.empty(size)
     weights = np.empty((size, m))
     for start in range(0, size, _CHUNK):
         chunk = signs[start:start + _CHUNK]
-        rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
-        rows[:, :n, :m] = W.T * chunk[:, None, :]
-        rows[:, n:2 * n, :m] = -rows[:, :n, :m]
-        rows[:, :n, m:] = rows[:, n:2 * n, m:] = neg_eye
-        rows[:, 2 * n, :m] = -1.0
-        batch = lpsolve.solve_batch(rows, b, c)
+        stop = start + chunk.shape[0]
+        rows = np.empty((chunk.shape[0],) + fixed.shape)
+        rows[:] = fixed
+        D = rows[:, n:2 * n, :k]
+        np.multiply(oriented, chunk[:, None, 1:], out=D)
+        np.subtract(mag[:, None], D, out=D)
+        np.add(D, D, out=rows[:, :n, :k])
+        batch = lpsolve.solve_batch(rows, b, c[start:stop])
         failed = batch.status != lpsolve.OPTIMAL
         if failed.any():
             raise CertificationError(
                 f"certificate LP terminated with status {batch.status[failed][0]}")
-        y, x, stop = batch.duals, batch.x, start + chunk.shape[0]
-        a[start:stop] = y[:, :n] - y[:, n:2 * n]
-        # One dot product per program, as c @ x makes: a matrix-vector
-        # product may round differently.
-        value = (x[:, None, :] @ c[:, None])[:, 0, 0]
-        t[start:stop] = np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0)
-        weights[start:stop] = x[:, :m]
+        duals, x = batch.duals, batch.x
+        # The original LP's duals: a loose row's is the solver's, a tight
+        # row's the reduced cost of its slack, 1 less the pair's two duals.
+        loose = duals[:, :n]
+        a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
+        # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
+        # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
+        # row 2n's dual.
+        margin = a[start:stop] @ w0 - duals[:, 2 * n]
+        lam = weights[start:stop]
+        lam[:, 1:] = x[:, :k]
+        # lam_0 is row 2n's slack.
+        lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
+        residual = np.abs((lam * chunk) @ W).sum(axis=1)
+        t[start:stop] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)
     return a, t, weights
 
 

@@ -215,10 +215,12 @@ def verify_certificate(a: np.ndarray, epsilon: float, generators: np.ndarray) ->
 
     A pass extends to the full cone hull: for ``x = sum(lambda_k v_k)``
     with ``lambda_k >= 0``, ``a . x >= epsilon * sum(lambda_k |v_k|) >=
-    epsilon * |x|`` by the triangle inequality.
+    epsilon * |x|`` by the triangle inequality. The norms come from
+    :func:`_generator_norms`, so entries of any finite size are judged
+    without overflow.
     """
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) == 0.0:
         raise ValueError("certificate vector must be nonzero")
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    return margin_holds(gens @ a, np.linalg.norm(gens, axis=1), epsilon)
+    return margin_holds(gens @ a, _generator_norms(gens)[0], epsilon)

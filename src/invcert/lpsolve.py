@@ -1,31 +1,40 @@
-"""Dense two-phase primal simplex for small linear programs, in lockstep batches.
+"""Dense primal simplex for small linear programs, in lockstep batches.
 
 Solves ``maximize c.x`` subject to ``A x <= b`` and ``x >= 0``. Every
-row gets a slack variable, and rows with a negative right-hand side get
-phase-1 artificials. Pricing follows Dantzig's rule (most negative
-reduced cost, lowest index on ties; ratio ties leave by the lowest basis
-index) and falls back to Bland's least-index rule, which cannot cycle,
-after a run of degenerate pivots until the objective improves again.
-Termination is guaranteed and the solve deterministic: identical inputs
-take the identical pivot path and return bit-identical solutions. Row
-duals are read from the final objective row.
+row gets a slack variable. Where ``b >= 0`` the slack basis is feasible
+and the solve starts there; rows with a negative right-hand side get
+artificials, which a phase 1 drives out first. A caller that knows a
+feasible vertex of its program can skip phase 1 by passing the program's
+dictionary at that vertex: the nonbasic variables become ``x``, the basic
+ones the slacks, and ``b`` their values, which are nonnegative. The
+certification LPs are solved that way (see ``certify._margin_lps``).
+Pricing follows Dantzig's rule (most negative reduced cost, lowest index
+on ties; ratio ties leave by the lowest basis index) and falls back to
+Bland's least-index rule, which cannot cycle, after a run of degenerate
+pivots until the objective improves again. Termination is guaranteed and
+the solve deterministic: identical inputs take the identical pivot path
+and return bit-identical solutions. Row duals are read from the final
+objective row.
 
 The kernel pivots a stack of tableaux in lockstep, with one ``einsum``
 forming the rank-one update of the whole stack at each step.
 :func:`solve_batch`, the only entry point, takes B programs ``maximize
-c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` that share ``b`` and ``c``, so
-their slack and artificial columns are the same, and returns their
-outcomes as one :class:`LpBatch` of arrays indexed by program. Every
-member keeps its own pricing rule, degenerate-run counter and iteration
-limit, and leaves the active set when it stops. Its arithmetic is
-exactly that of solving it alone, so a batch returns the same bits,
-signed zeros included, and pivot counts as its members solved one at a
-time.
+c_k.x`` s.t. ``A[k] x <= b``, ``x >= 0`` that share ``b``, so their slack
+and artificial columns are the same. They share one cost vector or have
+one each: costs enter only the objective rows, which are per program
+anyway, and a vertex dictionary's costs depend on the program. It
+returns their outcomes as one :class:`LpBatch` of arrays indexed by
+program. Every member keeps its own pricing rule, degenerate-run counter
+and iteration limit, and leaves the active set when it stops. Its
+arithmetic is exactly that of solving it alone, so a batch returns the
+same bits, signed zeros included, and pivot counts as its members solved
+one at a time.
 
 Problem sizes here are tiny (a margin LP has 2n + 1 rows and one column
 per generator plus n), so the dense tableau is the right tool; batching
 spreads numpy's per-call overhead over a family's sign patterns. There
-is no sparse storage and no warm starting.
+is no sparse storage, and no warm starting beyond the caller's choice of
+dictionary.
 """
 
 from __future__ import annotations
@@ -48,9 +57,11 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
 REDUCED_COST_TOL = 1e-10
-# Degenerate pivots in a row before Bland's rule takes over. Margin LPs have
-# degenerate stretches of up to ~15 pivots (n=10, m=40); the run must stay
-# well above that so Bland's slow path is only a guard against cycling.
+# Degenerate pivots in a row before Bland's rule takes over. Started at their
+# closed-form vertex, margin LPs of Gaussian and near-identity families (n=6
+# to 10, m=20 to 40) took no degenerate pivot, and those of small integer
+# families runs of up to 5; through phase 1 the runs reached 19. The run must
+# stay well above that so Bland's slow path is only a guard against cycling.
 _DEGENERATE_RUN = 500
 
 OPTIMAL = "optimal"
@@ -117,14 +128,15 @@ def _compact(keep: np.ndarray, *stacks: np.ndarray) -> int:
 
 
 def _init_objective(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    # obj[k, j] = z_j - c_j for member k's basis; obj[k, -1] accumulates the
+    # obj[k, j] = z_j - c_j for member k's basis and costs ``costs[k]`` (or
+    # ``costs[0]`` for all when there is one row); obj[k, -1] accumulates the
     # value. Basic rows are added in order, as for one LP. Where a member's
     # basic cost is zero its row adds -0.0, which leaves every number as it
     # is, exactly as skipping the row would.
     obj = np.empty((T.shape[0], T.shape[2]))
     obj[:, :-1] = -costs
     obj[:, -1] = 0.0
-    basic = costs[basis]
+    basic = costs[np.arange(costs.shape[0])[:, None], basis]
     rows = np.nonzero(basic.any(axis=0))[0]
     if rows.size:
         cost = basic[:, rows, None]
@@ -200,22 +212,24 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray,
 
 
 def solve_batch(A, b, c) -> LpBatch:
-    """Solve ``maximize c.x`` s.t. ``A[k] x <= b``, ``x >= 0`` for every k.
+    """Solve ``maximize c[k].x`` s.t. ``A[k] x <= b``, ``x >= 0`` for every k.
 
-    ``A`` has shape (B, rows, variables) and the B programs share ``b`` and
-    ``c``. Every coefficient must be finite; nothing here checks, so the
-    caller validates its input. Returns the outcomes as one
-    :class:`LpBatch` of arrays indexed by program; ``duals`` price every
-    row. Each program's entries are bit-identical to the ones it gets
-    alone.
+    ``A`` has shape (B, rows, variables) and the B programs share ``b``.
+    ``c`` has shape (variables,), shared by every program, or (B,
+    variables), one row per program. Every coefficient must be finite;
+    nothing here checks, so the caller validates its input. Returns the
+    outcomes as one :class:`LpBatch` of arrays indexed by program;
+    ``duals`` price every row. Each program's entries are bit-identical to
+    the ones it gets alone.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if A.ndim != 3 or b.shape != A.shape[1:2] or c.shape != A.shape[2:]:
+    if (A.ndim != 3 or b.shape != A.shape[1:2]
+            or c.shape not in (A.shape[2:], (A.shape[0], A.shape[2]))):
         raise ValueError(
-            f"need A of shape (B, rows, variables), b of (rows,) and c of (variables,); "
-            f"got {A.shape}, {b.shape} and {c.shape}"
+            f"need A of shape (B, rows, variables), b of (rows,) and c of (variables,) "
+            f"or (B, variables); got {A.shape}, {b.shape} and {c.shape}"
         )
     size, n_rows, n_var = A.shape
     n_total = n_var + n_rows
@@ -238,14 +252,14 @@ def solve_batch(A, b, c) -> LpBatch:
     start = n_var + np.arange(n_rows)
     start[art_rows] = n_total + np.arange(n_art)
     basis = np.repeat(start[None], size, axis=0)
-    costs = np.zeros(n_total + n_art)
 
     # members[p] is the program whose tableau sits at position p.
     members = np.arange(size)
     pivots = np.zeros(size, dtype=int)
     feasible = size
     if n_art:
-        costs[n_total:] = -1.0
+        costs = np.zeros((1, n_total + n_art))
+        costs[:, n_total:] = -1.0
         obj = _init_objective(T, basis, costs)
         # Phase 1 maximizes minus the artificials' sum, which is bounded by
         # zero, so an unbounded exit is round-off in the objective row (a
@@ -263,13 +277,16 @@ def solve_batch(A, b, c) -> LpBatch:
             _pivot(T[one], obj[one], basis[one], np.zeros(1, dtype=int), np.array([i]),
                    np.array([col]), T[one, :, col].copy(), np.empty_like(T[one]))
         feasible = _compact(ok, T, basis, members)
-        costs[n_total:] = 0.0
 
     status = np.full(size, INFEASIBLE, dtype=object)
     x = np.full((size, n_var), np.nan)
     duals = np.full((size, n_rows), np.nan)
-    costs[:n_var] = c
     T, basis = T[:feasible], basis[:feasible]
+    # One row of costs shared by every member, or one row per member in the
+    # order phase 1 left them.
+    c = c.reshape(1, n_var) if c.ndim == 1 else c[members[:feasible]]
+    costs = np.zeros((c.shape[0], n_total + n_art))
+    costs[:, :n_var] = c
     obj = _init_objective(T, basis, costs)
     moved, unbounded, phase2 = _run_simplex(T, obj, basis, n_total)
     pivots[members[:feasible]] += phase2

@@ -124,10 +124,13 @@ class _Jacobians:
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(d, axis=1)``.
+    """Euclidean norm of each row: ``np.linalg.norm(d, axis=1)`` to 2 ulp.
 
-    That reduction adds the squares of a row from left to right; so do
-    these column sums, without a reduction loop per row.
+    These column sums add the squares of a row from left to right, without
+    a reduction loop per row. For rows of up to 7 entries so does that
+    reduction, and the two agree bit for bit; from 8 entries on it adds in
+    unrolled partial sums, and about a fifth of random rows at n=8 differ
+    in the last bit or two.
     """
     sq = (d * d).T
     total = sq[0]

@@ -108,6 +108,17 @@ def near_identity_columns(rng: np.random.Generator, n: int,
             for j in range(n)]
 
 
+def integer_families() -> list[list[GeneratorSet]]:
+    """60 small families with integer generators: exact zeros everywhere."""
+    rng = np.random.default_rng(139)
+    families = []
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        families.append([GeneratorSet(j, rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)))
+                         for j in range(n)])
+    return families
+
+
 def apply_sign_pattern(
     columns: list[GeneratorSet],
     pattern: SignPattern,
@@ -184,12 +195,16 @@ class Solution(NamedTuple):
 
 
 def member(batch: lpsolve.LpBatch, k: int, c) -> Solution:
-    """Program k's outcome in ``batch``, whose programs maximize ``c.x``."""
+    """Program k's outcome in ``batch``, whose programs maximize ``c.x``.
+
+    ``c`` is shared, of shape (variables,), or one row per program.
+    """
     if batch.status[k] != lpsolve.OPTIMAL:
         return Solution(batch.status[k], None, None, None, int(batch.pivots[k]))
+    c = np.asarray(c, dtype=float)
     x = batch.x[k]
-    return Solution(batch.status[k], x, float(np.asarray(c, dtype=float) @ x), batch.duals[k],
-                    int(batch.pivots[k]))
+    return Solution(batch.status[k], x, float((c if c.ndim == 1 else c[k]) @ x),
+                    batch.duals[k], int(batch.pivots[k]))
 
 
 def solve_one(c, G, h, box=None) -> Solution:

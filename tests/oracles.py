@@ -19,6 +19,10 @@ sampling that refines its candidate pairs one at a time, one point per
 evaluation (vs all candidates in lockstep), and column generators built
 through a derivative net per cell and axis, deduplicated per cell and
 again per column (vs one pass over the control points).
+
+One more keeps the earlier form of a runtime step that the runtime need
+only match to round-off, with the same verdicts: the margin LPs solved
+from the slack basis through phase 1 (vs from a closed-form vertex).
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from invcert import (
     locate_patch,
     verify_certificate,
 )
-from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
+from invcert import lpsolve
+from invcert.certify import _CHUNK, STATUS_NOT_STRICT, STATUS_STRICT
 from invcert.cones import dedup_exact
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
@@ -245,6 +250,40 @@ def multiply_pivot(T, obj, basis, members, rows, cols, factors, scratch) -> None
     T -= scratch
     obj -= obj[members, cols][:, None] * T[members, rows]
     basis[members, rows] = cols
+
+
+def reference_margin_lps(W: np.ndarray, signs: np.ndarray):
+    """``certify._margin_lps`` solved from the slack basis, through phase 1.
+
+    Each program is the dual margin LP as written: maximize ``-sum(u)``
+    subject to ``W_s^T lam - u <= 0``, ``-W_s^T lam - u <= 0`` and
+    ``-sum(lam) <= -1``, with ``W_s`` the signed rows of ``W``. Its negative
+    right-hand side sends every program through phase 1. Returns ``(a, t,
+    weights)`` as the runtime does, with ``t`` zeroed when the optimal
+    value is within the pricing tolerance of zero.
+    """
+    m, n = W.shape
+    c = np.zeros(m + n)
+    c[m:] = -1.0
+    b = np.zeros(2 * n + 1)
+    b[-1] = -1.0
+    size = signs.shape[0]
+    a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
+    for start in range(0, size, _CHUNK):
+        chunk = signs[start:start + _CHUNK]
+        rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
+        rows[:, :n, :m] = W.T * chunk[:, None, :]
+        rows[:, n:2 * n, :m] = -rows[:, :n, :m]
+        rows[:, :n, m:] = rows[:, n:2 * n, m:] = -np.eye(n)
+        rows[:, 2 * n, :m] = -1.0
+        batch = lpsolve.solve_batch(rows, b, c)
+        assert (batch.status == lpsolve.OPTIMAL).all()
+        y, x, stop = batch.duals, batch.x, start + chunk.shape[0]
+        a[start:stop] = y[:, :n] - y[:, n:2 * n]
+        value = (x[:, None, :] @ c[:, None])[:, 0, 0]
+        t[start:stop] = np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0)
+        weights[start:stop] = x[:, :m]
+    return a, t, weights
 
 
 def _reference_witness(lam, signed) -> Witness | None:

@@ -233,6 +233,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="one patch per cell"):
             PatchGrid((breaks, breaks), patches)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid_breakpoints_must_be_finite(self, bad):
+        net = ControlNet((1,), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="axis 0: breakpoints must be finite"):
+            PatchGrid((np.array([0.0, bad, 1.0]),), {(0,): net, (1,): net})
+
     def test_grid_breakpoints_must_span_unit_interval(self):
         with pytest.raises(ValueError, match="start at 0 and end at 1"):
             PatchGrid((np.array([0.0, 0.5]),), {(0,): ControlNet((1,), np.zeros((2, 1)))})

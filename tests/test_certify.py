@@ -22,13 +22,14 @@ from helpers import (
     folded_net,
     identity_grid_2x2,
     identity_net,
+    integer_families,
     near_identity_columns,
     perturbed_identity_net,
     quad_net,
     random_grid_2x2,
     rotation_net,
 )
-from oracles import reference_pattern_result, sweep_unit_margin
+from oracles import reference_margin_lps, reference_pattern_result, sweep_unit_margin
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -411,3 +412,58 @@ def test_pattern_results_match_reference(monkeypatch, columns):
         want = reference_pattern_result(res.pattern, W * signs[k, :, None],
                                         certify.DEFAULT_THRESHOLD, a[k], float(t[k]), weights[k])
         assert result_bytes(res) == result_bytes(want)
+
+
+def vertex_start_families():
+    """Families for the vertex-start margin LPs, edge cases first."""
+    edge = {
+        "n1-one-generator": [GeneratorSet(0, [[3.0]])],
+        "n1-cancelling": [GeneratorSet(0, [[2.0], [-0.5]])],
+        "n1-one-sided": [GeneratorSet(0, [[2.0], [0.5], [7.0]])],
+        "one-generator-per-column": [GeneratorSet(0, [[1.0, 0.2]]), GeneratorSet(1, [[0.3, -1.0]])],
+        "identity-zeros-in-w0": IDENTITY_COLUMNS,
+        "negative-zero-in-w0": [GeneratorSet(0, [[-0.0, -1.0], [1.0, -1.0]]),
+                                GeneratorSet(1, [[1.0, 0.0], [1.0, 0.5]])],
+        "negative-w0": [GeneratorSet(0, [[-1.0, -0.5, -0.1], [-1.0, 0.2, 0.1]]),
+                        GeneratorSet(1, [[0.1, 1.0, 0.0]]),
+                        GeneratorSet(2, [[0.0, 0.1, -1.0], [0.2, 0.0, -1.0]])],
+        "quad": QUAD_COLUMNS,
+        "tilt-1e-9-pair": [GeneratorSet(0, [[1.0, 1e-9]]), GeneratorSet(1, [[1.0, -1e-9]])],
+        "tilt-1e-10-pair": [GeneratorSet(0, [[1.0, 1e-10]]), GeneratorSet(1, [[1.0, -1e-10]])],
+        "gaussian-n6": gaussian_columns(np.random.default_rng(7), 6),
+    }
+    rng = np.random.default_rng(1)
+    for n in (4, 6, 8):
+        edge[f"near-identity-n{n}"] = near_identity_columns(rng, n)
+    for k, columns in enumerate(integer_families()):
+        edge[f"integer-{k}"] = columns
+    return edge
+
+
+@pytest.mark.parametrize("columns", vertex_start_families().values(),
+                         ids=vertex_start_families().keys())
+def test_vertex_start_matches_phase1_reference(monkeypatch, columns):
+    # The margin LPs started at the known vertex give the verdicts, statuses
+    # and notes of the LPs solved from the slack basis through phase 1, and
+    # their margins to round-off.
+    report = certify_matrix_family(columns)
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "_margin_lps", reference_margin_lps)
+        want = certify_matrix_family(columns)
+    assert report.verdict == want.verdict
+    for res, ref in zip(report.pattern_results, want.pattern_results, strict=True):
+        assert (res.pattern, res.status, res.note) == (ref.pattern, ref.status, ref.note)
+        if res.status == certify.STATUS_DEGENERATE:
+            continue
+        assert res.lp_margin == pytest.approx(ref.lp_margin, rel=0.0, abs=1e-11)
+        assert (res.lp_margin == 0.0) == (ref.lp_margin == 0.0)
+        if res.certificate is not None:
+            signed = apply_sign_pattern(columns, res.pattern)
+            assert verify_certificate(res.certificate.a, res.certificate.epsilon, signed)
+        else:
+            weights = res.witness.weights
+            assert np.all(weights >= 0.0)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+            # A zero margin means |W_s^T lam|_1 <= 1e-10 with sum(lam) >= 1.
+            if res.lp_margin == 0.0:
+                assert res.witness.residual_norm <= 1e-10

@@ -122,6 +122,12 @@ class TestVerifyCertificate:
         assert verify_certificate(a, 0.31, gens)
         assert not verify_certificate(a, 0.32, gens)
 
+    def test_huge_generators_do_not_overflow(self):
+        # |(1e200, 1e199)| overflows as a sum of squares; the suite turns the
+        # overflow warning into an error, and an inf norm would fail the check.
+        assert verify_certificate([1.0, 0.0], 0.99, [[1e200, 1e199]])
+        assert not verify_certificate([1.0, 0.0], 0.996, [[1e200, 1e199]])
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             verify_certificate([0.0, 0.0], 0.1, [[1.0, 0.0]])

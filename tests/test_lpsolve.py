@@ -1,4 +1,4 @@
-"""Tests for the dense two-phase simplex solver."""
+"""Tests for the dense simplex solver, its phase 1 included."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,14 @@ import pytest
 from invcert import GeneratorSet, certify_matrix_family, lpsolve
 from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_batch
 
-from helpers import member, near_identity_columns, pivots_per_lp, record_batches, solve_one
+from helpers import (
+    integer_families,
+    member,
+    near_identity_columns,
+    pivots_per_lp,
+    record_batches,
+    solve_one,
+)
 from oracles import lp_vertex_oracle, multiply_pivot
 
 # Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
@@ -135,11 +142,13 @@ class TestPricing:
             solve_one(*BEALE)
 
     @pytest.mark.parametrize("columns, patterns, mean_pivots", [
-        # Bland's least-index rule took about 290 pivots per LP on this family.
-        (near_identity_columns(np.random.default_rng(6), 6), 32, 80),
+        # Bland's least-index rule took about 290 pivots per LP on this family,
+        # Dantzig's 14.8 from the slack basis and 8.5 from the known vertex.
+        (near_identity_columns(np.random.default_rng(6), 6), 32, 10),
         # The n=8 family of tests/test_near_identity.py: about 48 pivots per
-        # LP through the primal margin LP, about 21 through its dual.
-        (reproducer_columns(), 128, 35),
+        # LP through the primal margin LP, 20.8 through its dual from the
+        # slack basis and 12.4 from the known vertex.
+        (reproducer_columns(), 128, 15),
     ], ids=["n6", "n8-reproducer"])
     def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch, columns,
                                                       patterns, mean_pivots):
@@ -220,10 +229,12 @@ def assert_same_solution(got, alone):
 
 
 def assert_batch_matches_members(A, b, c) -> list[int]:
+    """Solve the batch and each member alone; ``c`` is shared or one row per member."""
     batch = solve_batch(A, b, c)
     assert all(len(field) == A.shape[0] for field in batch)
     for k in range(A.shape[0]):
-        assert_same_solution(member(batch, k, c), member(solve_batch(A[k:k + 1], b, c), 0, c))
+        own = c if np.ndim(c) == 1 else c[k:k + 1]
+        assert_same_solution(member(batch, k, c), member(solve_batch(A[k:k + 1], b, own), 0, own))
     return batch.pivots.tolist()
 
 
@@ -242,7 +253,10 @@ class TestBatch:
         assert spread > 0
 
     def test_members_switch_to_bland_mid_batch(self, monkeypatch):
-        (A, b, c), = margin_lp_batches(monkeypatch, [random_families()[1]])
+        # Exact zeros in integer generators give these margin LPs runs of
+        # degenerate pivots; in Gaussian families' batches no member reaches
+        # a run of 2.
+        (A, b, c), = margin_lp_batches(monkeypatch, [integer_families()[18]])
         dantzig = solve_batch(A, b, c).pivots.tolist()
         monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 2)
         bland = assert_batch_matches_members(A, b, c)
@@ -266,22 +280,27 @@ class TestBatch:
         assert np.isnan(batch.x[stopped]).all() and np.isnan(batch.duals[stopped]).all()
         assert not np.isnan(batch.x[~stopped]).any()
 
+    def test_per_program_costs(self):
+        # Phase 1 reorders the members; each must still be priced by its own
+        # costs, and a shared c repeated per program changes no bit.
+        rng = np.random.default_rng(149)
+        A = rng.normal(size=(60, 3, 3))
+        b = np.array([1.0, 2.0, -0.5])
+        c = rng.normal(size=(60, 3))
+        assert_batch_matches_members(A, b, c)
+        assert set(solve_batch(A, b, c).status) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        shared, tiled = solve_batch(A, b, c[0]), solve_batch(A, b, np.tile(c[0], (60, 1)))
+        assert tiled.status.tolist() == shared.status.tolist()
+        for got, want in zip(tiled[1:], shared[1:]):
+            assert got.tobytes() == want.tobytes()
+
     def test_shapes_are_checked(self):
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((1, 2, 3)), np.zeros(3), np.zeros(3))
-
-
-def integer_families():
-    """Small families with integer generators: exact zeros everywhere."""
-    rng = np.random.default_rng(139)
-    families = []
-    for _ in range(60):
-        n = int(rng.integers(2, 6))
-        families.append([GeneratorSet(j, rng.integers(-2, 3, size=(int(rng.integers(1, 4)), n)))
-                         for j in range(n)])
-    return families
+        with pytest.raises(ValueError, match="shape"):
+            solve_batch(np.zeros((2, 2, 3)), np.zeros(2), np.zeros((3, 3)))
 
 
 def integer_lps():

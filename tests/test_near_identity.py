@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from invcert import certify_matrix_family
+from invcert import certify, certify_matrix_family
 from invcert.cones import normalize_generators
 
 from helpers import near_identity_columns
+from oracles import reference_margin_lps
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +62,16 @@ def test_margins_match_highs(families, n):
             assert res.status == "strict", res.note
 
 
-def test_phase1_roundoff_is_not_infeasibility():
+def test_phase1_roundoff_is_not_infeasibility(monkeypatch):
     # Family 104 of the seed-91 near-identity stream of bench/workloads.py.
     # Round-off in the phase-1 objective row of one pattern LP left a reduced
     # cost of -2.3e-10 on a column with no pivot entry; the solver took that
-    # for an unbounded phase 1 and reported the LP infeasible.
+    # for an unbounded phase 1 and reported the LP infeasible. The margin LPs
+    # now start at a known vertex without phase 1; the reference LPs still
+    # go through it.
     rng = np.random.default_rng([91, 2])
     for k in range(105):
         columns = near_identity_columns(rng, 4 if k % 5 == 0 else 6)
+    assert certify_matrix_family(columns).certified
+    monkeypatch.setattr(certify, "_margin_lps", reference_margin_lps)
     assert certify_matrix_family(columns).certified

@@ -228,6 +228,8 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         duals, x = batch.duals, batch.x
         # The original LP's duals: a loose row's is the solver's, a tight
         # row's the reduced cost of its slack, 1 less the pair's two duals.
+        # Row i is tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times
+        # (tight dual - loose dual).
         loose = duals[:, :n]
         a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
         # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|

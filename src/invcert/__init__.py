@@ -23,7 +23,6 @@ from .certify import (
     CertificateReport,
     PatternResult,
     Witness,
-    certificate_lp,
     certify_map,
     certify_matrix_family,
     grid_column_generators,
@@ -57,7 +56,6 @@ __all__ = [
     "PatternResult",
     "SignPattern",
     "Witness",
-    "certificate_lp",
     "certify_map",
     "certify_matrix_family",
     "column_generators",

@@ -49,7 +49,6 @@ __all__ = [
     "CertificationError",
     "PatternResult",
     "Witness",
-    "certificate_lp",
     "certify_map",
     "certify_matrix_family",
     "grid_column_generators",
@@ -167,8 +166,8 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     The objective ``-sum(u)`` becomes ``-|w_0|_1`` plus costs ``|w_0|_1 -
     sum_i s_i W_s[k, i]`` on ``lam_k``, -1 on each tight slack and
     ``-|w_0|_1`` on row 2n's slack. The right-hand side is nonnegative and
-    shared by every program, so the solver starts feasible with no phase
-    1; the costs differ per program and go to it as one row each. The
+    shared by every program, as the solver needs; the costs differ per
+    program and go to it as one row each. The
     dictionary lists the loose rows, then the tight rows, then row 2n, so a
     ratio tie lets a loose row's slack leave first; that took 10% to 30%
     fewer pivots than the tight rows first. Programs are solved as batches
@@ -243,23 +242,6 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         residual = np.abs((lam * chunk) @ W).sum(axis=1)
         t[start:stop] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)
     return a, t, weights
-
-
-def certificate_lp(unit_generators) -> tuple[np.ndarray, float]:
-    """Best certificate direction over a set of unit generators.
-
-    Returns ``(a_star, t_star)`` with ``a_star`` in the unit box; a strict
-    certificate exists over these generators exactly when ``t_star > 0``,
-    and then ``(a_star/|a_star|, t_star/|a_star|)`` is one. The generators
-    must form a non-empty (m, n) array of finite numbers.
-    """
-    W = np.atleast_2d(np.asarray(unit_generators, dtype=float))
-    if W.ndim != 2 or W.size == 0:
-        raise ValueError(f"need a non-empty (m, n) array of generators, got shape {W.shape}")
-    if not np.all(np.isfinite(W)):
-        raise ValueError("generators must be finite")
-    a, t, _ = _margin_lps(W, np.ones((1, W.shape[0])))
-    return a[0], float(t[0])
 
 
 def _witness_from_weights(lam: np.ndarray, signed: np.ndarray) -> Witness | None:

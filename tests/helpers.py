@@ -16,7 +16,7 @@ from invcert import (
     SignPattern,
     normalize_generators,
 )
-from invcert import lpsolve
+from invcert import certify, lpsolve
 from invcert.cli import InputDocument
 
 
@@ -194,17 +194,12 @@ class Solution(NamedTuple):
     pivots: int
 
 
-def member(batch: lpsolve.LpBatch, k: int, c) -> Solution:
-    """Program k's outcome in ``batch``, whose programs maximize ``c.x``.
-
-    ``c`` is shared, of shape (variables,), or one row per program.
-    """
+def member(batch: lpsolve.LpBatch, k: int, c: np.ndarray) -> Solution:
+    """Program k's outcome in ``batch``, whose program k maximizes ``c[k].x``."""
     if batch.status[k] != lpsolve.OPTIMAL:
         return Solution(batch.status[k], None, None, None, int(batch.pivots[k]))
-    c = np.asarray(c, dtype=float)
     x = batch.x[k]
-    return Solution(batch.status[k], x, float((c if c.ndim == 1 else c[k]) @ x),
-                    batch.duals[k], int(batch.pivots[k]))
+    return Solution(batch.status[k], x, float(c[k] @ x), batch.duals[k], int(batch.pivots[k]))
 
 
 def solve_one(c, G, h, box=None) -> Solution:
@@ -217,7 +212,14 @@ def solve_one(c, G, h, box=None) -> Solution:
     if box is not None:
         A = np.vstack([A, np.eye(A.shape[1])])
         b = np.concatenate([b, box])
-    return member(lpsolve.solve_batch(A[None], b, c), 0, c)
+    costs = np.asarray(c, dtype=float)[None]
+    return member(lpsolve.solve_batch(A[None], b, costs), 0, costs)
+
+
+def certificate_lp(units) -> tuple[np.ndarray, float]:
+    """``(a, t)`` of the max-margin LP over the rows of ``units``, all signed +1."""
+    a, t, _ = certify._margin_lps(np.asarray(units, dtype=float), np.ones((1, len(units))))
+    return a[0], float(t[0])
 
 
 def pivots_per_lp(calls: list[tuple]) -> list[int]:

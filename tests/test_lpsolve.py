@@ -1,10 +1,10 @@
-"""Tests for the dense simplex solver, its phase 1 included."""
+"""Tests for the dense simplex solver; every LP here has ``b >= 0``, so it starts feasible."""
 
 import numpy as np
 import pytest
 
 from invcert import GeneratorSet, certify_matrix_family, lpsolve
-from invcert.lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_batch
+from invcert.lpsolve import OPTIMAL, UNBOUNDED, solve_batch
 
 from helpers import (
     integer_families,
@@ -37,11 +37,11 @@ def reproducer_columns():
 
 
 def random_bounded_lp(rng, n_vars, n_rows):
-    """Random LP with a known feasible point and a bounding box ``0 <= x <= box``."""
+    """Random LP with ``h > 0``, a known interior point and a box ``0 <= x <= box``."""
     G = rng.normal(size=(n_rows, n_vars))
     box = rng.uniform(1.0, 5.0, size=n_vars)
     x0 = rng.random(n_vars) * box
-    h = G @ x0 + rng.uniform(0.1, 2.0, size=n_rows)
+    h = np.abs(G @ x0) + rng.uniform(0.1, 2.0, size=n_rows)
     c = rng.normal(size=n_vars)
     return c, G, h, box
 
@@ -64,19 +64,9 @@ class TestExamples:
         oracle = lp_vertex_oracle([1, 1], G, h, [(0.0, 10.0), (0.0, 10.0)])
         assert sol.objective_value == pytest.approx(oracle, abs=1e-9)
 
-    def test_infeasible(self):
-        sol = solve_one([1.0], [[1.0]], [-1.0])
-        assert sol.status == INFEASIBLE
-        assert sol.x is None
-
     def test_unbounded(self):
         sol = solve_one([1.0], np.zeros((0, 1)), [])
         assert sol.status == UNBOUNDED
-
-    def test_phase1_negative_rhs(self):
-        sol = solve_one([1.0, 1.0], [[-1.0, -1.0], [1.0, 1.0]], [-2.0, 5.0])
-        assert sol.status == OPTIMAL
-        assert sol.objective_value == pytest.approx(5.0, abs=1e-9)
 
 
 class TestRandomSuite:
@@ -143,11 +133,11 @@ class TestPricing:
 
     @pytest.mark.parametrize("columns, patterns, mean_pivots", [
         # Bland's least-index rule took about 290 pivots per LP on this family,
-        # Dantzig's 14.8 from the slack basis and 8.5 from the known vertex.
+        # Dantzig's 8.5 from the known vertex.
         (near_identity_columns(np.random.default_rng(6), 6), 32, 10),
         # The n=8 family of tests/test_near_identity.py: about 48 pivots per
-        # LP through the primal margin LP, 20.8 through its dual from the
-        # slack basis and 12.4 from the known vertex.
+        # LP through the primal margin LP and 12.4 through its dual from the
+        # known vertex.
         (reproducer_columns(), 128, 15),
     ], ids=["n6", "n8-reproducer"])
     def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch, columns,
@@ -173,34 +163,20 @@ class TestDuals:
             n_rows = int(rng.integers(2, 9))
             G = rng.normal(size=(n_rows, n_vars))
             x0 = rng.random(n_vars)
-            h = G @ x0 + rng.uniform(0.1, 1.0, size=n_rows)
+            h = np.abs(G @ x0) + rng.uniform(0.1, 2.0, size=n_rows)
             c = rng.normal(size=n_vars)
-            sol = solve_one(c, G, h, np.full(n_vars, 3.0))
+            box = np.full(n_vars, 3.0)
+            sol = solve_one(c, G, h, box)
             assert sol.status == OPTIMAL
             assert np.all(sol.duals >= -1e-9)
             # Complementary slackness: positive duals sit on tight rows.
             slack = h - G @ sol.x
             assert np.all(slack[sol.duals[:n_rows] > 1e-7] <= 1e-7)
-
-    def test_strong_duality_with_negated_rows(self):
-        # Rows with a negative right-hand side are negated inside the solver;
-        # their duals must still price the rows as given: y >= 0,
-        # G^T y >= c and h . y equal to the optimal value.
-        rng = np.random.default_rng(127)
-        negated = 0
-        for _ in range(40):
-            n_vars = int(rng.integers(2, 5))
-            n_rows = int(rng.integers(2, 7))
-            G = np.vstack([rng.normal(size=(n_rows, n_vars)), np.eye(n_vars)])
-            h = G @ rng.random(n_vars) + rng.uniform(0.1, 1.0, size=n_rows + n_vars)
-            c = rng.normal(size=n_vars)
-            negated += int(np.any(h < 0.0))
-            sol = solve_one(c, G, h)
-            assert sol.status == OPTIMAL
-            assert np.all(sol.duals >= -1e-9)
-            assert np.all(G.T @ sol.duals >= c - 1e-9)
-            assert h @ sol.duals == pytest.approx(sol.objective_value, abs=1e-9)
-        assert negated > 10
+            # Strong duality over the rows of G and the box: G^T y + z >= c
+            # and h . y + box . z equal to the optimal value.
+            y, z = sol.duals[:n_rows], sol.duals[n_rows:]
+            assert np.all(G.T @ y + z >= c - 1e-9)
+            assert h @ y + box @ z == pytest.approx(sol.objective_value, abs=1e-9)
 
 
 def margin_lp_batches(monkeypatch, families) -> list[tuple]:
@@ -229,11 +205,11 @@ def assert_same_solution(got, alone):
 
 
 def assert_batch_matches_members(A, b, c) -> list[int]:
-    """Solve the batch and each member alone; ``c`` is shared or one row per member."""
+    """Solve the batch and each member alone; ``c`` has one row per member."""
     batch = solve_batch(A, b, c)
     assert all(len(field) == A.shape[0] for field in batch)
     for k in range(A.shape[0]):
-        own = c if np.ndim(c) == 1 else c[k:k + 1]
+        own = c[k:k + 1]
         assert_same_solution(member(batch, k, c), member(solve_batch(A[k:k + 1], b, own), 0, own))
     return batch.pivots.tolist()
 
@@ -266,33 +242,28 @@ class TestBatch:
         assert 0 < changed < len(bland)
 
     def test_mixed_statuses(self):
-        # Shared b with a negative entry gives every member a phase 1;
-        # random rows make some members infeasible, some unbounded and
-        # some optimal, and each must leave the batch with its own status.
+        # Random rows make some members unbounded and some optimal, and each
+        # must leave the batch with its own status.
         rng = np.random.default_rng(131)
         A = rng.normal(size=(60, 3, 3))
-        b = np.array([1.0, 2.0, -0.5])
-        c = np.array([1.0, 0.5, -0.25])
+        b = np.array([1.0, 2.0, 0.5])
+        c = np.tile([1.0, 0.5, -0.25], (60, 1))
         assert_batch_matches_members(A, b, c)
         batch = solve_batch(A, b, c)
-        assert set(batch.status) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        assert set(batch.status) == {OPTIMAL, UNBOUNDED}
         stopped = batch.status != OPTIMAL
         assert np.isnan(batch.x[stopped]).all() and np.isnan(batch.duals[stopped]).all()
         assert not np.isnan(batch.x[~stopped]).any()
 
     def test_per_program_costs(self):
-        # Phase 1 reorders the members; each must still be priced by its own
-        # costs, and a shared c repeated per program changes no bit.
+        # Members stop in their own order; each must still be priced by its
+        # own costs.
         rng = np.random.default_rng(149)
         A = rng.normal(size=(60, 3, 3))
-        b = np.array([1.0, 2.0, -0.5])
+        b = np.array([1.0, 2.0, 0.5])
         c = rng.normal(size=(60, 3))
         assert_batch_matches_members(A, b, c)
-        assert set(solve_batch(A, b, c).status) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-        shared, tiled = solve_batch(A, b, c[0]), solve_batch(A, b, np.tile(c[0], (60, 1)))
-        assert tiled.status.tolist() == shared.status.tolist()
-        for got, want in zip(tiled[1:], shared[1:]):
-            assert got.tobytes() == want.tobytes()
+        assert set(solve_batch(A, b, c).status) == {OPTIMAL, UNBOUNDED}
 
     def test_shapes_are_checked(self):
         with pytest.raises(ValueError, match="shape"):
@@ -302,16 +273,25 @@ class TestBatch:
         with pytest.raises(ValueError, match="shape"):
             solve_batch(np.zeros((2, 2, 3)), np.zeros(2), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("b, c", [
+        ([1.0, -1e-300], np.zeros((1, 3))),
+        ([1.0, np.nan], np.zeros((1, 3))),
+        ([1.0, 2.0], np.zeros(3)),
+    ], ids=["negative-b", "nan-b", "shared-c"])
+    def test_rejects_what_a_feasible_start_cannot_take(self, b, c):
+        with pytest.raises(ValueError):
+            solve_batch(np.zeros((1, 2, 3)), b, c)
+
 
 def integer_lps():
-    """Batches of integer LPs; a negative entry of ``b`` gives them a phase 1."""
+    """Batches of integer LPs with ``b >= 0``; zeros in ``b`` make them degenerate."""
     rng = np.random.default_rng(137)
     lps = []
     for _ in range(40):
         n_rows, n_vars = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         lps.append((rng.integers(-2, 3, size=(16, n_rows, n_vars)).astype(float),
-                    rng.integers(-2, 3, size=n_rows).astype(float),
-                    rng.integers(-2, 3, size=n_vars).astype(float)))
+                    rng.integers(0, 3, size=n_rows).astype(float),
+                    rng.integers(-2, 3, size=(16, n_vars)).astype(float)))
     return lps
 
 

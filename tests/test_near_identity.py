@@ -67,8 +67,8 @@ def test_phase1_roundoff_is_not_infeasibility(monkeypatch):
     # Round-off in the phase-1 objective row of one pattern LP left a reduced
     # cost of -2.3e-10 on a column with no pivot entry; the solver took that
     # for an unbounded phase 1 and reported the LP infeasible. The margin LPs
-    # now start at a known vertex without phase 1; the reference LPs still
-    # go through it.
+    # now start at a known vertex and the solver has no phase 1; HiGHS
+    # certifies the family too.
     rng = np.random.default_rng([91, 2])
     for k in range(105):
         columns = near_identity_columns(rng, 4 if k % 5 == 0 else 6)

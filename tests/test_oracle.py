@@ -5,7 +5,6 @@ import pytest
 
 from invcert import (
     ControlNet,
-    certificate_lp,
     eval_many,
     normalize_generators,
     sampled_injectivity,
@@ -15,6 +14,7 @@ from invcert.cones import GeneratorSet
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
 from helpers import (
+    certificate_lp,
     collapsed_net,
     folded_net,
     identity_grid_2x2,

@@ -257,6 +257,24 @@ class TestCertifyMatrixFamily:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             entry(subject, **{name: value})
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            certify_matrix_family([])
+
+    def test_empty_generator_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            certify_matrix_family([GeneratorSet(0, np.zeros((0, 2))), IDENTITY_COLUMNS[1]])
+
+    # Nothing non-finite or empty may reach the margin LPs: GeneratorSet
+    # rejects what is not finite, and the family check what has the wrong
+    # number of coordinates.
+    @pytest.mark.parametrize("generators", [
+        [[np.nan, 1.0]], [[np.inf, 1.0]], [[1.0, 0.0], [0.0, -np.inf]], [], [[]],
+    ], ids=["nan", "inf", "minus-inf", "empty", "no-coordinates"])
+    def test_nonfinite_or_empty_input_rejected(self, generators):
+        with pytest.raises(ValueError):
+            certify_matrix_family([GeneratorSet(0, generators), IDENTITY_COLUMNS[1]])
+
     def test_arity_mismatch_rejected(self):
         cols = [GeneratorSet(0, [[1.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]]),
                 GeneratorSet(2, [[0.0, 0.0, 1.0]])]

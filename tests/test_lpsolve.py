@@ -68,6 +68,27 @@ class TestExamples:
         sol = solve_one([1.0], np.zeros((0, 1)), [])
         assert sol.status == UNBOUNDED
 
+    def test_slack_basis_is_the_start(self):
+        # No cost is positive, so the slack basis is already optimal.
+        sol = solve_one([-1.0, -2.0], [[1.0, 1.0]], [1.0])
+        assert sol.status == OPTIMAL
+        assert sol.pivots == 0
+        np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+        np.testing.assert_array_equal(sol.duals, [0.0])
+
+    def test_negative_rhs_via_a_vertex_dictionary(self):
+        # max x+y s.t. -x-y <= -2, x+y <= 5 has optimum 5, but its slack
+        # basis is infeasible. At the vertex (x, y) = (2, 0) the nonbasic
+        # variables are y and the first row's slack s; then x = 2 - y + s
+        # and the second slack is 3 - s, so the dictionary is max 2 + s
+        # s.t. y - s <= 2, s <= 3.
+        sol = solve_one([0.0, 1.0], [[1.0, -1.0], [0.0, 1.0]], [2.0, 3.0])
+        assert sol.status == OPTIMAL
+        y, s = sol.x
+        x = 2.0 - y + s
+        assert 2.0 + sol.objective_value == pytest.approx(5.0, abs=1e-12)
+        assert x >= 0.0 and x + y == pytest.approx(5.0, abs=1e-12)
+
 
 class TestRandomSuite:
     def test_matches_vertex_enumeration(self):
@@ -281,6 +302,18 @@ class TestBatch:
     def test_rejects_what_a_feasible_start_cannot_take(self, b, c):
         with pytest.raises(ValueError):
             solve_batch(np.zeros((1, 2, 3)), b, c)
+
+    def test_negative_zero_in_b_is_accepted(self):
+        # -0.0 >= 0, and it must take the same path as 0.0, bit for bit.
+        rng = np.random.default_rng(151)
+        A = rng.normal(size=(20, 3, 3))
+        c = rng.normal(size=(20, 3))
+        got = solve_batch(A, [1.0, -0.0, -0.0], c)
+        want = solve_batch(A, [1.0, 0.0, 0.0], c)
+        assert got.status.tolist() == want.status.tolist()
+        assert got.pivots.tolist() == want.pivots.tolist()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.duals.tobytes() == want.duals.tobytes()
 
 
 def integer_lps():

@@ -13,10 +13,7 @@ from .bernstein import (
     ConstantAxis,
     ControlNet,
     PatchGrid,
-    column_generators,
-    derivative_net,
     eval_many,
-    locate_patch,
 )
 from .certify import (
     DEFAULT_THRESHOLD,
@@ -26,7 +23,6 @@ from .certify import (
     certify_map,
     certify_matrix_family,
     grid_column_generators,
-    patch_column_generators,
 )
 from .cones import (
     DEFAULT_DELTA,
@@ -36,7 +32,6 @@ from .cones import (
     SignPattern,
     enumerate_sign_patterns,
     normalize_generators,
-    verify_certificate,
 )
 from .oracle import CollisionReport, sampled_injectivity
 
@@ -58,14 +53,9 @@ __all__ = [
     "Witness",
     "certify_map",
     "certify_matrix_family",
-    "column_generators",
-    "derivative_net",
     "enumerate_sign_patterns",
     "eval_many",
     "grid_column_generators",
-    "locate_patch",
     "normalize_generators",
-    "patch_column_generators",
     "sampled_injectivity",
-    "verify_certificate",
 ]

@@ -3,13 +3,14 @@
 A :class:`ControlNet` holds the coefficients of a polynomial map
 [0,1]^n -> R^n in the tensor-product Bernstein basis, and a
 :class:`PatchGrid` tiles the unit cube with such nets along axis-parallel
-cuts. Evaluation runs an axis-wise de Casteljau reduction, which is
+cuts. The grid is the one map type inside the package: a bare net is
+turned into a one-cell grid once, where a public entry point receives
+it. Evaluation runs an axis-wise de Casteljau reduction, which is
 numerically stable on [0,1] and reproduces corner control points exactly.
-Differentiation along an axis is the first-difference construction: the
-result is again a net, one degree lower along that axis, whose control
-points enclose every value of the partial derivative on the patch. Those
-derivative control points are what the certifier consumes as column
-generators.
+Differentiation along an axis is the first-difference construction: its
+control points, one fewer along that axis, enclose every value of the
+partial derivative on the patch. The certifier consumes them as column
+generators, and the sampling oracle evaluates them as exact Jacobians.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .cones import GeneratorSet, dedup_exact
-
 __all__ = [
     "ConstantAxis",
     "ControlNet",
     "PatchGrid",
-    "column_generators",
-    "derivative_net",
     "eval_many",
-    "locate_patch",
 ]
 
 
@@ -198,11 +194,9 @@ def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -
     ``p`` is the degree along the axis; the result has the net's index
     order, one index fewer along the axis, and is divided by ``width``
     when one is given. Raises :class:`ConstantAxis` for degree 0 and
-    ``ValueError`` for an axis out of range or when a point overflows the
-    float range, which finite control points near the float maximum can.
+    ``ValueError`` when a point overflows the float range, which finite
+    control points near the float maximum can.
     """
-    if not 0 <= axis < net.dimension:
-        raise ValueError(f"axis {axis} out of range for dimension {net.dimension}")
     p = net.degrees[axis]
     if p == 0:
         raise ConstantAxis(axis)
@@ -218,31 +212,6 @@ def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -
     except FloatingPointError:
         raise ValueError("derivative control points overflow") from None
     return points
-
-
-def derivative_net(net: ControlNet, axis: int) -> ControlNet:
-    """Net of the partial derivative along ``axis`` (0-based).
-
-    Control points are ``p * (f[..., i+1, ...] - f[..., i, ...])`` where
-    ``p`` is the degree along the axis; evaluating the result equals the
-    analytic partial derivative of the original net everywhere.
-    """
-    points = _derivative_points(net, axis)
-    degrees = tuple(
-        d - 1 if k == axis else d for k, d in enumerate(net.degrees)
-    )
-    return ControlNet(degrees, points)
-
-
-def column_generators(net: ControlNet, axis: int) -> GeneratorSet:
-    """Generators enclosing column ``axis`` of the Jacobian on the patch.
-
-    These are the control points of the derivative net along the axis;
-    every realized column value is a convex combination of them. Exact
-    duplicates are dropped.
-    """
-    vectors = _derivative_points(net, axis).reshape(-1, net.dimension)
-    return GeneratorSet(column=axis, vectors=dedup_exact(vectors))
 
 
 def _cell_groups(grid: PatchGrid, pts: np.ndarray):
@@ -278,32 +247,25 @@ def _cell_groups(grid: PatchGrid, pts: np.ndarray):
     return groups
 
 
-def locate_patch(grid: PatchGrid, x) -> tuple[tuple[int, ...], np.ndarray]:
-    """Cell containing ``x`` and the affine local coordinates inside it.
-
-    Points on shared faces resolve to the lexicographically smallest
-    containing cell; any containing cell gives valid generators, since
-    certification uses closed-patch control nets.
-    """
-    xs = _check_unit_cube(x, grid.dimension)
-    if xs.shape[0] != 1:
-        raise ValueError("locate_patch takes a single point")
-    ((cell, _, local),) = _cell_groups(grid, xs)
-    return cell, np.array(local[0])
+def _as_grid(map_like) -> PatchGrid:
+    """The map as a grid; a bare net becomes the one-cell grid of [0,1]^n."""
+    if isinstance(map_like, PatchGrid):
+        return map_like
+    if isinstance(map_like, ControlNet):
+        return PatchGrid.single(map_like)
+    raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
 
 
 def eval_many(map_like, xs) -> np.ndarray:
     """Evaluate a ControlNet or PatchGrid at global points, shape (N, n) -> (N, n).
 
     A single point may be passed as a 1-D array; the result still has one
-    row. At a domain vertex the reduction multiplies by exact 0/1 factors,
-    so a net returns the corresponding corner control point exactly.
+    row. A net is evaluated as its one-cell grid, whose local coordinates
+    are the points themselves, so at a domain vertex the reduction
+    multiplies by exact 0/1 factors and returns the corresponding corner
+    control point exactly.
     """
-    if isinstance(map_like, ControlNet):
-        return _reduce_batch(map_like.points, _check_unit_cube(xs, map_like.dimension))
-    if not isinstance(map_like, PatchGrid):
-        raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
-    grid = map_like
+    grid = _as_grid(map_like)
     pts = _check_unit_cube(xs, grid.dimension)
     groups = _cell_groups(grid, pts)
     if len(groups) == 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpsolve
-from .bernstein import ConstantAxis, ControlNet, PatchGrid, _derivative_points
+from .bernstein import ConstantAxis, PatchGrid, _as_grid, _derivative_points
 from .cones import (
     DEFAULT_DELTA,
     Certificate,
@@ -49,10 +49,10 @@ __all__ = [
     "CertificationError",
     "PatternResult",
     "Witness",
+    "certify_cells",
     "certify_map",
     "certify_matrix_family",
     "grid_column_generators",
-    "patch_column_generators",
 ]
 
 # A pattern is accepted only when its LP margin clears this floor; smaller
@@ -340,7 +340,11 @@ def certify_matrix_family(
     n = len(columns)
     if n == 0:
         raise ValueError("need at least one column")
-    for col in columns:
+    for j, col in enumerate(columns):
+        if col.column != j:
+            raise ValueError(
+                f"the generator set at position {j} is labelled column {col.column}"
+            )
         if col.dimension != n:
             raise ValueError(
                 f"column {col.column} has vectors of length {col.dimension}, "
@@ -382,13 +386,16 @@ def certify_matrix_family(
     )
 
 
-def _column_rows(grid: PatchGrid, cells) -> list[list[np.ndarray]]:
-    """Per column, the derivative control points of each cell as scaled rows.
+def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
+    """Union of the given cells' scaled generators, one set per column.
 
-    A cell's points along axis ``j`` are divided by its width along ``j``
-    (chain rule), so they live in global coordinates; the factor is
-    positive, so cone hulls are unchanged. Raises :class:`ConstantAxis`
-    for the first cell, in the given order, with a degree-0 axis.
+    ``cells`` holds index tuples, as :meth:`PatchGrid.cells` lists them.
+    A cell's derivative control points along axis ``j`` are divided by
+    its width along ``j`` (chain rule), so they live in global
+    coordinates; the factor is positive, so cone hulls are unchanged.
+    Cells are stacked in the given order and exact duplicates are dropped
+    once, keeping first occurrences. Raises :class:`ConstantAxis` for the
+    first cell, in that order, with a degree-0 axis.
     """
     n = grid.dimension
     rows: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -397,28 +404,29 @@ def _column_rows(grid: PatchGrid, cells) -> list[list[np.ndarray]]:
         widths = grid.cell_widths(cell)
         for j in range(n):
             rows[j].append(_derivative_points(net, j, widths[j]).reshape(-1, n))
-    return rows
-
-
-def patch_column_generators(grid: PatchGrid, cell: tuple[int, ...]) -> list[GeneratorSet]:
-    """Column generators of one cell, rescaled to global coordinates.
-
-    Local derivative control points are divided by the cell width along
-    the column's axis; exact duplicates are dropped.
-    """
-    rows = _column_rows(grid, [tuple(cell)])
-    return [GeneratorSet(j, dedup_exact(block)) for j, (block,) in enumerate(rows)]
-
-
-def grid_column_generators(grid: PatchGrid) -> list[GeneratorSet]:
-    """Union of the scaled per-patch generators, one set per column.
-
-    Cells are stacked in ``grid.cells()`` order and exact duplicates are
-    dropped once, keeping first occurrences.
-    """
-    rows = _column_rows(grid, grid.cells())
     return [GeneratorSet(j, dedup_exact(np.concatenate(blocks)))
             for j, blocks in enumerate(rows)]
+
+
+def certify_cells(
+    grid: PatchGrid,
+    cells,
+    delta: float,
+    threshold: float,
+    provenance: str,
+) -> CertificateReport:
+    """Certify the map on the union of the given cells of a grid.
+
+    A degree-0 axis in any of the cells means a zero Jacobian column, so
+    the report is degenerate in that column without any LP.
+    """
+    try:
+        columns = grid_column_generators(grid, cells)
+    except ConstantAxis as exc:
+        return _degenerate_report(
+            grid.dimension, exc.axis, None, provenance, delta, threshold
+        )
+    return certify_matrix_family(columns, delta, threshold, provenance)
 
 
 def certify_map(
@@ -435,18 +443,6 @@ def certify_map(
     finite and positive.
     """
     _check_tolerances(delta, threshold)
-    if isinstance(map_like, ControlNet):
-        grid = PatchGrid.single(map_like)
-    elif isinstance(map_like, PatchGrid):
-        grid = map_like
-    else:
-        raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
+    grid = _as_grid(map_like)
     provenance = PROVENANCE_SINGLE if len(grid.patches) == 1 else PROVENANCE_MULTI
-    try:
-        columns = grid_column_generators(grid)
-    except ConstantAxis as exc:
-        # A constant axis means a zero Jacobian column: degenerate by definition.
-        return _degenerate_report(
-            grid.dimension, exc.axis, None, provenance, delta, threshold
-        )
-    return certify_matrix_family(columns, delta, threshold, provenance)
+    return certify_cells(grid, grid.cells(), delta, threshold, provenance)

@@ -36,10 +36,11 @@ from .bernstein import ControlNet, PatchGrid
 from .certify import (
     DEFAULT_THRESHOLD,
     CertificateReport,
+    PROVENANCE_SINGLE,
     VERDICT_STRICT,
+    certify_cells,
     certify_map,
     certify_matrix_family,
-    patch_column_generators,
 )
 from .cones import DEFAULT_DELTA, GeneratorSet
 from .oracle import MAX_TRIALS, sampled_injectivity
@@ -360,9 +361,7 @@ def _per_patch_section(doc: InputDocument) -> tuple[list[dict], list[str]]:
     entries = []
     lines = ["per-patch verdicts:"]
     for cell in grid.cells():
-        columns = patch_column_generators(grid, cell)
-        sub = certify_matrix_family(columns, doc.delta, doc.threshold,
-                                    provenance="single-patch")
+        sub = certify_cells(grid, [cell], doc.delta, doc.threshold, PROVENANCE_SINGLE)
         entries.append({"cell": list(cell), "report": report_to_dict(sub)})
         lines.append(f"cell {tuple(cell)}: {sub.verdict.upper()}")
     return entries, lines

@@ -25,7 +25,6 @@ __all__ = [
     "enumerate_sign_patterns",
     "margin_holds",
     "normalize_generators",
-    "verify_certificate",
 ]
 
 # Default separation threshold: generators with Euclidean norm below this
@@ -204,23 +203,10 @@ def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
 def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
     """Check ``a . v >= epsilon * |v|`` from every generator's ``a . v`` and ``|v|``.
 
-    This is :func:`verify_certificate`'s test. A caller that tries several
-    ``a`` or ``epsilon`` on one generator set passes the norms it has.
-    """
-    return bool((projections >= epsilon * norms).all())
-
-
-def verify_certificate(a: np.ndarray, epsilon: float, generators: np.ndarray) -> bool:
-    """Check ``a . v >= epsilon * |v|`` for every generator ``v``.
-
     A pass extends to the full cone hull: for ``x = sum(lambda_k v_k)``
     with ``lambda_k >= 0``, ``a . x >= epsilon * sum(lambda_k |v_k|) >=
-    epsilon * |x|`` by the triangle inequality. The norms come from
-    :func:`_generator_norms`, so entries of any finite size are judged
-    without overflow.
+    epsilon * |x|`` by the triangle inequality. A caller that tries
+    several ``a`` or ``epsilon`` on one generator set passes the norms it
+    has.
     """
-    a = np.asarray(a, dtype=float)
-    if np.linalg.norm(a) == 0.0:
-        raise ValueError("certificate vector must be nonzero")
-    gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    return margin_holds(gens @ a, _generator_norms(gens)[0], epsilon)
+    return bool((projections >= epsilon * norms).all())

@@ -26,10 +26,11 @@ import numpy as np
 
 from .bernstein import (
     ConstantAxis,
-    ControlNet,
     PatchGrid,
+    _as_grid,
     _cell_groups,
-    derivative_net,
+    _derivative_points,
+    _reduce_batch,
     eval_many,
 )
 
@@ -76,39 +77,32 @@ class CollisionReport:
     seed: int
 
 
-def _as_grid(map_like) -> PatchGrid:
-    if isinstance(map_like, PatchGrid):
-        return map_like
-    if isinstance(map_like, ControlNet):
-        return PatchGrid.single(map_like)
-    raise TypeError(f"expected ControlNet or PatchGrid, got {type(map_like)!r}")
-
-
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class _Jacobians:
-    """Exact Jacobians of a grid at a batch of points, via derivative nets.
+    """Exact Jacobians of a grid at a batch of points.
 
-    Each derivative net is built on first use and wrapped as a one-cell
-    grid. Degree-0 axes contribute a zero column (the map is constant
-    along them), so refinement never trips over ConstantAxis.
+    Column ``axis`` on a cell reduces the cell's derivative control points
+    (formed on first use) at the local coordinates and divides by the
+    cell's width. Degree-0 axes give a zero column (the map is constant
+    along them). Every point has passed ``eval_many``'s unit-cube check,
+    so the local coordinates need no second one.
     """
 
     def __init__(self, grid: PatchGrid):
         self._grid = grid
-        self._nets: dict[tuple, PatchGrid | None] = {}
+        self._points: dict[tuple, np.ndarray | None] = {}
 
-    def _dnet(self, cell: tuple, axis: int) -> PatchGrid | None:
+    def _dpoints(self, cell: tuple, axis: int) -> np.ndarray | None:
         key = cell + (axis,)
-        if key not in self._nets:
+        if key not in self._points:
             try:
-                dnet = derivative_net(self._grid.patches[cell], axis)
-                self._nets[key] = PatchGrid.single(dnet)
+                self._points[key] = _derivative_points(self._grid.patches[cell], axis)
             except ConstantAxis:
-                self._nets[key] = None
-        return self._nets[key]
+                self._points[key] = None
+        return self._points[key]
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """Jacobians at the rows of ``xs``, shape (N, n) -> (N, n, n)."""
@@ -117,9 +111,9 @@ class _Jacobians:
         for cell, rows, local in _cell_groups(self._grid, xs):
             widths = self._grid.cell_widths(cell)
             for axis in range(n):
-                dnet = self._dnet(cell, axis)
-                if dnet is not None:
-                    J[rows, :, axis] = eval_many(dnet, local) / widths[axis]
+                points = self._dpoints(cell, axis)
+                if points is not None:
+                    J[rows, :, axis] = _reduce_batch(points, local) / widths[axis]
         return J
 
 

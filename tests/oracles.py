@@ -5,13 +5,20 @@ direct basis summation (vs de Casteljau), certificate margins by a dense
 sweep of unit directions (vs the simplex LP), LP optima by exhaustive
 vertex enumeration (vs the simplex pivots), planar acuteness exactly from
 polar angles (vs the LP margin), Jacobians by central differences (vs
-derivative nets), hull membership by a nonnegative least-squares fit (vs
-the convex-hull property of control nets), and the margin LPs as written,
-solved by HiGHS's dual simplex (vs the runtime's simplex from a
-closed-form vertex). The last four are test-only, so they live here
-rather than in the package, which keeps scipy out of its imports. The
-HiGHS margins need only match the runtime's to round-off, with the same
-verdicts.
+derivative control points), hull membership by a nonnegative
+least-squares fit (vs the convex-hull property of control nets), and the
+margin LPs as written, solved by HiGHS's dual simplex (vs the runtime's
+simplex from a closed-form vertex). The last four are test-only, so they
+live here rather than in the package, which keeps scipy out of its
+imports. The HiGHS margins need only match the runtime's to round-off,
+with the same verdicts.
+
+Three plain helpers live here rather than in the package, which has no
+use for them: :func:`derivative_net` (the derivative along an axis as a
+net of its own), :func:`locate_patch` (the cell of one point, found by a
+scan of the breakpoints rather than the package's sorted search) and
+:func:`verify_certificate` (a certificate checked against a generator
+matrix).
 
 Five references keep an earlier, plainer form of a runtime step, which
 the runtime must match bit for bit: the simplex pivot through
@@ -20,9 +27,10 @@ signed generators, re-checked through ``verify_certificate`` (vs norms and
 products shared across a family's patterns), de Casteljau reduction with
 the codomain axis innermost (vs the batch axis innermost), injectivity
 sampling that refines its candidate pairs one at a time, one point per
-evaluation (vs all candidates in lockstep), and column generators built
-through a derivative net per cell and axis, deduplicated per cell and
-again per column (vs one pass over the control points).
+evaluation, with Jacobians from derivative nets (vs all candidates in
+lockstep), and column generators built through a derivative net per cell
+and axis, deduplicated per cell and again per column (vs one pass over
+the control points).
 """
 
 from __future__ import annotations
@@ -41,14 +49,11 @@ from invcert import (
     GeneratorSet,
     PatternResult,
     Witness,
-    derivative_net,
     eval_many,
-    locate_patch,
-    verify_certificate,
 )
 from invcert import lpsolve
 from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
-from invcert.cones import dedup_exact
+from invcert.cones import _generator_norms, dedup_exact, margin_holds
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
 
@@ -207,15 +212,52 @@ def hull_membership(point, vertices, tol: float = 1e-9) -> bool:
     return bool(residual <= tol)
 
 
-def reference_column_generators(net: ControlNet, axis: int) -> GeneratorSet:
-    """One cell's generators of column ``axis``: its derivative net's points, deduplicated."""
+def derivative_net(net: ControlNet, axis: int) -> ControlNet:
+    """Net of the partial derivative along ``axis`` (0-based).
+
+    Control points are ``p * (f[..., i+1, ...] - f[..., i, ...])`` where
+    ``p`` is the degree along the axis; evaluating the result equals the
+    analytic partial derivative of the original net everywhere.
+    """
     p = net.degrees[axis]
     if p == 0:
         raise ConstantAxis(axis)
     moved = np.moveaxis(net.points, axis, 0)
     diff = p * (moved[1:] - moved[:-1])
     degrees = tuple(d - 1 if k == axis else d for k, d in enumerate(net.degrees))
-    dnet = ControlNet(degrees, np.moveaxis(diff, 0, axis))
+    return ControlNet(degrees, np.moveaxis(diff, 0, axis))
+
+
+def locate_patch(grid, x) -> tuple[tuple[int, ...], np.ndarray]:
+    """Cell containing ``x``, a point of the unit cube, and its local coordinates.
+
+    Each axis takes the first cell whose upper breakpoint is not below the
+    coordinate, so a point on a shared face resolves to the
+    lexicographically smallest containing cell.
+    """
+    x = np.asarray(x, dtype=float)
+    cell = tuple(next(k for k in range(len(b) - 1) if xk <= b[k + 1])
+                 for xk, b in zip(x, grid.breakpoints))
+    lo = np.array([b[k] for k, b in zip(cell, grid.breakpoints)])
+    return cell, (x - lo) / grid.cell_widths(cell)
+
+
+def verify_certificate(a, epsilon: float, generators) -> bool:
+    """Check ``a . v >= epsilon * |v|`` for every generator ``v``.
+
+    The norms come from the package's overflow-safe generator norms, so
+    entries of any finite size are judged without overflow.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.linalg.norm(a) == 0.0:
+        raise ValueError("certificate vector must be nonzero")
+    gens = np.atleast_2d(np.asarray(generators, dtype=float))
+    return margin_holds(gens @ a, _generator_norms(gens)[0], epsilon)
+
+
+def reference_column_generators(net: ControlNet, axis: int) -> GeneratorSet:
+    """One cell's generators of column ``axis``: its derivative net's points, deduplicated."""
+    dnet = derivative_net(net, axis)
     return GeneratorSet(axis, dedup_exact(dnet.points.reshape(-1, net.dimension)))
 
 

@@ -14,12 +14,12 @@ from invcert import (
     PatchGrid,
     certify_map,
     certify_matrix_family,
-    derivative_net,
     eval_many,
     normalize_generators,
     sampled_injectivity,
 )
 from invcert import certify
+from invcert.bernstein import _derivative_points, _reduce_batch
 from invcert.cli import emit_report
 
 from helpers import (
@@ -87,7 +87,7 @@ def test_criterion_03_quad_certification_with_sweep_oracle():
     signed = np.vstack([
         normalize_generators(c)[0] * s
         for s, c in zip((1, -1),
-                        certify.grid_column_generators(PatchGrid.single(quad_net())))
+                        certify.grid_column_generators(PatchGrid.single(quad_net()), [(0, 0)]))
     ])
     sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**6)
     assert res.certificate.epsilon == pytest.approx(sweep_eps, abs=1e-5)
@@ -164,7 +164,7 @@ def test_criterion_07_derivative_correctness():
             step = np.zeros(n)
             step[axis] = h
             fd = (eval_many(net, xs + step) - eval_many(net, xs - step)) / (2 * h)
-            exact = eval_many(derivative_net(net, axis), xs)
+            exact = _reduce_batch(_derivative_points(net, axis), xs)
             worst = max(worst, float(np.abs(fd - exact).max()))
     assert worst < 1e-6
     announce(7, "derivative correctness",

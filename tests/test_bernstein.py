@@ -1,4 +1,4 @@
-"""Tests for control-net evaluation, derivatives, and patch location."""
+"""Tests for control-net evaluation, derivative control points, and cell lookup."""
 
 import itertools
 
@@ -9,14 +9,20 @@ from invcert import (
     ConstantAxis,
     ControlNet,
     PatchGrid,
-    column_generators,
-    derivative_net,
     eval_many,
-    locate_patch,
+    grid_column_generators,
 )
+from invcert.bernstein import _cell_groups, _derivative_points, _reduce_batch
 
 from helpers import identity_net, quad_net, random_net
-from oracles import direct_bb_eval, fd_jacobian, hull_membership, reference_reduce_batch
+from oracles import (
+    derivative_net,
+    direct_bb_eval,
+    fd_jacobian,
+    hull_membership,
+    locate_patch,
+    reference_reduce_batch,
+)
 
 
 def uniform_grid_2x2(net_for_cell):
@@ -86,29 +92,38 @@ class TestEval:
             eval_many(identity_net(2), [0.5, 0.5, 0.5])
 
 
-class TestDerivativeNet:
+def lowered(net: ControlNet, axis: int) -> tuple[int, ...]:
+    return tuple(d - 1 if k == axis else d for k, d in enumerate(net.degrees))
+
+
+def column_generators(net: ControlNet, axis: int):
+    """The runtime's generators of one column of a single net."""
+    return grid_column_generators(PatchGrid.single(net), [(0,) * net.dimension])[axis]
+
+
+class TestDerivativePoints:
     def test_identity_axis0_is_constant(self):
-        dnet = derivative_net(identity_net(2), 0)
-        assert dnet.degrees == (0, 1)
-        np.testing.assert_array_equal(dnet.points.reshape(-1, 2), [[1, 0], [1, 0]])
+        points = _derivative_points(identity_net(2), 0)
+        assert points.shape == (1, 2, 2)
+        np.testing.assert_array_equal(points.reshape(-1, 2), [[1, 0], [1, 0]])
 
     def test_quad_axis0_first_differences(self):
-        dnet = derivative_net(quad_net(), 0)
-        np.testing.assert_array_equal(dnet.points.reshape(-1, 2), [[1, 0], [2, 1]])
+        points = _derivative_points(quad_net(), 0)
+        np.testing.assert_array_equal(points.reshape(-1, 2), [[1, 0], [2, 1]])
 
     def test_univariate_square(self):
         # B-form of xi^2 has coefficients (0, 0, 1); derivative is 2*xi, B-form (0, 2).
         net = ControlNet((2,), np.array([[0.0], [0.0], [1.0]]))
-        dnet = derivative_net(net, 0)
-        np.testing.assert_array_equal(dnet.points.reshape(-1), [0.0, 2.0])
+        points = _derivative_points(net, 0)
+        np.testing.assert_array_equal(points.reshape(-1), [0.0, 2.0])
         for t in np.linspace(0.05, 0.95, 10):
             fd = (eval_many(net, [t + 1e-6])[0, 0] - eval_many(net, [t - 1e-6])[0, 0]) / 2e-6
-            assert abs(eval_many(dnet, [t])[0, 0] - fd) < 1e-8
+            assert abs(_reduce_batch(points, np.array([[t]]))[0, 0] - fd) < 1e-8
 
     def test_degree_zero_axis_raises(self):
         net = ControlNet((0, 1), np.zeros((1, 2, 2)))
         with pytest.raises(ConstantAxis):
-            derivative_net(net, 0)
+            _derivative_points(net, 0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -116,7 +131,7 @@ class TestDerivativeNet:
             n = int(rng.integers(1, 4))
             net = random_net(rng, n, min_degree=1)
             xs = 1e-4 + (1.0 - 2e-4) * rng.random((20, n))
-            dvals = [eval_many(derivative_net(net, j), xs) for j in range(n)]
+            dvals = [_reduce_batch(_derivative_points(net, j), xs) for j in range(n)]
             for x, *cols in zip(xs, *dvals):
                 J = fd_jacobian(net, x, 1e-5)
                 np.testing.assert_allclose(np.column_stack(cols), J, atol=1e-6)
@@ -127,9 +142,19 @@ class TestDerivativeNet:
             n = int(rng.integers(2, 4))
             net = random_net(rng, n, min_degree=1)
             axes = rng.choice(n, size=2, replace=False)
-            ab = derivative_net(derivative_net(net, axes[0]), axes[1])
-            ba = derivative_net(derivative_net(net, axes[1]), axes[0])
-            np.testing.assert_allclose(ab.points, ba.points, atol=1e-12)
+            ab = _derivative_points(ControlNet(lowered(net, axes[0]),
+                                               _derivative_points(net, axes[0])), axes[1])
+            ba = _derivative_points(ControlNet(lowered(net, axes[1]),
+                                               _derivative_points(net, axes[1])), axes[0])
+            np.testing.assert_allclose(ab, ba, atol=1e-12)
+
+    def test_matches_reference_derivative_net(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            net = random_net(rng, int(rng.integers(1, 4)), min_degree=1)
+            for axis in range(net.dimension):
+                want = derivative_net(net, axis)
+                assert _derivative_points(net, axis).tobytes() == want.points.tobytes()
 
 
 class TestColumnGenerators:
@@ -171,29 +196,50 @@ class TestConvexHullProperty:
                 assert hull_membership(eval_many(net, x)[0], hull_points, tol=1e-8)
 
 
-class TestLocatePatch:
+class TestCellGroups:
+    """The runtime lookup of the cell, and the local coordinates, of each point."""
+
     @pytest.fixture
     def grid(self):
         return uniform_grid_2x2(lambda cell: identity_net(2))
 
+    @staticmethod
+    def locate(grid, x):
+        ((cell, _, local),) = _cell_groups(grid, np.array([x], dtype=float))
+        return cell, local[0]
+
     def test_interior_point(self, grid):
-        cell, xi = locate_patch(grid, [0.25, 0.75])
+        cell, xi = self.locate(grid, [0.25, 0.75])
         assert cell == (0, 1)
         np.testing.assert_allclose(xi, [0.5, 0.5])
 
     def test_origin(self, grid):
-        cell, xi = locate_patch(grid, [0.0, 0.0])
+        cell, xi = self.locate(grid, [0.0, 0.0])
         assert cell == (0, 0)
         np.testing.assert_array_equal(xi, [0.0, 0.0])
 
     def test_shared_corner_resolves_to_smallest_cell(self, grid):
-        cell, xi = locate_patch(grid, [0.5, 0.5])
+        cell, xi = self.locate(grid, [0.5, 0.5])
         assert cell == (0, 0)
         np.testing.assert_array_equal(xi, [1.0, 1.0])
 
     def test_outside_cube_rejected(self, grid):
         with pytest.raises(ValueError, match="outside the unit cube"):
-            locate_patch(grid, [1.2, 0.0])
+            eval_many(grid, [1.2, 0.0])
+
+    def test_matches_reference_lookup(self):
+        # Unequal cells; faces, corners and the cube's boundary included.
+        breaks = (np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.0, 0.55, 1.0]))
+        grid = PatchGrid(breaks, {cell: identity_net(2)
+                                  for cell in itertools.product(range(3), range(2))})
+        rng = np.random.default_rng(43)
+        pts = np.vstack([rng.random((200, 2)),
+                         list(itertools.product(breaks[0], breaks[1]))])
+        for cell, rows, local in _cell_groups(grid, pts):
+            for x, xi in zip(pts[rows], local):
+                want_cell, want_xi = locate_patch(grid, x)
+                assert cell == want_cell
+                assert xi.tobytes() == want_xi.tobytes()
 
 
 class TestGridEvaluation:

@@ -9,8 +9,8 @@ from invcert import (
     PatchGrid,
     certify_map,
     certify_matrix_family,
-    column_generators,
-    verify_certificate,
+    eval_many,
+    sampled_injectivity,
 )
 from invcert import certify
 from invcert.cones import dedup_exact
@@ -29,7 +29,14 @@ from helpers import (
     random_grid_2x2,
     rotation_net,
 )
-from oracles import reference_margin_lps, reference_pattern_result, sweep_unit_margin
+from oracles import (
+    reference_column_generators,
+    reference_margin_lps,
+    reference_pattern_result,
+    sweep_unit_margin,
+    verify_certificate,
+)
+from test_oracle import same_report
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -209,7 +216,7 @@ class TestCertifyMap:
                    if r.status == certify.STATUS_NOT_STRICT]
         assert failing
         signed = apply_sign_pattern(
-            certify.grid_column_generators(PatchGrid.single(folded_net())),
+            certify.grid_column_generators(PatchGrid.single(folded_net()), [(0, 0)]),
             failing[0].pattern,
         )
         sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**5)
@@ -230,6 +237,51 @@ class TestCertifyMap:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             certify_map([[1.0, 0.0], [0.0, 1.0]])
+
+
+ONE_CELL_NETS = {
+    "identity": identity_net(2),
+    "identity-n3": identity_net(3),
+    "quad": quad_net(),
+    "folded": folded_net(),
+    "collapsed": collapsed_net(),
+    "rotation": rotation_net(0.3),
+    "degree-0-axis": ControlNet((1, 0), np.array([[[0.0, 0.0]], [[1.0, 0.5]]])),
+}
+
+
+class TestOneConversion:
+    """A bare net and its one-cell grid are the same map, bit for bit."""
+
+    @pytest.mark.parametrize("net", ONE_CELL_NETS.values(), ids=ONE_CELL_NETS.keys())
+    def test_net_and_its_single_grid_agree(self, net):
+        grid = PatchGrid.single(net)
+        xs = np.vstack([np.random.default_rng(3).random((40, net.dimension)),
+                        np.zeros(net.dimension), np.ones(net.dimension)])
+        assert eval_many(net, xs).tobytes() == eval_many(grid, xs).tobytes()
+        got, want = certify_map(net), certify_map(grid)
+        assert got.provenance == want.provenance == certify.PROVENANCE_SINGLE
+        assert (got.verdict, got.degenerate_column, got.generator_counts) == \
+            (want.verdict, want.degenerate_column, want.generator_counts)
+        assert np.asarray(got.min_generator_norms).tobytes() == \
+            np.asarray(want.min_generator_norms).tobytes()
+        assert [result_bytes(r) for r in got.pattern_results] == \
+            [result_bytes(r) for r in want.pattern_results]
+        assert same_report(sampled_injectivity(net, 500, seed=2),
+                           sampled_injectivity(grid, 500, seed=2))
+
+    @pytest.mark.parametrize("entry", [
+        lambda m: eval_many(m, [0.5, 0.5]),
+        certify_map,
+        lambda m: sampled_injectivity(m, 10),
+    ], ids=["eval_many", "certify_map", "sampled_injectivity"])
+    @pytest.mark.parametrize("subject", [[[1.0, 0.0], [0.0, 1.0]], None, "net"],
+                             ids=["list", "none", "str"])
+    def test_other_types_raise_the_same_error(self, entry, subject):
+        message = f"expected ControlNet or PatchGrid, got {type(subject)!r}"
+        with pytest.raises(TypeError) as err:
+            entry(subject)
+        assert str(err.value) == message
 
 
 class TestCertifyMatrixFamily:
@@ -274,6 +326,17 @@ class TestCertifyMatrixFamily:
     def test_nonfinite_or_empty_input_rejected(self, generators):
         with pytest.raises(ValueError):
             certify_matrix_family([GeneratorSet(0, generators), IDENTITY_COLUMNS[1]])
+
+    def test_mislabelled_column_rejected(self):
+        # A set's label names the Jacobian column it encloses, and reports
+        # name a degenerate column by it, so it must be the set's position.
+        cols = [GeneratorSet(0, [[1.0, 0.0]]), GeneratorSet(0, [[0.0, 0.0]])]
+        with pytest.raises(ValueError, match="position 1 is labelled column 0"):
+            certify_matrix_family(cols)
+        with pytest.raises(ValueError, match="position 0 is labelled column 1"):
+            certify_matrix_family([GeneratorSet(1, [[1.0, 0.0]]), IDENTITY_COLUMNS[1]])
+        relabelled = [GeneratorSet(j, col.vectors) for j, col in enumerate(cols)]
+        assert certify_matrix_family(relabelled).degenerate_column == 1
 
     def test_arity_mismatch_rejected(self):
         cols = [GeneratorSet(0, [[1.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]]),
@@ -374,7 +437,7 @@ def manual_aggregation(grid):
         widths = grid.cell_widths(cell)
         net = grid.patches[cell]
         for j in range(n):
-            per_column[j].append(column_generators(net, j).vectors / widths[j])
+            per_column[j].append(reference_column_generators(net, j).vectors / widths[j])
     return [GeneratorSet(j, dedup_exact(np.vstack(per_column[j]))) for j in range(n)]
 
 

@@ -134,6 +134,17 @@ class TestParseInput:
                 "options": {"delta": -1.0},
             }))
 
+DEGREE_ZERO_CELL_DOC = json.dumps({
+    "mode": "bb-grid",
+    "dimension": 2,
+    "breakpoints": [[0.0, 0.5, 1.0], [0.0, 1.0]],
+    "patches": [
+        {"cell": [0, 0], "degrees": [1, 0], "control_points": [[[0.0, 0.0]], [[0.5, 0.0]]]},
+        {"cell": [1, 0], "degrees": [1, 1],
+         "control_points": [[[0.5, 0.0], [0.5, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]},
+    ],
+})
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("doc", [
@@ -329,6 +340,31 @@ class TestMainExitCodes:
         assert code == 0
         assert "per-patch verdicts:" in out
         assert "cell (0, 0): STRICT-V-FAMILY" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_per_patch_with_a_degree_zero_cell(self, tmp_path, capsys, fmt):
+        # Cell (0, 0) is constant along axis 1: its sub-report is degenerate
+        # in column 2, the other cell is certified as usual, and the whole
+        # map is degenerate, as it is without --per-patch.
+        code = main(["--input", self.write(tmp_path, DEGREE_ZERO_CELL_DOC), "--per-patch",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        if fmt == "text":
+            assert "DEGENERATE column 2" in captured.out
+            assert "cell (0, 0): NOT-CERTIFIED" in captured.out
+            assert "cell (1, 0): STRICT-V-FAMILY" in captured.out
+            return
+        payload = json.loads(captured.out)
+        assert payload["degenerate_column"] == 1
+        first, second = payload["per_patch"]
+        assert first["cell"] == [0, 0]
+        assert first["report"]["degenerate_column"] == 1
+        assert first["report"]["provenance"] == "single-patch"
+        assert {r["status"] for r in first["report"]["pattern_results"]} == {"degenerate"}
+        assert second["cell"] == [1, 0]
+        assert second["report"]["verdict"] == "strict-v-family"
 
     def test_oracle_skipped_for_matrix_family(self, tmp_path, capsys):
         code = main(["--input", self.write(tmp_path, MATRIX_DOC), "--oracle", "10"])

@@ -11,10 +11,10 @@ from invcert import (
     SignPattern,
     enumerate_sign_patterns,
     normalize_generators,
-    verify_certificate,
 )
 
 from helpers import apply_sign_pattern
+from oracles import verify_certificate
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)

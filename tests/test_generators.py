@@ -19,12 +19,10 @@ from invcert import (
     PatchGrid,
     certify_map,
     certify_matrix_family,
-    column_generators,
-    derivative_net,
     grid_column_generators,
     normalize_generators,
-    patch_column_generators,
 )
+from invcert.bernstein import _as_grid as as_grid, _derivative_points
 from invcert.certify import PROVENANCE_MULTI, PROVENANCE_SINGLE
 
 from oracles import (
@@ -89,10 +87,6 @@ def mixed_degree_nets(count: int = 40) -> list[ControlNet]:
     return nets
 
 
-def as_grid(map_like) -> PatchGrid:
-    return PatchGrid.single(map_like) if isinstance(map_like, ControlNet) else map_like
-
-
 def reference_report(map_like):
     """certify_map's report, from the reference generators."""
     grid = as_grid(map_like)
@@ -132,7 +126,7 @@ class TestOnePassExtraction:
     def test_generators_match_reference(self, name):
         for map_like in MAPS[name]:
             grid = as_grid(map_like)
-            assert_same_generators(grid_column_generators(grid),
+            assert_same_generators(grid_column_generators(grid, grid.cells()),
                                    reference_grid_column_generators(grid))
 
     @pytest.mark.parametrize("name", list(MAPS))
@@ -144,20 +138,22 @@ class TestOnePassExtraction:
     def test_per_patch_generators_match_reference(self, name):
         for grid in MAPS[name]:
             for cell in grid.cells():
-                assert_same_generators(patch_column_generators(grid, cell),
+                assert_same_generators(grid_column_generators(grid, [cell]),
                                        reference_patch_column_generators(grid, cell))
 
     def test_duplicates_across_cells_are_dropped_once(self):
         # Every cell of a split identity has the generators e_j / width_j
         # times its width: one generator per column survives.
         grid = shared_generator_grids()[0]
-        assert [g.vectors.shape[0] for g in grid_column_generators(grid)] == [1, 1]
+        assert [g.vectors.shape[0] for g in grid_column_generators(grid, grid.cells())] == [1, 1]
 
     def test_column_generators_match_reference(self):
+        # One cell of width 1: the generators of the net itself.
         for net in mixed_degree_nets(10) + bilinear_sweep_nets(10):
-            for axis in range(net.dimension):
-                assert_same_generators([column_generators(net, axis)],
-                                       [reference_column_generators(net, axis)])
+            cell = (0,) * net.dimension
+            assert_same_generators(
+                grid_column_generators(PatchGrid.single(net), [cell]),
+                [reference_column_generators(net, axis) for axis in range(net.dimension)])
 
     @pytest.mark.parametrize("degrees,axis", [((1, 0), 1), ((0, 2), 0), ((0, 0, 1), 0)])
     def test_degree_zero_axis(self, degrees, axis):
@@ -165,7 +161,7 @@ class TestOnePassExtraction:
         net = ControlNet(degrees, rng.uniform(size=tuple(p + 1 for p in degrees)
                                               + (len(degrees),)))
         with pytest.raises(ConstantAxis) as err:
-            grid_column_generators(PatchGrid.single(net))
+            grid_column_generators(PatchGrid.single(net), [(0,) * len(degrees)])
         assert err.value.axis == axis
         with pytest.raises(ConstantAxis):
             reference_grid_column_generators(PatchGrid.single(net))
@@ -239,12 +235,12 @@ class TestExtremeGenerators:
             with pytest.raises(ValueError, match="^derivative control points overflow$"):
                 certify_map(map_like)
 
-    def test_derivative_net_overflow_is_named(self):
+    def test_derivative_points_overflow_is_named(self):
         net = ControlNet((1, 1), [[[-1e308, 0.0], [-1e308, 1.0]], [[1e308, 0.0], [1e308, 1.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^derivative control points overflow$"):
-                derivative_net(net, 0)
+                _derivative_points(net, 0)
             with pytest.raises(ValueError, match="^derivative control points overflow$"):
-                column_generators(net, 0)
-        assert column_generators(net, 1).vectors.tolist() == [[0.0, 1.0]]
+                grid_column_generators(PatchGrid.single(net), [(0, 0)])
+        assert _derivative_points(net, 1).reshape(-1, 2).tolist() == [[0.0, 1.0]] * 2

@@ -217,7 +217,9 @@ class TestLockstepMatchesSequential:
         monkeypatch.setattr(oracle, "eval_many", counting)
         report = sampled_injectivity(quad_net(), 10_000, seed=0)
         assert not report.collided
-        # Two sample blocks, then about three calls per lockstep round.
+        # Two sample blocks, one call to start refining, then one line search
+        # per lockstep round; Jacobians reduce derivative control points
+        # without going through eval_many.
         assert calls[:2] == [10_000, 10_000]
         assert len(calls) <= 60
 

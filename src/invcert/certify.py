@@ -49,7 +49,6 @@ __all__ = [
     "CertificationError",
     "PatternResult",
     "Witness",
-    "certify_cells",
     "certify_map",
     "certify_matrix_family",
     "grid_column_generators",
@@ -394,9 +393,13 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
     its width along ``j`` (chain rule), so they live in global
     coordinates; the factor is positive, so cone hulls are unchanged.
     Cells are stacked in the given order and exact duplicates are dropped
-    once, keeping first occurrences. Raises :class:`ConstantAxis` for the
-    first cell, in that order, with a degree-0 axis.
+    once, keeping first occurrences. Raises :class:`ValueError` unless
+    ``cells`` is a non-empty list of the grid's cell tuples, and
+    :class:`ConstantAxis` for the first cell, in that order, with a
+    degree-0 axis.
     """
+    if not cells or not all(isinstance(c, tuple) and c in grid.patches for c in cells):
+        raise ValueError(f"cells must be a non-empty list of the grid's cells, got {cells!r}")
     n = grid.dimension
     rows: list[list[np.ndarray]] = [[] for _ in range(n)]
     for cell in cells:
@@ -408,18 +411,14 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
             for j, blocks in enumerate(rows)]
 
 
-def certify_cells(
-    grid: PatchGrid,
-    cells,
-    delta: float,
-    threshold: float,
-    provenance: str,
-) -> CertificateReport:
+def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> CertificateReport:
     """Certify the map on the union of the given cells of a grid.
 
-    A degree-0 axis in any of the cells means a zero Jacobian column, so
-    the report is degenerate in that column without any LP.
+    One cell is a single patch, several a multi-patch map. A degree-0
+    axis in any of the cells means a zero Jacobian column, so the report
+    is degenerate in that column without any LP.
     """
+    provenance = PROVENANCE_SINGLE if len(cells) == 1 else PROVENANCE_MULTI
     try:
         columns = grid_column_generators(grid, cells)
     except ConstantAxis as exc:
@@ -444,5 +443,4 @@ def certify_map(
     """
     _check_tolerances(delta, threshold)
     grid = _as_grid(map_like)
-    provenance = PROVENANCE_SINGLE if len(grid.patches) == 1 else PROVENANCE_MULTI
-    return certify_cells(grid, grid.cells(), delta, threshold, provenance)
+    return _certify_cells(grid, grid.cells(), delta, threshold)

@@ -36,9 +36,8 @@ from .bernstein import ControlNet, PatchGrid
 from .certify import (
     DEFAULT_THRESHOLD,
     CertificateReport,
-    PROVENANCE_SINGLE,
     VERDICT_STRICT,
-    certify_cells,
+    _certify_cells,
     certify_map,
     certify_matrix_family,
 )
@@ -361,7 +360,7 @@ def _per_patch_section(doc: InputDocument) -> tuple[list[dict], list[str]]:
     entries = []
     lines = ["per-patch verdicts:"]
     for cell in grid.cells():
-        sub = certify_cells(grid, [cell], doc.delta, doc.threshold, PROVENANCE_SINGLE)
+        sub = _certify_cells(grid, [cell], doc.delta, doc.threshold)
         entries.append({"cell": list(cell), "report": report_to_dict(sub)})
         lines.append(f"cell {tuple(cell)}: {sub.verdict.upper()}")
     return entries, lines

@@ -23,7 +23,13 @@ from invcert import (
     normalize_generators,
 )
 from invcert.bernstein import _as_grid as as_grid, _derivative_points
-from invcert.certify import PROVENANCE_MULTI, PROVENANCE_SINGLE
+from invcert.certify import (
+    DEFAULT_THRESHOLD,
+    PROVENANCE_MULTI,
+    PROVENANCE_SINGLE,
+    _certify_cells,
+)
+from invcert.cones import DEFAULT_DELTA
 
 from oracles import (
     reference_column_generators,
@@ -146,6 +152,21 @@ class TestOnePassExtraction:
         # times its width: one generator per column survives.
         grid = shared_generator_grids()[0]
         assert [g.vectors.shape[0] for g in grid_column_generators(grid, grid.cells())] == [1, 1]
+
+    @pytest.mark.parametrize("cells", [[], "outside", [[0, 0]]])
+    def test_bad_cells_rejected(self, cells):
+        grid = shared_generator_grids()[0]
+        if cells == "outside":
+            cells = [grid.shape]
+        with pytest.raises(ValueError, match="cells must be a non-empty list of the grid's cells"):
+            grid_column_generators(grid, cells)
+
+    def test_provenance_follows_the_cell_count(self):
+        grid = shared_generator_grids()[0]
+        cell = grid.cells()[0]
+        single = _certify_cells(grid, [cell], DEFAULT_DELTA, DEFAULT_THRESHOLD)
+        multi = _certify_cells(grid, grid.cells(), DEFAULT_DELTA, DEFAULT_THRESHOLD)
+        assert (single.provenance, multi.provenance) == (PROVENANCE_SINGLE, PROVENANCE_MULTI)
 
     def test_column_generators_match_reference(self):
         # One cell of width 1: the generators of the net itself.

@@ -86,8 +86,12 @@ def _require(condition: bool, path: str, message: str) -> None:
 def _finite(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"expected a number, got {value!r}")
-    _require(math.isfinite(value), path, f"number must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InputError(path, "integer is beyond the float range") from None
+    _require(math.isfinite(number), path, f"number must be finite, got {value!r}")
+    return number
 
 
 def _int_list(raw, path: str, length: int | None = None) -> list[int]:
@@ -109,6 +113,12 @@ def _vector(raw, path: str, dim: int) -> list[float]:
 
 
 def _control_points(raw, path: str, degrees: list[int], dim: int) -> np.ndarray:
+    # The points fill an array of dim + 1 axes, and numpy caps that count.
+    try:
+        np.empty((0,) * (dim + 1))
+    except ValueError:
+        raise InputError(path, f"{dim} axes need an array of {dim + 1} axes, "
+                               "more than numpy allows") from None
     counts = [p + 1 for p in degrees]
 
     def walk(node, level: int, where: str):
@@ -140,6 +150,10 @@ def parse_input(text: str) -> InputDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("", f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # An integer with more digits than Python converts, or nesting deeper
+        # than the decoder's recursion limit.
+        raise InputError("", f"cannot decode JSON: {exc}") from None
     _require(isinstance(doc, dict), "", "top level must be an object")
     _require("mode" in doc, "", "missing key 'mode'")
     mode = doc["mode"]
@@ -406,12 +420,18 @@ def main(argv=None) -> int:
 
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.input, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         print(f"invcert: cannot read input: {exc}", file=sys.stderr)
+        return 3
+
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"invcert: invalid input: not UTF-8 text: {exc}", file=sys.stderr)
         return 3
 
     try:

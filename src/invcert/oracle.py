@@ -54,14 +54,13 @@ MAX_TRIALS = 1_000_000
 
 _REFINE_CANDIDATES = 8
 _REFINE_MAX_ITER = 80
-# Sample pairs evaluated per block, so evaluation memory does not grow
-# with the number of trials.
-_BLOCK = 2**15
+# Sample pairs checked and evaluated per block, so temporaries do not grow
+# with the trials. At n = 2 a 2^12-pair block's largest temporary (128 KB)
+# stays in the L2 cache and reuses the last block's heap memory; blocks of
+# 2^13 and more faulted in fresh pages each time and ran 16-29% slower.
+_BLOCK = 2**12
 # Backtracking step lengths 1, 1/2, ..., 2^-13, longest first.
 _ALPHAS = np.ldexp(1.0, -np.arange(14))
-
-# Per-candidate outcome while refining.
-_RUNNING, _CLEAN, _COLLIDED = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -85,33 +84,35 @@ class _Jacobians:
     """Exact Jacobians of a grid at a batch of points.
 
     Column ``axis`` on a cell reduces the cell's derivative control points
-    (formed on first use) at the local coordinates and divides by the
-    cell's width. Degree-0 axes give a zero column (the map is constant
-    along them). Every point has passed ``eval_many``'s unit-cube check,
-    so the local coordinates need no second one.
+    at the local coordinates and divides by the cell's width; both are
+    formed on the cell's first use. Degree-0 axes give a zero column (the
+    map is constant along them). Every point has passed ``eval_many``'s
+    unit-cube check, so the local coordinates need no second one.
     """
 
     def __init__(self, grid: PatchGrid):
         self._grid = grid
-        self._points: dict[tuple, np.ndarray | None] = {}
+        self._cells: dict[tuple, tuple[np.ndarray, list]] = {}
 
-    def _dpoints(self, cell: tuple, axis: int) -> np.ndarray | None:
-        key = cell + (axis,)
-        if key not in self._points:
-            try:
-                self._points[key] = _derivative_points(self._grid.patches[cell], axis)
-            except ConstantAxis:
-                self._points[key] = None
-        return self._points[key]
+    def _cell(self, cell: tuple) -> tuple[np.ndarray, list]:
+        """The cell's widths and its derivative control points per axis."""
+        if cell not in self._cells:
+            points = []
+            for axis in range(self._grid.dimension):
+                try:
+                    points.append(_derivative_points(self._grid.patches[cell], axis))
+                except ConstantAxis:
+                    points.append(None)
+            self._cells[cell] = (self._grid.cell_widths(cell), points)
+        return self._cells[cell]
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         """Jacobians at the rows of ``xs``, shape (N, n) -> (N, n, n)."""
         n = self._grid.dimension
         J = np.zeros((xs.shape[0], n, n))
         for cell, rows, local in _cell_groups(self._grid, xs):
-            widths = self._grid.cell_widths(cell)
-            for axis in range(n):
-                points = self._dpoints(cell, axis)
+            widths, dpoints = self._cell(cell)
+            for axis, points in enumerate(dpoints):
                 if points is not None:
                     J[rows, :, axis] = _reduce_batch(points, local) / widths[axis]
         return J
@@ -142,12 +143,15 @@ def _dot_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def _pair_mismatch(grid: PatchGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``|F(u) - F(v)|`` for every pair, evaluated _BLOCK pairs at a time."""
+def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> np.ndarray:
+    """``|u - v|``, or ``|F(u) - F(v)|`` given a grid, _BLOCK pairs at a time."""
     out = np.empty(U.shape[0])
     for start in range(0, U.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
-        out[block] = _row_norms(eval_many(grid, U[block]) - eval_many(grid, V[block]))
+        u, v = U[block], V[block]
+        if grid is not None:
+            u, v = eval_many(grid, u), eval_many(grid, v)
+        out[block] = _row_norms(u - v)
     return out
 
 
@@ -159,10 +163,10 @@ def _gauss_newton_steps(M: np.ndarray, r: np.ndarray):
     the same system solved alone.
     """
     K, n, _ = M.shape
-    MMt = M @ M.transpose(0, 2, 1)
+    A = M @ M.transpose(0, 2, 1)
     # fmax ignores a NaN trace, as Python's max(1.0, trace) does.
-    damping = 1e-12 * np.fmax(1.0, np.trace(MMt, axis1=1, axis2=2))
-    A = MMt + damping[:, None, None] * np.eye(n)
+    damping = 1e-12 * np.fmax(1.0, np.trace(A, axis1=1, axis2=2))
+    A += damping[:, None, None] * np.eye(n)
     ok = np.ones(K, dtype=bool)
     try:
         sol = np.linalg.solve(A, r[..., None])
@@ -177,49 +181,41 @@ def _gauss_newton_steps(M: np.ndarray, r: np.ndarray):
     return ((-M.transpose(0, 2, 1)) @ sol)[..., 0], ok
 
 
-def _push_apart(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move each pair of rows apart to SEPARATION_FLOOR about its midpoint.
-
-    A pair of equal points stays as it is.
-    """
-    D = V - U
-    dist = _dot_norms(D)
-    moved = dist != 0.0
-    mid = (U[moved] + V[moved]) / 2.0
-    half = D[moved] / dist[moved, None] * SEPARATION_FLOOR / 2.0
-    U, V = U.copy(), V.copy()
-    U[moved] = np.clip(mid - half, 0.0, 1.0)
-    V[moved] = np.clip(mid + half, 0.0, 1.0)
-    return U, V
-
-
-def _line_search(grid, u, v, step, gap):
+def _line_search(grid, P, step, gap):
     """Try every step length of every candidate in one evaluation.
 
-    A candidate accepts its longest step length whose clipped points are
-    at least SEPARATION_FLOOR apart (after pushing them apart if needed)
-    and lower its mismatch. Returns the mask of candidates that accepted
-    one, and their new points, residuals and mismatches.
+    ``P`` holds each candidate's points ``(u, v)``, shape (K, 2, n). A
+    candidate accepts its longest step length whose clipped points are at
+    least SEPARATION_FLOOR apart (after pushing them apart if needed) and
+    lower its mismatch. Returns the mask of candidates that accepted one,
+    and each candidate's new points, residual and mismatch; those of a
+    candidate that accepted none are meaningless.
     """
-    K, n = u.shape
-    U = np.clip(u[:, None, :] + _ALPHAS[:, None] * step[:, None, :n], 0.0, 1.0)
-    V = np.clip(v[:, None, :] + _ALPHAS[:, None] * step[:, None, n:], 0.0, 1.0)
-    U, V = U.reshape(-1, n), V.reshape(-1, n)
-    sep = _dot_norms(U - V)
-    close = np.flatnonzero(sep < SEPARATION_FLOOR)
-    if close.size:
-        U[close], V[close] = _push_apart(U[close], V[close])
-        sep[close] = _dot_norms(U[close] - V[close])
+    K, _, n = P.shape
+    # Rows are (candidate, step length); each row holds its pair (u, v).
+    W = np.clip(P[:, None] + _ALPHAS[:, None, None] * step.reshape(K, 1, 2, n),
+                0.0, 1.0).reshape(-1, 2, n)
+    D = W[:, 1] - W[:, 0]
+    sep = _dot_norms(D)
+    close = sep < SEPARATION_FLOOR
+    if close.any():
+        # Move a close pair apart to SEPARATION_FLOOR about its midpoint; a
+        # pair of equal points stays as it is.
+        moved = (close & (sep != 0.0))[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = D / sep[:, None] * SEPARATION_FLOOR / 2.0
+        mid = (W[:, 0] + W[:, 1]) / 2.0
+        W = np.where(moved, np.stack([mid - half, mid + half], axis=1), W)
+        np.clip(W, 0.0, 1.0, out=W)
+        sep = _dot_norms(W[:, 0] - W[:, 1])
     tried = np.flatnonzero(sep >= SEPARATION_FLOOR)
-    images = eval_many(grid, np.vstack([U[tried], V[tried]]))
-    R = np.zeros((U.shape[0], n))
-    R[tried] = images[:tried.size] - images[tried.size:]
-    gaps = np.full(U.shape[0], np.nan)
-    gaps[tried] = _row_norms(R[tried])
+    images = eval_many(grid, W[tried].reshape(-1, n)).reshape(-1, 2, n)
+    R = np.full((W.shape[0], n), np.nan)
+    R[tried] = images[:, 0] - images[:, 1]
+    gaps = _row_norms(R)
     better = gaps.reshape(K, _ALPHAS.size) < gap[:, None]
-    accepted = better.any(axis=1)
-    rows = (np.arange(K) * _ALPHAS.size + better.argmax(axis=1))[accepted]
-    return accepted, U[rows], V[rows], R[rows], gaps[rows]
+    rows = np.arange(K) * _ALPHAS.size + better.argmax(axis=1)
+    return better.any(axis=1), W[rows], R[rows], gaps[rows]
 
 
 def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
@@ -236,39 +232,43 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
     that stops with a collision, or None.
     """
     K, n = U0.shape
-    u, v = U0.copy(), V0.copy()
-    images = eval_many(grid, np.vstack([u, v]))
-    r = images[:K] - images[K:]
+    # The arrays hold the live candidates, in the given order: those still
+    # running and ahead of every collision found so far. P[k] is (u, v).
+    P = np.stack([U0, V0], axis=1)
+    images = eval_many(grid, P.reshape(-1, n)).reshape(K, 2, n)
+    r = images[:, 0] - images[:, 1]
     gap = _row_norms(r)
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
-    outcome = np.full(K, _RUNNING)
+    hit = None
     jac = _Jacobians(grid)
     for it in itertools.count():
-        stopping = (outcome == _RUNNING) & (halted | (gap <= 1e-12) | (stalls >= 3)
-                                            | (it == _REFINE_MAX_ITER))
+        stopping = halted | (gap <= 1e-12) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
-            collided = ((gap[stopping] <= COLLISION_TOL)
-                        & (_dot_norms(u[stopping] - v[stopping]) >= SEPARATION_FLOOR))
-            outcome[stopping] = np.where(collided, _COLLIDED, _CLEAN)
-        # Candidates after the first collision cannot change the answer.
-        hits = np.flatnonzero(outcome == _COLLIDED)
-        first = hits[0] if hits.size else K
-        live = np.flatnonzero(outcome[:first] == _RUNNING)
-        if live.size == 0:
-            return (u[first], v[first]) if hits.size else None
+            collided = stopping & (gap <= COLLISION_TOL) & (
+                _dot_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR)
+            keep = ~stopping
+            if collided.any():
+                # Candidates after the first collision cannot change the answer.
+                first = collided.argmax()
+                hit = P[first]
+                keep[first:] = False
+            if not keep.any():
+                return hit
+            P, r, gap, stalls = P[keep], r[keep], gap[keep], stalls[keep]
 
-        J = jac(np.vstack([u[live], v[live]]))
-        M = np.concatenate([J[:live.size], -J[live.size:]], axis=2)
-        step, solved = _gauss_newton_steps(M, r[live])
-        halted[live[~solved]] = True
-        live, step = live[solved], step[solved]
-        accepted, u_new, v_new, r_new, gap_new = _line_search(
-            grid, u[live], v[live], step, gap[live])
-        halted[live[~accepted]] = True
-        live = live[accepted]
-        stalls[live] = np.where(gap_new > 0.99 * gap[live], stalls[live] + 1, 0)
-        u[live], v[live], r[live], gap[live] = u_new, v_new, r_new, gap_new
+        J = jac(P.reshape(-1, n)).reshape(-1, 2, n, n)
+        M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
+        step, solved = _gauss_newton_steps(M, r)
+        # No step length accepts a NaN step, so an unsolved system halts.
+        step[~solved] = np.nan
+        accepted, P_new, r, gap_new = _line_search(grid, P, step, gap)
+        halted = ~accepted
+        if halted.any():
+            # A halted candidate keeps its points and mismatch to stop with.
+            P_new[halted], gap_new[halted] = P[halted], gap[halted]
+        stalls = np.where(gap_new > 0.99 * gap, stalls + 1, 0)
+        P, gap = P_new, gap_new
 
 
 def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport:
@@ -297,13 +297,13 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
     U = rng.random((trials, n))
     V = rng.random((trials, n))
     while True:
-        close = _row_norms(U - V) < SEPARATION_FLOOR
+        close = _pair_norms(U, V) < SEPARATION_FLOOR
         if not close.any():
             break
         U[close] = rng.random((int(close.sum()), n))
         V[close] = rng.random((int(close.sum()), n))
 
-    mismatch = _pair_mismatch(grid, U, V)
+    mismatch = _pair_norms(U, V, grid)
     order = _smallest(mismatch, _REFINE_CANDIDATES)
 
     best = int(order[0])

@@ -224,3 +224,31 @@ def certificate_lp(units) -> tuple[np.ndarray, float]:
 
 def pivots_per_lp(calls: list[tuple]) -> list[int]:
     return [int(p) for *_, batch in calls for p in batch.pivots]
+
+
+def invalid_input_documents() -> dict[str, bytes]:
+    """Input files, by name, that the CLI must reject with exit code 3.
+
+    Each is read as raw bytes. They go past the schema checks: numbers
+    beyond the float range, nesting deeper than the JSON decoder's
+    recursion limit, bytes that are not UTF-8 and more axes than a numpy
+    array holds.
+    """
+    huge = "1" + "0" * 400
+    axes = 65
+    points: object = [0.0] * axes
+    for _ in range(axes):
+        points = [points]
+    patch = {"mode": "bb-patch", "dimension": 2, "degrees": [1, 1],
+             "control_points": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]}
+    return {
+        "huge-control-point": (b'{"mode": "bb-patch", "dimension": 1, "degrees": [1], '
+                               b'"control_points": [[0], [' + huge.encode() + b']]}'),
+        "huge-delta": (json.dumps(patch)[:-1] + ', "options": {"delta": ' + huge + "}}").encode(),
+        "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+        "not-utf-8": (json.dumps(patch)[:-1] + ', "note": "caf\xe9"}').encode("latin-1"),
+        "65-axes": json.dumps({"mode": "bb-patch", "dimension": axes, "degrees": [0] * axes,
+                               "control_points": points}).encode(),
+        "5000-digit-integer": (json.dumps(patch)[:-1] + ', "note": 1' + "0" * 5000
+                               + "}").encode(),
+    }

@@ -21,7 +21,13 @@ from invcert.cli import (
 from invcert import cli
 from invcert.oracle import MAX_TRIALS
 
-from helpers import document_to_json, identity_grid_2x2, identity_net, quad_net
+from helpers import (
+    document_to_json,
+    identity_grid_2x2,
+    identity_net,
+    invalid_input_documents,
+    quad_net,
+)
 from oracles import reference_sampled_injectivity
 
 IDENTITY_PATCH_DOC = json.dumps({
@@ -481,6 +487,52 @@ class TestExtremeSizes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == "invcert: derivative control points overflow\n"
+
+
+class TestInputBeyondTheSchemaChecks:
+    """Documents that used to end in a traceback and exit code 1."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("huge-control-point", ".control_points[1][0]: integer is beyond the float range"),
+        ("huge-delta", "options.delta: integer is beyond the float range"),
+        ("not-utf-8", "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 124: "
+                      "invalid continuation byte"),
+        ("65-axes", ".control_points: 65 axes need an array of 66 axes, more than numpy allows"),
+        ("5000-digit-integer", "cannot decode JSON: Exceeds the limit (4300 digits) for "
+                               "integer string conversion"),
+    ])
+    def test_exits_three_with_one_line(self, tmp_path, capsys, name, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(invalid_input_documents()[name])
+        code = main(["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"invcert: invalid input: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_nesting_beyond_the_recursion_limit_in_a_process_of_its_own(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "invcert"], input=invalid_input_documents()["deep-nesting"],
+            capture_output=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == [
+            "invcert: invalid input: cannot decode JSON: maximum recursion depth exceeded "
+            "while decoding a JSON array from a unicode string"]
+
+    def test_standard_input_must_be_utf_8_too(self):
+        proc = subprocess.run([sys.executable, "-m", "invcert"],
+                              input=invalid_input_documents()["not-utf-8"], capture_output=True)
+        assert proc.returncode == 3
+        assert proc.stderr.decode().startswith("invcert: invalid input: not UTF-8 text")
+
+    def test_the_not_utf_8_document_is_valid_apart_from_one_byte(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(invalid_input_documents()["not-utf-8"].replace(b"\xe9", b"e"))
+        assert main(["--input", str(path)]) == 0
+        capsys.readouterr()
 
 
 class TestStructuredOutputIsJson:

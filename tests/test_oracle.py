@@ -26,6 +26,8 @@ from helpers import (
     rotation_net,
 )
 from oracles import (
+    _reference_push_apart,
+    _reference_residual,
     acute_2d,
     fd_jacobian,
     hull_membership,
@@ -61,6 +63,18 @@ def reference_corpus():
              (collapsed_net(), 2, 1), (identity_net(2), 5, 0), (quad_net(), 6, 3)]
     runs.append((perturbed_identity_net(rng, 0.3), 40_000, 5))
     return runs
+
+
+def counted_evaluations(monkeypatch) -> list[int]:
+    """The point count of every later ``eval_many`` call the oracle makes."""
+    calls = []
+
+    def counting(map_like, xs):
+        calls.append(len(xs))
+        return eval_many(map_like, xs)
+
+    monkeypatch.setattr(oracle, "eval_many", counting)
+    return calls
 
 
 class TestSampledInjectivity:
@@ -207,21 +221,113 @@ class TestLockstepMatchesSequential:
         assert solved.tolist() == [True, True, False, True, True]
         assert steps[solved].tobytes() == expected[solved].tobytes()
 
+    def test_failed_solves_halt_as_in_the_reference(self, monkeypatch):
+        # A lockstep round gives an unsolved system a NaN step, which no
+        # step length accepts; the reference stops the candidate at once.
+        real_solve = np.linalg.solve
+        failures = []
+
+        def solve(a, b):
+            rows = np.reshape(b, (-1, a.shape[-1]))
+            if any(row[0] * 1e6 % 1.0 < 0.3 for row in rows):
+                failures.append(len(rows))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        collided = 0
+        for map_like, trials, seed in reference_corpus()[:40]:
+            report = sampled_injectivity(map_like, trials, seed)
+            assert same_report(report, reference_sampled_injectivity(map_like, trials, seed))
+            collided += report.collided
+        # Stacked solves failed, and so did systems solved one at a time.
+        assert max(failures) > 1 and failures.count(1) >= 20
+        assert 0 < collided
+
+    def test_line_search_matches_one_candidate_at_a_time(self):
+        # Close pairs 1e-3 apart and steps that pull them together, so most
+        # accepted rows were pushed apart; an infinite mismatch to beat makes
+        # the longest step length with separated points the accepted one.
+        rng = np.random.default_rng(37)
+        net = folded_net()
+        K, n = 64, 2
+        u = rng.uniform(0.1, 0.9, size=(K, n))
+        v = u + 1.2e-3 * rng.normal(size=(K, n))
+        step = np.hstack([v - u, u - v]) * rng.uniform(0.0, 1.5, size=(K, 1))
+        step[::5] = rng.normal(size=(K // 5 + 1, 2 * n)) * 0.01
+        gap = np.where(np.arange(K) % 2 == 0, np.inf,
+                       np.linalg.norm(eval_many(net, u) - eval_many(net, v), axis=1))
+        accepted, P, r, gaps = oracle._line_search(oracle._as_grid(net), np.stack([u, v], axis=1),
+                                                   step, gap)
+        pushed = 0
+        for k in range(K):
+            found = None
+            for alpha in oracle._ALPHAS:
+                u_new = np.clip(u[k] + alpha * step[k, :n], 0.0, 1.0)
+                v_new = np.clip(v[k] + alpha * step[k, n:], 0.0, 1.0)
+                close = np.linalg.norm(u_new - v_new) < SEPARATION_FLOOR
+                if close:
+                    u_new, v_new = _reference_push_apart(u_new, v_new)
+                if np.linalg.norm(u_new - v_new) >= SEPARATION_FLOOR:
+                    r_new, gap_new = _reference_residual(net, u_new, v_new)
+                    if gap_new < gap[k]:
+                        found = (u_new, v_new, r_new, gap_new)
+                        pushed += close
+                        break
+            assert accepted[k] == (found is not None)
+            if found is not None:
+                assert P[k, 0].tobytes() == found[0].tobytes()
+                assert P[k, 1].tobytes() == found[1].tobytes()
+                assert r[k].tobytes() == found[2].tobytes()
+                assert gaps[k] == found[3]
+        assert pushed >= 10 and 0 < accepted.sum() < K
+
+    def test_a_candidate_without_a_better_step_stops_where_it_is(self, monkeypatch):
+        real_line_search = oracle._line_search
+
+        def nothing_accepted(grid, P, step, gap):
+            accepted, *rows = real_line_search(grid, P, step, gap)
+            return np.zeros_like(accepted), *rows
+
+        # A collision of the folded map moved apart in the image, to a
+        # mismatch too large to stop at once but small enough to count.
+        u, v, _, _ = sampled_injectivity(folded_net(), 10_000, seed=3).witness
+        v = v + np.array([1e-11, -1e-11])
+        assert 1e-12 < np.linalg.norm(eval_many(folded_net(), u) - eval_many(folded_net(), v)) \
+            <= COLLISION_TOL
+        monkeypatch.setattr(oracle, "_line_search", nothing_accepted)
+        pair = oracle._refine(oracle._as_grid(folded_net()), u[None], v[None])
+        assert pair is not None
+        assert pair[0].tobytes() == u.tobytes() and pair[1].tobytes() == v.tobytes()
+
     def test_all_evaluation_goes_through_the_module_global(self, monkeypatch):
-        calls = []
-
-        def counting(map_like, xs):
-            calls.append(len(xs))
-            return eval_many(map_like, xs)
-
-        monkeypatch.setattr(oracle, "eval_many", counting)
+        calls = counted_evaluations(monkeypatch)
         report = sampled_injectivity(quad_net(), 10_000, seed=0)
         assert not report.collided
-        # Two sample blocks, one call to start refining, then one line search
-        # per lockstep round; Jacobians reduce derivative control points
-        # without going through eval_many.
-        assert calls[:2] == [10_000, 10_000]
-        assert len(calls) <= 60
+        # Three sample blocks of u and of v, one call to start refining,
+        # then one line search per lockstep round; Jacobians reduce
+        # derivative control points without going through eval_many.
+        assert calls[:6] == [4096, 4096, 4096, 4096, 1808, 1808]
+        assert len(calls) <= 64
+
+    def test_no_evaluation_exceeds_one_block(self, monkeypatch):
+        calls = counted_evaluations(monkeypatch)
+        sampled_injectivity(perturbed_identity_net(np.random.default_rng(41), 0.3), 40_000, 2)
+        assert calls[:20] == [oracle._BLOCK] * 18 + [40_000 - 9 * oracle._BLOCK] * 2
+        assert max(calls) <= oracle._BLOCK
+
+    @pytest.mark.parametrize("trials", [10_000, 2**12 - 1, 2**12, 2**12 + 1])
+    def test_reports_match_the_reference_around_the_block_size(self, trials):
+        assert oracle._BLOCK == 2**12
+        rng = np.random.default_rng(trials)
+        maps = [perturbed_identity_net(rng, amplitude) for amplitude in (0.2, 0.5, 0.8, 1.1)]
+        maps += [random_grid_2x2(rng), folded_net()]
+        collided = 0
+        for seed, map_like in enumerate(maps):
+            report = sampled_injectivity(map_like, trials, seed)
+            assert same_report(report, reference_sampled_injectivity(map_like, trials, seed))
+            collided += report.collided
+        assert 0 < collided < len(maps)
 
 
 class TestAcute2d:

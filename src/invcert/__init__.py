@@ -10,7 +10,6 @@ applies to raw matrix families supplied as per-column generator sets.
 """
 
 from .bernstein import (
-    ConstantAxis,
     ControlNet,
     PatchGrid,
     eval_many,
@@ -41,7 +40,6 @@ __all__ = [
     "Certificate",
     "CertificateReport",
     "CollisionReport",
-    "ConstantAxis",
     "ControlNet",
     "DEFAULT_DELTA",
     "DEFAULT_THRESHOLD",

@@ -9,8 +9,10 @@ it. Evaluation runs an axis-wise de Casteljau reduction, which is
 numerically stable on [0,1] and reproduces corner control points exactly.
 Differentiation along an axis is the first-difference construction: its
 control points, one fewer along that axis, enclose every value of the
-partial derivative on the patch. The certifier consumes them as column
-generators, and the sampling oracle evaluates them as exact Jacobians.
+partial derivative on the patch. Along an axis of degree 0 the map is
+constant and the derivative is the zero net. The certifier consumes
+derivative control points as column generators, and the sampling oracle
+evaluates them as exact Jacobians.
 """
 
 from __future__ import annotations
@@ -23,21 +25,10 @@ from typing import Mapping
 import numpy as np
 
 __all__ = [
-    "ConstantAxis",
     "ControlNet",
     "PatchGrid",
     "eval_many",
 ]
-
-
-class ConstantAxis(ValueError):
-    """Derivative requested along an axis of degree zero."""
-
-    def __init__(self, axis: int):
-        super().__init__(
-            f"net has degree 0 along axis {axis}; the derivative net would be empty"
-        )
-        self.axis = axis
 
 
 @dataclass(frozen=True)
@@ -193,13 +184,14 @@ def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -
 
     ``p`` is the degree along the axis; the result has the net's index
     order, one index fewer along the axis, and is divided by ``width``
-    when one is given. Raises :class:`ConstantAxis` for degree 0 and
-    ``ValueError`` when a point overflows the float range, which finite
-    control points near the float maximum can.
+    when one is given. Along an axis of degree 0 the map is constant, and
+    the result is zeros of the net's own shape. Raises ``ValueError`` when
+    a point overflows the float range, which finite control points near
+    the float maximum can.
     """
     p = net.degrees[axis]
     if p == 0:
-        raise ConstantAxis(axis)
+        return np.zeros_like(net.points)
     lead = (slice(None),) * axis
     f = net.points
     # Finite inputs can only leave the float range by overflow, which numpy

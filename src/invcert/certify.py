@@ -25,12 +25,12 @@ norm beyond the float range raises ``ValueError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lpsolve
-from .bernstein import ConstantAxis, PatchGrid, _as_grid, _derivative_points
+from .bernstein import PatchGrid, _as_grid, _derivative_points
 from .cones import (
     DEFAULT_DELTA,
     Certificate,
@@ -63,7 +63,6 @@ VERDICT_NOT_CERTIFIED = "not-certified"
 
 STATUS_STRICT = "strict"
 STATUS_NOT_STRICT = "not-strict"
-STATUS_DEGENERATE = "degenerate"
 
 PROVENANCE_SINGLE = "single-patch"
 PROVENANCE_MULTI = "multi-patch"
@@ -102,10 +101,13 @@ class PatternResult:
 class CertificateReport:
     """Outcome of the full strict V-family test.
 
-    ``verdict`` is strict only when every pattern result is strict.
-    ``min_generator_norms`` records, per column, how far the raw
-    generators stay from the origin; together with each pattern's margin
-    it quantifies the separation the certificates rest on.
+    ``verdict`` is strict only when no column is degenerate and every
+    pattern is strict. A degenerate report names the lowest column with a
+    generator shorter than ``delta`` and lists no patterns, since no
+    margin can hold for any of them. ``min_generator_norms`` records, per
+    column, how far the raw generators stay from the origin; together
+    with each pattern's margin it quantifies the separation the
+    certificates rest on.
     """
 
     dimension: int
@@ -286,42 +288,10 @@ def _pattern_result(pattern: SignPattern, W: np.ndarray, norms: np.ndarray,
     )
 
 
-def _check_tolerances(delta: float, threshold: float) -> None:
-    for name, value in (("delta", delta), ("threshold", threshold)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _degenerate_report(
-    n: int,
-    column: int,
-    counts: tuple[int, ...] | None,
-    provenance: str,
-    delta: float,
-    threshold: float,
-) -> CertificateReport:
-    results = tuple(
-        PatternResult(p, STATUS_DEGENERATE, None, None)
-        for p in enumerate_sign_patterns(n)
-    )
-    return CertificateReport(
-        dimension=n,
-        verdict=VERDICT_NOT_CERTIFIED,
-        pattern_results=results,
-        generator_counts=counts,
-        min_generator_norms=None,
-        provenance=provenance,
-        delta=delta,
-        threshold=threshold,
-        degenerate_column=column,
-    )
-
-
 def certify_matrix_family(
     columns: list[GeneratorSet],
     delta: float = DEFAULT_DELTA,
     threshold: float = DEFAULT_THRESHOLD,
-    provenance: str = PROVENANCE_MATRIX,
 ) -> CertificateReport:
     """Certify a matrix family given by one generator set per column.
 
@@ -331,10 +301,13 @@ def certify_matrix_family(
     clears ``threshold`` and the rescaled certificate passes an
     independent generator-wise re-check. Failing patterns carry a witness
     combination whose weights are the dual LP's optimal convex weights.
-    ``provenance`` labels the report with where the generators came from.
-    ``delta`` and ``threshold`` must be finite and positive.
+    A column with a generator shorter than ``delta`` touches the origin:
+    the report names the lowest such column, solves no LP and lists no
+    patterns. ``delta`` and ``threshold`` must be finite and positive.
     """
-    _check_tolerances(delta, threshold)
+    for name, value in (("delta", delta), ("threshold", threshold)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     columns = list(columns)
     n = len(columns)
     if n == 0:
@@ -353,7 +326,17 @@ def certify_matrix_family(
     try:
         normalized = [normalize_generators(col, delta) for col in columns]
     except DegenerateColumn as exc:
-        return _degenerate_report(n, exc.column, counts, provenance, delta, threshold)
+        return CertificateReport(
+            dimension=n,
+            verdict=VERDICT_NOT_CERTIFIED,
+            pattern_results=(),
+            generator_counts=counts,
+            min_generator_norms=None,
+            provenance=PROVENANCE_MATRIX,
+            delta=delta,
+            threshold=threshold,
+            degenerate_column=exc.column,
+        )
     units = [u for u, _ in normalized]
     min_norms = tuple(mn for _, mn in normalized)
 
@@ -379,7 +362,7 @@ def certify_matrix_family(
         pattern_results=tuple(results),
         generator_counts=counts,
         min_generator_norms=min_norms,
-        provenance=provenance,
+        provenance=PROVENANCE_MATRIX,
         delta=delta,
         threshold=threshold,
     )
@@ -392,11 +375,11 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
     A cell's derivative control points along axis ``j`` are divided by
     its width along ``j`` (chain rule), so they live in global
     coordinates; the factor is positive, so cone hulls are unchanged.
-    Cells are stacked in the given order and exact duplicates are dropped
-    once, keeping first occurrences. Raises :class:`ValueError` unless
-    ``cells`` is a non-empty list of the grid's cell tuples, and
-    :class:`ConstantAxis` for the first cell, in that order, with a
-    degree-0 axis.
+    A degree-0 axis contributes the zero generator, so the column touches
+    the origin. Cells are stacked in the given order and exact duplicates
+    are dropped once, keeping first occurrences. Raises
+    :class:`ValueError` unless ``cells`` is a non-empty list of the grid's
+    cell tuples.
     """
     if not cells or not all(isinstance(c, tuple) and c in grid.patches for c in cells):
         raise ValueError(f"cells must be a non-empty list of the grid's cells, got {cells!r}")
@@ -414,18 +397,14 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
 def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> CertificateReport:
     """Certify the map on the union of the given cells of a grid.
 
-    One cell is a single patch, several a multi-patch map. A degree-0
-    axis in any of the cells means a zero Jacobian column, so the report
-    is degenerate in that column without any LP.
+    One cell is a single patch, several a multi-patch map, and the report
+    says which. A degree-0 axis in any of the cells gives its column a
+    zero generator, so the report is degenerate like any other column
+    that touches the origin.
     """
+    report = certify_matrix_family(grid_column_generators(grid, cells), delta, threshold)
     provenance = PROVENANCE_SINGLE if len(cells) == 1 else PROVENANCE_MULTI
-    try:
-        columns = grid_column_generators(grid, cells)
-    except ConstantAxis as exc:
-        return _degenerate_report(
-            grid.dimension, exc.axis, None, provenance, delta, threshold
-        )
-    return certify_matrix_family(columns, delta, threshold, provenance)
+    return replace(report, provenance=provenance)
 
 
 def certify_map(
@@ -441,6 +420,5 @@ def certify_map(
     faces is assumed, not checked). ``delta`` and ``threshold`` must be
     finite and positive.
     """
-    _check_tolerances(delta, threshold)
     grid = _as_grid(map_like)
     return _certify_cells(grid, grid.cells(), delta, threshold)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import (
-    ConstantAxis,
     PatchGrid,
     _as_grid,
     _cell_groups,
@@ -85,9 +84,10 @@ class _Jacobians:
 
     Column ``axis`` on a cell reduces the cell's derivative control points
     at the local coordinates and divides by the cell's width; both are
-    formed on the cell's first use. Degree-0 axes give a zero column (the
-    map is constant along them). Every point has passed ``eval_many``'s
-    unit-cube check, so the local coordinates need no second one.
+    formed on the cell's first use. Along a degree-0 axis the derivative
+    points are zeros, which reduce to a column of +0.0. Every point has
+    passed ``eval_many``'s unit-cube check, so the local coordinates need
+    no second one.
     """
 
     def __init__(self, grid: PatchGrid):
@@ -97,12 +97,8 @@ class _Jacobians:
     def _cell(self, cell: tuple) -> tuple[np.ndarray, list]:
         """The cell's widths and its derivative control points per axis."""
         if cell not in self._cells:
-            points = []
-            for axis in range(self._grid.dimension):
-                try:
-                    points.append(_derivative_points(self._grid.patches[cell], axis))
-                except ConstantAxis:
-                    points.append(None)
+            net = self._grid.patches[cell]
+            points = [_derivative_points(net, axis) for axis in range(self._grid.dimension)]
             self._cells[cell] = (self._grid.cell_widths(cell), points)
         return self._cells[cell]
 
@@ -113,8 +109,7 @@ class _Jacobians:
         for cell, rows, local in _cell_groups(self._grid, xs):
             widths, dpoints = self._cell(cell)
             for axis, points in enumerate(dpoints):
-                if points is not None:
-                    J[rows, :, axis] = _reduce_batch(points, local) / widths[axis]
+                J[rows, :, axis] = _reduce_batch(points, local) / widths[axis]
         return J
 
 

@@ -15,7 +15,8 @@ with the same verdicts.
 
 Three plain helpers live here rather than in the package, which has no
 use for them: :func:`derivative_net` (the derivative along an axis as a
-net of its own), :func:`locate_patch` (the cell of one point, found by a
+net of its own, the zero net along an axis of degree 0, where the map is
+constant), :func:`locate_patch` (the cell of one point, found by a
 scan of the breakpoints rather than the package's sorted search) and
 :func:`verify_certificate` (a certificate checked against a generator
 matrix).
@@ -44,7 +45,6 @@ from scipy.optimize import linprog, nnls
 from invcert import (
     Certificate,
     CollisionReport,
-    ConstantAxis,
     ControlNet,
     GeneratorSet,
     PatternResult,
@@ -217,11 +217,13 @@ def derivative_net(net: ControlNet, axis: int) -> ControlNet:
 
     Control points are ``p * (f[..., i+1, ...] - f[..., i, ...])`` where
     ``p`` is the degree along the axis; evaluating the result equals the
-    analytic partial derivative of the original net everywhere.
+    analytic partial derivative of the original net everywhere. Along an
+    axis of degree 0 that derivative is zero: the result is the zero net
+    of the original's degrees.
     """
     p = net.degrees[axis]
     if p == 0:
-        raise ConstantAxis(axis)
+        return ControlNet(net.degrees, np.zeros_like(net.points))
     moved = np.moveaxis(net.points, axis, 0)
     diff = p * (moved[1:] - moved[:-1])
     degrees = tuple(d - 1 if k == axis else d for k, d in enumerate(net.degrees))
@@ -365,14 +367,11 @@ class _ReferenceJacobian:
 
     def __init__(self, map_like):
         self._map = map_like
-        self._nets: dict[tuple, ControlNet | None] = {}
+        self._nets: dict[tuple, ControlNet] = {}
 
-    def _dnet(self, net: ControlNet, axis: int, key: tuple) -> ControlNet | None:
+    def _dnet(self, net: ControlNet, axis: int, key: tuple) -> ControlNet:
         if key not in self._nets:
-            try:
-                self._nets[key] = derivative_net(net, axis)
-            except ConstantAxis:
-                self._nets[key] = None
+            self._nets[key] = derivative_net(net, axis)
         return self._nets[key]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -387,8 +386,7 @@ class _ReferenceJacobian:
             widths = self._map.cell_widths(cell)
         for axis in range(n):
             dnet = self._dnet(net, axis, cell + (axis,))
-            if dnet is not None:
-                J[:, axis] = eval_many(dnet, local[None, :])[0] / widths[axis]
+            J[:, axis] = eval_many(dnet, local[None, :])[0] / widths[axis]
         return J
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from invcert import (
-    ConstantAxis,
     ControlNet,
     PatchGrid,
     eval_many,
@@ -120,10 +119,15 @@ class TestDerivativePoints:
             fd = (eval_many(net, [t + 1e-6])[0, 0] - eval_many(net, [t - 1e-6])[0, 0]) / 2e-6
             assert abs(_reduce_batch(points, np.array([[t]]))[0, 0] - fd) < 1e-8
 
-    def test_degree_zero_axis_raises(self):
-        net = ControlNet((0, 1), np.zeros((1, 2, 2)))
-        with pytest.raises(ConstantAxis):
-            _derivative_points(net, 0)
+    @pytest.mark.parametrize("width", [None, 0.25])
+    def test_degree_zero_axis_gives_zeros(self, width):
+        # The map is constant along the axis: the derivative is zero, as a
+        # net of the original's shape.
+        net = ControlNet((0, 1), np.arange(4.0).reshape(1, 2, 2) + 1.0)
+        points = _derivative_points(net, 0, width)
+        assert points.shape == net.points.shape
+        assert points.tobytes() == np.zeros((1, 2, 2)).tobytes()
+        assert derivative_net(net, 0).points.tobytes() == points.tobytes()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(23)
@@ -170,10 +174,10 @@ class TestColumnGenerators:
             column_generators(quad_net(), 1).vectors, [[0, 1], [1, 2]]
         )
 
-    def test_constant_axis_propagates(self):
-        net = ControlNet((1, 0), np.zeros((2, 1, 2)))
-        with pytest.raises(ConstantAxis):
-            column_generators(net, 1)
+    def test_constant_axis_gives_the_zero_generator(self):
+        net = ControlNet((1, 0), np.arange(4.0).reshape(2, 1, 2))
+        assert column_generators(net, 1).vectors.tolist() == [[0.0, 0.0]]
+        assert column_generators(net, 0).vectors.tolist() == [[2.0, 2.0]]
 
     def test_hull_encloses_realized_columns(self):
         rng = np.random.default_rng(37)

@@ -350,8 +350,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_per_patch_with_a_degree_zero_cell(self, tmp_path, capsys, fmt):
         # Cell (0, 0) is constant along axis 1: its sub-report is degenerate
-        # in column 2, the other cell is certified as usual, and the whole
-        # map is degenerate, as it is without --per-patch.
+        # in column 2 and lists no patterns, the other cell is certified as
+        # usual, and the whole map is degenerate, as it is without
+        # --per-patch.
         code = main(["--input", self.write(tmp_path, DEGREE_ZERO_CELL_DOC), "--per-patch",
                      "--format", fmt])
         captured = capsys.readouterr()
@@ -359,6 +360,7 @@ class TestMainExitCodes:
         assert captured.err == ""
         if fmt == "text":
             assert "DEGENERATE column 2" in captured.out
+            assert "generators per column: 1 2" in captured.out
             assert "cell (0, 0): NOT-CERTIFIED" in captured.out
             assert "cell (1, 0): STRICT-V-FAMILY" in captured.out
             return
@@ -368,9 +370,25 @@ class TestMainExitCodes:
         assert first["cell"] == [0, 0]
         assert first["report"]["degenerate_column"] == 1
         assert first["report"]["provenance"] == "single-patch"
-        assert {r["status"] for r in first["report"]["pattern_results"]} == {"degenerate"}
+        assert first["report"]["pattern_results"] == []
+        assert first["report"]["generator_counts"] == [1, 1]
         assert second["cell"] == [1, 0]
         assert second["report"]["verdict"] == "strict-v-family"
+
+    def test_wide_constant_patch_lists_no_patterns(self, tmp_path, capsys):
+        # Degree 0 along all 20 axes: every column is zero, and the report
+        # says so without enumerating the 2^19 sign patterns.
+        points: object = [0.5] * 20
+        for _ in range(20):
+            points = [points]
+        doc = json.dumps({"mode": "bb-patch", "dimension": 20, "degrees": [0] * 20,
+                          "control_points": points})
+        code = main(["--input", self.write(tmp_path, doc), "--format", "structured"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert payload["pattern_results"] == []
+        assert payload["degenerate_column"] == 0
+        assert payload["generator_counts"] == [1] * 20
 
     def test_oracle_skipped_for_matrix_family(self, tmp_path, capsys):
         code = main(["--input", self.write(tmp_path, MATRIX_DOC), "--oracle", "10"])

@@ -5,6 +5,7 @@ reports, of the reference that builds a derivative net per cell and axis
 (``tests/oracles.py``).
 """
 
+import dataclasses
 import itertools
 import warnings
 
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from invcert import (
-    ConstantAxis,
     ControlNet,
     DegenerateColumn,
     GeneratorSet,
@@ -97,8 +97,8 @@ def reference_report(map_like):
     """certify_map's report, from the reference generators."""
     grid = as_grid(map_like)
     provenance = PROVENANCE_SINGLE if len(grid.patches) == 1 else PROVENANCE_MULTI
-    columns = reference_grid_column_generators(grid)
-    return certify_matrix_family(columns, provenance=provenance)
+    report = certify_matrix_family(reference_grid_column_generators(grid))
+    return dataclasses.replace(report, provenance=provenance)
 
 
 def assert_same_generators(got, want):
@@ -178,17 +178,34 @@ class TestOnePassExtraction:
 
     @pytest.mark.parametrize("degrees,axis", [((1, 0), 1), ((0, 2), 0), ((0, 0, 1), 0)])
     def test_degree_zero_axis(self, degrees, axis):
+        # A degree-0 axis is a zero generator like any other: the reference
+        # gives the same generators, and the report names the lowest such
+        # column and lists no patterns.
         rng = np.random.default_rng(13)
         net = ControlNet(degrees, rng.uniform(size=tuple(p + 1 for p in degrees)
                                               + (len(degrees),)))
-        with pytest.raises(ConstantAxis) as err:
-            grid_column_generators(PatchGrid.single(net), [(0,) * len(degrees)])
-        assert err.value.axis == axis
-        with pytest.raises(ConstantAxis):
-            reference_grid_column_generators(PatchGrid.single(net))
+        grid = PatchGrid.single(net)
+        got = grid_column_generators(grid, [(0,) * len(degrees)])
+        assert_same_generators(got, reference_grid_column_generators(grid))
+        assert got[axis].vectors.tolist() == [[0.0] * len(degrees)]
         report = certify_map(net)
         assert report.degenerate_column == axis
-        assert report.generator_counts is None
+        assert report.pattern_results == ()
+        assert report.generator_counts == tuple(g.vectors.shape[0] for g in got)
+        assert report.provenance == PROVENANCE_SINGLE
+
+    def test_degree_zero_axes_in_two_cells_name_the_lowest_column(self):
+        # Cell (0, 0) is constant along axis 1 and cell (1, 0) along axis 0:
+        # both columns touch the origin, and the report names column 0.
+        rng = np.random.default_rng(14)
+        grid = PatchGrid((np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])), {
+            (0, 0): ControlNet((1, 0), rng.uniform(size=(2, 1, 2))),
+            (1, 0): ControlNet((0, 1), rng.uniform(size=(1, 2, 2))),
+        })
+        report = certify_map(grid)
+        assert report.degenerate_column == 0
+        assert report.pattern_results == ()
+        assert_same_report(report, reference_report(grid))
 
     def test_degree_zero_axis_in_a_later_cell(self):
         grid = unequal_grids(1)[0]

@@ -5,6 +5,7 @@ import pytest
 
 from invcert import (
     ControlNet,
+    PatchGrid,
     eval_many,
     normalize_generators,
     sampled_injectivity,
@@ -162,6 +163,26 @@ class TestLockstepMatchesSequential:
             earlier_runs_longer += any(runs[i][1] > steps for i in range(first))
         assert later_collides_sooner >= 3
         assert earlier_runs_longer >= 3
+
+    def test_degree_zero_axes_match_the_reference(self):
+        # Along a degree-0 axis the Jacobian column is the zero net's +0.0,
+        # the bits of the reference's zero derivative net.
+        rng = np.random.default_rng(41)
+        maps = [
+            ControlNet((2, 0), rng.uniform(size=(3, 1, 2))),
+            ControlNet((0, 1, 2), rng.uniform(size=(1, 2, 3, 3))),
+            PatchGrid((np.array([0.0, 0.4, 1.0]), np.array([0.0, 1.0])), {
+                (0, 0): ControlNet((1, 0), rng.uniform(size=(2, 1, 2))),
+                (1, 0): ControlNet((1, 1), rng.uniform(size=(2, 2, 2))),
+            }),
+        ]
+        collided = 0
+        for map_like in maps:
+            for seed in range(3):
+                report = sampled_injectivity(map_like, 200, seed)
+                assert same_report(report, reference_sampled_injectivity(map_like, 200, seed))
+                collided += report.collided
+        assert collided
 
     def test_blocks_do_not_change_the_report(self, monkeypatch):
         monkeypatch.setattr(oracle, "_BLOCK", 7)

@@ -323,48 +323,37 @@ def certify_matrix_family(
                 f"but {n} columns were supplied"
             )
     counts = tuple(int(col.vectors.shape[0]) for col in columns)
+    degenerate_column = min_norms = None
+    results = []
     try:
         normalized = [normalize_generators(col, delta) for col in columns]
     except DegenerateColumn as exc:
-        return CertificateReport(
-            dimension=n,
-            verdict=VERDICT_NOT_CERTIFIED,
-            pattern_results=(),
-            generator_counts=counts,
-            min_generator_norms=None,
-            provenance=PROVENANCE_MATRIX,
-            delta=delta,
-            threshold=threshold,
-            degenerate_column=exc.column,
-        )
-    units = [u for u, _ in normalized]
-    min_norms = tuple(mn for _, mn in normalized)
+        degenerate_column = exc.column
+    else:
+        units, min_norms = zip(*normalized)
+        W = np.vstack(units)
+        patterns = enumerate_sign_patterns(n)
+        signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
+                          [u.shape[0] for u in units], axis=1)
+        norms = np.linalg.norm(W, axis=1)
+        a, t, weights = _margin_lps(W, signs)
+        results = [
+            _pattern_result(pattern, W, norms, signs[k], threshold, a[k], float(t[k]),
+                            weights[k])
+            for k, pattern in enumerate(patterns)
+        ]
 
-    W = np.vstack(units)
-    patterns = enumerate_sign_patterns(n)
-    signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
-                      [u.shape[0] for u in units], axis=1)
-    norms = np.linalg.norm(W, axis=1)
-    a, t, weights = _margin_lps(W, signs)
-    results = [
-        _pattern_result(pattern, W, norms, signs[k], threshold, a[k], float(t[k]), weights[k])
-        for k, pattern in enumerate(patterns)
-    ]
-
-    verdict = (
-        VERDICT_STRICT
-        if all(r.status == STATUS_STRICT for r in results)
-        else VERDICT_NOT_CERTIFIED
-    )
+    strict = degenerate_column is None and all(r.status == STATUS_STRICT for r in results)
     return CertificateReport(
         dimension=n,
-        verdict=verdict,
+        verdict=VERDICT_STRICT if strict else VERDICT_NOT_CERTIFIED,
         pattern_results=tuple(results),
         generator_counts=counts,
         min_generator_norms=min_norms,
         provenance=PROVENANCE_MATRIX,
         delta=delta,
         threshold=threshold,
+        degenerate_column=degenerate_column,
     )
 
 

@@ -16,6 +16,9 @@ Input documents are JSON with a ``mode`` key selecting the payload shape:
 
 An optional ``options`` object may set ``delta``, ``threshold`` and
 ``format`` (``text`` or ``structured``); command-line flags override it.
+A run builds one payload, :func:`report_to_dict` plus ``oracle`` and
+``per_patch`` sections where those flags apply, and prints it as JSON or
+renders it as text lines read from that payload alone.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
 1 not certified, 2 degenerate input, 3 usage or parse error, 4 internal
 error (a solver or certification failure that should not happen).
@@ -243,7 +246,12 @@ def _fmt_vec(vec) -> str:
 
 
 def report_to_dict(report: CertificateReport) -> dict:
-    """Structured mirror of a report, JSON-serializable field for field."""
+    """Structured mirror of a report, JSON-serializable field for field.
+
+    This is the only reader of report objects: the text report is
+    rendered from the dict it returns, so a report field is added here
+    once and both formats show it.
+    """
     patterns = []
     for res in report.pattern_results:
         entry: dict = {
@@ -281,81 +289,83 @@ def report_to_dict(report: CertificateReport) -> dict:
     }
 
 
-def _report_text_lines(report: CertificateReport) -> list[str]:
+def _report_text_lines(payload: dict) -> list[str]:
+    """Text view of a structured payload, with its per-patch and oracle sections."""
     lines = [
-        f"dimension: {report.dimension}",
-        f"provenance: {report.provenance}",
-        f"delta: {_fmt(report.delta)}",
-        f"threshold: {_fmt(report.threshold)}",
+        f"dimension: {payload['dimension']}",
+        f"provenance: {payload['provenance']}",
+        f"delta: {_fmt(payload['delta'])}",
+        f"threshold: {_fmt(payload['threshold'])}",
     ]
-    if report.generator_counts is not None:
+    if payload["generator_counts"] is not None:
         lines.append("generators per column: "
-                     + " ".join(str(c) for c in report.generator_counts))
-    if report.min_generator_norms is not None:
+                     + " ".join(str(c) for c in payload["generator_counts"]))
+    if payload["min_generator_norms"] is not None:
         lines.append("min generator norm per column: "
-                     + " ".join(_fmt(v) for v in report.min_generator_norms))
-    lines.append(f"verdict: {report.verdict.upper()}")
-    if report.degenerate_column is not None:
+                     + " ".join(_fmt(v) for v in payload["min_generator_norms"]))
+    lines.append(f"verdict: {payload['verdict'].upper()}")
+    if payload["degenerate_column"] is not None:
         lines.append(
-            f"DEGENERATE column {report.degenerate_column + 1}: "
-            f"generators not separated from the origin (delta {_fmt(report.delta)})"
+            f"DEGENERATE column {payload['degenerate_column'] + 1}: "
+            f"generators not separated from the origin (delta {_fmt(payload['delta'])})"
         )
-        return lines
-    width = max(len(r.pattern.label()) for r in report.pattern_results)
-    header = f"{'pattern':<{max(width, 7)}}  {'status':<11} {'margin':<12} {'epsilon':<12} certificate"
-    lines.append(header)
-    for res in report.pattern_results:
-        margin = "-" if res.lp_margin is None else _fmt(res.lp_margin)
-        eps = "-" if res.certificate is None else _fmt(res.certificate.epsilon)
-        avec = "-" if res.certificate is None else _fmt_vec(res.certificate.a)
-        lines.append(
-            f"{res.pattern.label():<{max(width, 7)}}  {res.status:<11} "
-            f"{margin:<12} {eps:<12} {avec}"
-        )
-    for res in report.pattern_results:
-        if res.note:
-            lines.append(f"note ({res.pattern.label()}): {res.note}")
-        if res.witness is not None:
+    # A degenerate report lists no patterns, and any other at least one.
+    results = [(" ".join("+" if s > 0 else "-" for s in res["pattern"]), res)
+               for res in payload["pattern_results"]]
+    if results:
+        width = max(7, *(len(label) for label, _ in results))
+        lines.append(f"{'pattern':<{width}}  {'status':<11} {'margin':<12} {'epsilon':<12} "
+                     "certificate")
+    for label, res in results:
+        cert = res["certificate"]
+        margin = "-" if res["lp_margin"] is None else _fmt(res["lp_margin"])
+        eps = "-" if cert is None else _fmt(cert["epsilon"])
+        avec = "-" if cert is None else _fmt_vec(cert["a"])
+        lines.append(f"{label:<{width}}  {res['status']:<11} {margin:<12} {eps:<12} {avec}")
+    for label, res in results:
+        if res["note"]:
+            lines.append(f"note ({label}): {res['note']}")
+        witness = res["witness"]
+        if witness is not None:
             lines.append(
-                f"witness ({res.pattern.label()}): weights "
-                + " ".join(_fmt(w) for w in res.witness.weights)
-                + f"; signed-generator sum {_fmt_vec(res.witness.combination)}"
-                + f"; norm {_fmt(res.witness.residual_norm)}"
+                f"witness ({label}): weights "
+                + " ".join(_fmt(w) for w in witness["weights"])
+                + f"; signed-generator sum {_fmt_vec(witness['combination'])}"
+                + f"; norm {_fmt(witness['residual_norm'])}"
             )
+    if "per_patch" in payload:
+        lines.append("per-patch verdicts:")
+        lines += [f"cell {tuple(entry['cell'])}: {entry['report']['verdict'].upper()}"
+                  for entry in payload["per_patch"]]
+    if (oracle := payload.get("oracle")) is not None:
+        lines += [f"oracle trials: {oracle['trials']}", f"oracle seed: {oracle['seed']}"]
+        pair = oracle["witness"]
+        lines.append("oracle collision: none" if pair is None else
+                     f"oracle collision: u {_fmt_vec(pair['u'])} v {_fmt_vec(pair['v'])} "
+                     f"F(u) {_fmt_vec(pair['f_u'])} F(v) {_fmt_vec(pair['f_v'])}")
+        lines.append(f"oracle agreement: {oracle['agreement']}")
     return lines
 
 
-def emit_report(report: CertificateReport, fmt: str = "text") -> str:
-    """Render a report as human-readable text or a structured JSON document."""
+def _render(payload: dict, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
-    return "\n".join(_report_text_lines(report))
+    return "\n".join(_report_text_lines(payload))
 
 
-def _oracle_section(doc: InputDocument, report: CertificateReport,
-                    trials: int, seed: int) -> tuple[dict, list[str]]:
+def emit_report(report: CertificateReport, fmt: str = "text") -> str:
+    """Render a report as text or as JSON, both from :func:`report_to_dict`."""
+    return _render(report_to_dict(report), fmt)
+
+
+def _oracle_dict(doc: InputDocument, report: CertificateReport,
+                 trials: int, seed: int) -> dict:
     collision = sampled_injectivity(doc.payload, trials, seed)
-    as_dict: dict = {
-        "trials": collision.trials,
-        "seed": collision.seed,
-        "collided": collision.collided,
-        "witness": None,
-    }
-    lines = [f"oracle trials: {collision.trials}", f"oracle seed: {collision.seed}"]
+    witness = None
     if collision.collided:
-        u, v, fu, fv = collision.witness
-        as_dict["witness"] = {
-            "u": u.tolist(), "v": v.tolist(),
-            "f_u": fu.tolist(), "f_v": fv.tolist(),
-        }
-        lines.append(
-            f"oracle collision: u {_fmt_vec(u)} v {_fmt_vec(v)} "
-            f"F(u) {_fmt_vec(fu)} F(v) {_fmt_vec(fv)}"
-        )
-    else:
-        lines.append("oracle collision: none")
+        witness = dict(zip(("u", "v", "f_u", "f_v"), (x.tolist() for x in collision.witness)))
     if report.certified and collision.collided:
         agreement = "SOUNDNESS VIOLATION: certified map with observed collision"
     elif report.certified:
@@ -364,20 +374,8 @@ def _oracle_section(doc: InputDocument, report: CertificateReport,
         agreement = "consistent (not certified, collision confirms non-injectivity)"
     else:
         agreement = "no contradiction (rejection does not imply non-injectivity)"
-    as_dict["agreement"] = agreement
-    lines.append(f"oracle agreement: {agreement}")
-    return as_dict, lines
-
-
-def _per_patch_section(doc: InputDocument) -> tuple[list[dict], list[str]]:
-    grid = doc.payload
-    entries = []
-    lines = ["per-patch verdicts:"]
-    for cell in grid.cells():
-        sub = _certify_cells(grid, [cell], doc.delta, doc.threshold)
-        entries.append({"cell": list(cell), "report": report_to_dict(sub)})
-        lines.append(f"cell {tuple(cell)}: {sub.verdict.upper()}")
-    return entries, lines
+    return {"trials": collision.trials, "seed": collision.seed,
+            "collided": collision.collided, "witness": witness, "agreement": agreement}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,23 +455,25 @@ def main(argv=None) -> int:
         print("invcert: --seed must be a non-negative integer", file=sys.stderr)
         return 3
 
-    oracle_dict = oracle_lines = None
-    per_patch_dicts = per_patch_lines = None
     try:
         report = run(doc)
+        payload = report_to_dict(report)
         if args.oracle is not None:
             if doc.mode == "matrix-family":
                 print("invcert: --oracle needs a map input; skipped for matrix-family",
                       file=sys.stderr)
             else:
-                oracle_dict, oracle_lines = _oracle_section(doc, report, args.oracle,
-                                                            args.seed)
+                payload["oracle"] = _oracle_dict(doc, report, args.oracle, args.seed)
         if args.per_patch:
             if doc.mode != "bb-grid":
                 print("invcert: --per-patch applies to bb-grid inputs; skipped",
                       file=sys.stderr)
             else:
-                per_patch_dicts, per_patch_lines = _per_patch_section(doc)
+                payload["per_patch"] = [
+                    {"cell": list(cell), "report": report_to_dict(
+                        _certify_cells(doc.payload, [cell], doc.delta, doc.threshold))}
+                    for cell in doc.payload.cells()
+                ]
     except ValueError as exc:
         print(f"invcert: {exc}", file=sys.stderr)
         return 3
@@ -483,21 +483,7 @@ def main(argv=None) -> int:
         print(f"invcert: internal error: {exc}", file=sys.stderr)
         return 4
 
-    if doc.fmt == "structured":
-        payload = report_to_dict(report)
-        if oracle_dict is not None:
-            payload["oracle"] = oracle_dict
-        if per_patch_dicts is not None:
-            payload["per_patch"] = per_patch_dicts
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        lines = _report_text_lines(report)
-        if per_patch_lines:
-            lines += per_patch_lines
-        if oracle_lines:
-            lines += oracle_lines
-        print("\n".join(lines))
-
+    print(_render(payload, doc.fmt))
     if report.degenerate_column is not None:
         return 2
     return 0 if report.verdict == VERDICT_STRICT else 1

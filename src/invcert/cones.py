@@ -59,7 +59,8 @@ class GeneratorSet:
     """Finite set of vectors generating one column cone.
 
     ``column`` is the 0-based index of the Jacobian column the set
-    over-approximates; ``vectors`` has shape (m, n).
+    over-approximates; ``vectors`` has shape (m, n) with m, n >= 1, and
+    one vector of shape (n,) is one generator.
     """
 
     column: int
@@ -67,8 +68,9 @@ class GeneratorSet:
 
     def __post_init__(self):
         vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if vectors.ndim != 2 or vectors.shape[0] == 0:
-            raise ValueError("generator set must contain at least one vector")
+        if vectors.ndim != 2 or 0 in vectors.shape:
+            raise ValueError("generator set must be a 2-D array of at least one vector "
+                             f"of at least one coordinate, got shape {np.shape(self.vectors)}")
         if not np.all(np.isfinite(vectors)):
             raise ValueError(f"column {self.column}: generators must be finite")
         object.__setattr__(self, "column", int(self.column))
@@ -98,9 +100,6 @@ class SignPattern:
         if signs[0] != 1:
             raise ValueError("the first sign is fixed at +1")
         object.__setattr__(self, "signs", signs)
-
-    def label(self) -> str:
-        return " ".join("+" if s > 0 else "-" for s in self.signs)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """End-to-end tests for document parsing, report emission, and exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,3 +586,150 @@ class TestParser:
         assert "delta: 1e-12" in out
         assert main(["--input", str(path), "--format", "structured", "--delta", "0.5"]) == 0
         assert capsys.readouterr().out == first_out
+
+
+README_GRID_DOC = re.findall(r"^```json\n(.*?)^```$",
+                             (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+                             flags=re.M | re.S)[1]
+
+IDENTITY_HEAD = """\
+dimension: 2
+provenance: single-patch
+delta: 1e-12
+threshold: 1e-07
+generators per column: 1 1
+min generator norm per column: 1 1
+verdict: STRICT-V-FAMILY
+pattern  status      margin       epsilon      certificate
++ +      strict      1            0.707107     (0.707107, 0.707107)
++ -      strict      1            0.707107     (0.707107, -0.707107)
+"""
+
+# The witness line of the folded patch ends in a signed-generator sum and a
+# norm of round-off size, whose digits depend on the BLAS build; the test
+# pins the rest of that line and requires both to stay below 1e-12.
+FOLDED_WITNESS = re.compile(
+    r"witness \(\+ \+\): weights 0\.46906 0\.053094 0 0\.477846; "
+    r"signed-generator sum \((\S+), (\S+)\); norm (\S+)")
+
+GOLDEN = {
+    "identity": (IDENTITY_PATCH_DOC, [], 0, IDENTITY_HEAD),
+    "collapsed": (COLLAPSED_DOC, [], 1, """\
+dimension: 2
+provenance: single-patch
+delta: 1e-12
+threshold: 1e-07
+generators per column: 1 1
+min generator norm per column: 1.41421 1.41421
+verdict: NOT-CERTIFIED
+pattern  status      margin       epsilon      certificate
++ +      strict      1.41421      1            (0.707107, 0.707107)
++ -      not-strict  0            -            -
+witness (+ -): weights 0.5 0.5; signed-generator sum (0, 0); norm 0
+"""),
+    "marginal": (IDENTITY_PATCH_DOC, ["--threshold", "10"], 1, """\
+dimension: 2
+provenance: single-patch
+delta: 1e-12
+threshold: 10
+generators per column: 1 1
+min generator norm per column: 1 1
+verdict: NOT-CERTIFIED
+pattern  status      margin       epsilon      certificate
++ +      not-strict  1            -            -
++ -      not-strict  1            -            -
+note (+ +): numerically marginal
+witness (+ +): weights 1 0; signed-generator sum (1, 0); norm 1
+note (+ -): numerically marginal
+witness (+ -): weights 1 0; signed-generator sum (1, 0); norm 1
+"""),
+    "degenerate": (DEGENERATE_DOC, [], 2, """\
+dimension: 2
+provenance: matrix-family
+delta: 1e-12
+threshold: 1e-07
+generators per column: 1 1
+verdict: NOT-CERTIFIED
+DEGENERATE column 1: generators not separated from the origin (delta 1e-12)
+"""),
+    "readme-grid-per-patch": (README_GRID_DOC, ["--per-patch"], 0,
+                              IDENTITY_HEAD.replace("single-patch", "multi-patch") + """\
+per-patch verdicts:
+cell (0, 0): STRICT-V-FAMILY
+cell (0, 1): STRICT-V-FAMILY
+cell (1, 0): STRICT-V-FAMILY
+cell (1, 1): STRICT-V-FAMILY
+"""),
+    "folded-oracle": (FOLDED_DOC, ["--oracle", "2000", "--seed", "0"], 1, """\
+dimension: 2
+provenance: single-patch
+delta: 1e-12
+threshold: 1e-07
+generators per column: 2 2
+min generator norm per column: 0.905539 0.905539
+verdict: NOT-CERTIFIED
+pattern  status      margin       epsilon      certificate
++ +      not-strict  0            -            -
++ -      strict      1            0.707107     (0.707107, -0.707107)
+FOLDED WITNESS
+oracle trials: 2000
+oracle seed: 0
+oracle collision: u (0.357384, 0.774395) v (0.336716, 0.753727) \
+F(u) (0.108303, 0.525314) F(v) (0.108303, 0.525314)
+oracle agreement: consistent (not certified, collision confirms non-injectivity)
+"""),
+    "identity-oracle": (IDENTITY_PATCH_DOC, ["--oracle", "2000", "--seed", "0"], 0,
+                        IDENTITY_HEAD + """\
+oracle trials: 2000
+oracle seed: 0
+oracle collision: none
+oracle agreement: consistent (certified, no collision found)
+"""),
+}
+
+
+def _text_value(lines: list[str], prefix: str) -> str | None:
+    found = [line[len(prefix):] for line in lines if line.startswith(prefix)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+class TestGoldenReports:
+    """The exact text report, exit code and silent stderr for fixed inputs."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_text_report_is_pinned(self, name, tmp_path, capsys):
+        doc, flags, want_code, want = GOLDEN[name]
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        code = main(["--input", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        if name == "folded-oracle":
+            k = want.splitlines().index("FOLDED WITNESS")
+            match = FOLDED_WITNESS.fullmatch(lines[k])
+            assert match, lines[k]
+            assert all(abs(float(v)) < 1e-12 for v in match.groups())
+            lines[k] = "FOLDED WITNESS"
+        assert lines == want.splitlines()
+        assert captured.out.endswith("\n") and not captured.out.endswith("\n\n")
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_structured_report_agrees_with_the_text(self, name, tmp_path, capsys):
+        doc, flags, want_code, want = GOLDEN[name]
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        code = main(["--input", str(path), *flags, "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        lines = want.splitlines()
+        assert payload["verdict"].upper() == _text_value(lines, "verdict: ")
+        cells = [line for line in lines if line.startswith("cell ")]
+        assert [f"cell {tuple(entry['cell'])}: {entry['report']['verdict'].upper()}"
+                for entry in payload.get("per_patch", [])] == cells
+        assert payload.get("oracle", {}).get("agreement") == \
+            _text_value(lines, "oracle agreement: ")

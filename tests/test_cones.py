@@ -1,5 +1,7 @@
 """Tests for generator normalization, sign patterns, and certificates."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,17 @@ class TestGeneratorSet:
     def test_nonfinite_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             GeneratorSet(1, [[1.0, 0.0], [0.5, value]])
+
+    @pytest.mark.parametrize("vectors, shape", [
+        ([], "(0,)"), (np.zeros((0, 2)), "(0, 2)"), ([[]], "(1, 0)"),
+        (np.ones((2, 2, 2)), "(2, 2, 2)"),
+    ], ids=["empty-list", "no-rows", "no-columns", "three-axes"])
+    def test_shape_must_be_two_dimensional_and_non_empty(self, vectors, shape):
+        with pytest.raises(ValueError, match=rf"at least one vector .*got shape {re.escape(shape)}$"):
+            GeneratorSet(0, vectors)
+
+    def test_one_vector_is_one_generator(self):
+        assert GeneratorSet(0, [3.0, 4.0]).vectors.tolist() == [[3.0, 4.0]]
 
 
 class TestSignPatterns:

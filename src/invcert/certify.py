@@ -2,10 +2,15 @@
 
 The test takes one generator set per Jacobian column and asks, for each
 of the 2^(n-1) column sign patterns, whether a single direction ``a``
-makes a strictly positive margin with every signed unit generator. Each
-pattern question is one small linear program; a positive optimal margin
-``t`` yields a certificate ``(a/|a|, t/|a|)`` that is re-verified against
-the generators before the pattern is accepted. If every pattern passes,
+makes a strictly positive margin with every signed unit generator. Any
+such ``a`` proves a pattern. Each pattern first tries ``a = C^-T s`` in
+closed form (``C`` holds the mean unit generator of each column, ``s``
+is the pattern's signs), all patterns with one solve; the patterns it
+does not certify each get one small linear program for the max-margin
+``a``. Either way a margin ``t`` above the threshold on the box scale
+``|a|_inf = 1`` yields a certificate ``(a/|a|, t/|a|)`` that is
+re-verified against the generators before the pattern is accepted. A
+pattern certified in closed form has no LP margin. If every pattern passes,
 the family is a strict V-family and the underlying map is globally
 invertible on its convex domain: along the segment between any two domain
 points, the difference of map values integrates Jacobian columns whose
@@ -54,8 +59,9 @@ __all__ = [
     "grid_column_generators",
 ]
 
-# A pattern is accepted only when its LP margin clears this floor; smaller
-# positive margins are reported as numerically marginal rather than strict.
+# A pattern is accepted only when its margin on the box scale |a|_inf = 1
+# clears this floor; smaller positive LP margins are reported as numerically
+# marginal rather than strict.
 DEFAULT_THRESHOLD = 1e-7
 
 VERDICT_STRICT = "strict-v-family"
@@ -89,6 +95,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class PatternResult:
+    """Outcome of one sign pattern.
+
+    ``lp_margin`` is the pattern's max-margin LP value ``t``, or ``None``
+    when the closed-form direction certified the pattern without an LP.
+    """
+
     pattern: SignPattern
     status: str
     certificate: Certificate | None
@@ -183,6 +195,12 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     whose ``|W_s^T lam|_1`` is within the solver's pricing tolerance of zero
     are reported as ``t = 0``.
 
+    A row of ``signs`` that is all zeros asks for no program, and its rows
+    of the results are NaN. The programs asked keep their positions in
+    their batches: a batch's ``a . w_0`` and residuals go through BLAS,
+    whose rounding of a row can depend on its position, so each program
+    gets the same bits whichever other programs are asked.
+
     Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
     ``lam`` of shape (B, m).
     """
@@ -203,89 +221,134 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     b = np.concatenate([2.0 * mag, mag, [1.0]])
     # s_i W[k, i] for the unsigned rows; program p multiplies by signs[p, k].
     oriented = s0[:, None] * W[1:].T
+    along = W[1:] @ s0
     size = signs.shape[0]
-    c = np.empty((size, m + n))
-    c[:, :k] = norm1 - signs[:, 1:] * (W[1:] @ s0)
-    c[:, k:-1] = -1.0
-    c[:, -1] = -norm1
-    a = np.empty((size, n))
-    t = np.empty(size)
-    weights = np.empty((size, m))
+    a = np.full((size, n), np.nan)
+    t = np.full(size, np.nan)
+    weights = np.full((size, m), np.nan)
     for start in range(0, size, _CHUNK):
         chunk = signs[start:start + _CHUNK]
         stop = start + chunk.shape[0]
-        rows = np.empty((chunk.shape[0],) + fixed.shape)
+        asked = chunk[:, 0] != 0.0
+        if not asked.any():
+            continue
+        rows = np.empty((np.count_nonzero(asked),) + fixed.shape)
         rows[:] = fixed
         D = rows[:, n:2 * n, :k]
-        np.multiply(oriented, chunk[:, None, 1:], out=D)
+        np.multiply(oriented, chunk[asked, None, 1:], out=D)
         np.subtract(mag[:, None], D, out=D)
         np.add(D, D, out=rows[:, :n, :k])
-        batch = lpsolve.solve_batch(rows, b, c[start:stop])
+        c = np.empty((rows.shape[0], m + n))
+        c[:, :k] = norm1 - chunk[asked, 1:] * along
+        c[:, k:-1] = -1.0
+        c[:, -1] = -norm1
+        batch = lpsolve.solve_batch(rows, b, c)
         failed = batch.status != lpsolve.OPTIMAL
         if failed.any():
             raise CertificationError(
                 f"certificate LP terminated with status {batch.status[failed][0]}")
-        duals, x = batch.duals, batch.x
+        duals = np.zeros((chunk.shape[0], 2 * n + 1))
+        x = np.zeros((chunk.shape[0], m + n))
+        duals[asked], x[asked] = batch.duals, batch.x
         # The original LP's duals: a loose row's is the solver's, a tight
         # row's the reduced cost of its slack, 1 less the pair's two duals.
         # Row i is tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times
         # (tight dual - loose dual).
         loose = duals[:, :n]
-        a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
+        a_chunk = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
         # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
         # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
         # row 2n's dual.
-        margin = a[start:stop] @ w0 - duals[:, 2 * n]
-        lam = weights[start:stop]
+        margin = a_chunk @ w0 - duals[:, 2 * n]
+        lam = np.empty((chunk.shape[0], m))
         lam[:, 1:] = x[:, :k]
         # lam_0 is row 2n's slack.
         lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
         residual = np.abs((lam * chunk) @ W).sum(axis=1)
-        t[start:stop] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)
+        dest = start + np.flatnonzero(asked)
+        a[dest], weights[dest] = a_chunk[asked], lam[asked]
+        t[dest] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)[asked]
     return a, t, weights
 
 
-def _witness_from_weights(lam: np.ndarray, signed: np.ndarray) -> Witness | None:
-    lam = np.clip(lam, 0.0, None)
-    total = lam.sum()
-    if total <= 0.0:
-        return None
-    weights = lam / total
-    combination = weights @ signed
-    return Witness(weights, combination, float(np.linalg.norm(combination)))
+def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float,
+           a_raw: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Judge one candidate direction per sign pattern; returns (strict, a_unit, epsilon).
 
-
-def _pattern_result(pattern: SignPattern, W: np.ndarray, norms: np.ndarray,
-                    signs: np.ndarray, threshold: float, a_raw: np.ndarray, t: float,
-                    weights: np.ndarray) -> PatternResult:
-    """Judge one pattern; its signed unit generators are ``W * signs[:, None]``."""
-    if t > threshold:
-        scale = np.linalg.norm(a_raw)
-        a_unit = a_raw / scale
+    Row k of ``a_raw`` lies in the box ``|a_j| <= 1`` and claims the margin
+    ``t[k]`` on the signed unit generators ``W * signs[k, :, None]``, as an
+    LP optimum does. A pattern is strict when its claim clears
+    ``threshold`` and ``a_unit[k] = a_raw[k] / |a_raw[k]|`` verifiably meets
+    ``epsilon[k]`` on every generator. Rows are stacked through
+    ``np.matmul`` so each gets the bits of judging it alone.
+    """
+    strict = np.zeros(t.shape, dtype=bool)
+    a_unit = np.zeros_like(a_raw)
+    epsilon = np.zeros(t.shape)
+    live = np.flatnonzero(t > threshold)
+    for start in range(0, live.size, _CHUNK):
+        rows = live[start:start + _CHUNK]
+        a = a_raw[rows]
+        # |a| as np.linalg.norm takes it, one dot product per row.
+        scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+        unit = a / scale[:, None]
         # Negation is exact, so these are the signed generators' products with
-        # a_unit bit for bit (a zero may change sign, which no comparison
-        # below can see), and ``norms`` are their norms.
-        projections = (W @ a_unit) * signs
-        # The LP optimum is only accurate to round-off; certify no more than
+        # the unit direction bit for bit (a zero may change sign, which no
+        # comparison below can see), and ``norms`` are their norms.
+        projections = np.matmul(W, unit[:, :, None])[:, :, 0] * signs[rows]
+        # A claimed margin is only accurate to round-off; certify no more than
         # the margin the generators verifiably meet.
-        achieved = float((projections / norms).min())
-        epsilon = min(t / scale, achieved)
+        eps = np.minimum(t[rows] / scale, (projections / norms).min(axis=1))
+        ok = np.zeros(rows.size, dtype=bool)
         for _ in range(3):
-            if epsilon > 0.0 and margin_holds(projections, norms, epsilon):
-                return PatternResult(pattern, STATUS_STRICT,
-                                     Certificate(a_unit, epsilon), t)
-            epsilon = float(np.nextafter(epsilon, 0.0))
-        note = "certificate failed post-hoc verification"
-    else:
-        note = "numerically marginal" if t > 0.0 else None
-    return PatternResult(
-        pattern,
-        STATUS_NOT_STRICT,
-        None,
-        t,
-        witness=_witness_from_weights(weights, W * signs[:, None]),
-        note=note,
-    )
+            ok |= (eps > 0.0) & margin_holds(projections, norms, eps)
+            eps = np.where(ok, eps, np.nextafter(eps, 0.0))
+        strict[rows], a_unit[rows], epsilon[rows] = ok, unit, eps
+    return strict, a_unit, epsilon
+
+
+def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witness | None]:
+    """Witness of each failing pattern from its LP weights ``lam[k]``.
+
+    The clipped weights are scaled to sum to one, and pattern k combines
+    its signed unit generators ``W * signs[k, :, None]`` with them; a row
+    with no positive weight gets ``None``.
+    """
+    lam = np.clip(lam, 0.0, None)
+    total = lam.sum(axis=1)
+    weights = np.divide(lam, total[:, None], out=np.zeros_like(lam), where=total[:, None] > 0.0)
+    combination = np.empty((lam.shape[0], W.shape[1]))
+    for start in range(0, lam.shape[0], _CHUNK):
+        stop = start + _CHUNK
+        combination[start:stop] = np.matmul(weights[start:stop, None, :],
+                                            W * signs[start:stop, :, None])[:, 0]
+    residual = np.sqrt(np.matmul(combination[:, None, :], combination[:, :, None])[:, 0, 0])
+    # Each witness owns copies: views would keep the stacks alive, and 600
+    # retained random-family reports then raised peak RSS by about 8%.
+    return [Witness(weights[k].copy(), combination[k].copy(), float(residual[k]))
+            if total[k] > 0.0 else None for k in range(lam.shape[0])]
+
+
+def _screen(units: list[np.ndarray], W: np.ndarray,
+            signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Closed-form direction ``a = C^-T s`` of every pattern, with its box margin.
+
+    Column j of ``C`` is the mean of column j's unit generators, and ``s``
+    a pattern's column signs, so ``a . (s_j c_j) = 1`` for every column
+    centre. Each ``a`` is scaled to ``|a|_inf = 1`` and returned with
+    ``min_w a . w`` over its signed unit generators, the scale of an LP
+    optimum. Returns ``None`` when ``C`` is singular or ``a`` not finite.
+    """
+    C = np.stack([u.mean(axis=0) for u in units], axis=1)
+    starts = np.cumsum([0] + [u.shape[0] for u in units[:-1]])
+    try:
+        A = np.linalg.solve(C.T, signs[:, starts].T)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(A).all():
+        return None
+    box = np.abs(A).max(axis=0)
+    return (A / box).T, ((W @ A).T * signs).min(axis=1) / box
 
 
 def certify_matrix_family(
@@ -297,13 +360,19 @@ def certify_matrix_family(
 
     The caller owns the hypothesis that the generators enclose every
     matrix column of interest over a convex domain. Every sign pattern
-    gets its own max-margin LP; a pattern is strict only if the LP margin
-    clears ``threshold`` and the rescaled certificate passes an
-    independent generator-wise re-check. Failing patterns carry a witness
-    combination whose weights are the dual LP's optimal convex weights.
-    A column with a generator shorter than ``delta`` touches the origin:
-    the report names the lowest such column, solves no LP and lists no
-    patterns. ``delta`` and ``threshold`` must be finite and positive.
+    first tries the closed-form direction ``a = C^-T s`` (column j of ``C``
+    is the mean of column j's unit generators, ``s`` the pattern's column
+    signs); the patterns it does not certify get their own max-margin LP.
+    Either way a pattern is strict only if its margin on the box scale
+    ``|a|_inf = 1`` (the LP's ``t``) clears ``threshold`` and the rescaled
+    certificate passes the same generator-wise re-check. A pattern
+    certified in closed form reports ``lp_margin`` as ``None``, and its
+    epsilon is the verified margin of that direction, not the largest
+    one. Failing patterns carry a witness combination whose weights are
+    the dual LP's optimal convex weights. A column with a generator
+    shorter than ``delta`` touches the origin: the report names the
+    lowest such column, solves no LP and lists no patterns. ``delta``
+    and ``threshold`` must be finite and positive.
     """
     for name, value in (("delta", delta), ("threshold", threshold)):
         if not (math.isfinite(value) and value > 0.0):
@@ -336,12 +405,30 @@ def certify_matrix_family(
         signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
                           [u.shape[0] for u in units], axis=1)
         norms = np.linalg.norm(W, axis=1)
-        a, t, weights = _margin_lps(W, signs)
-        results = [
-            _pattern_result(pattern, W, norms, signs[k], threshold, a[k], float(t[k]),
-                            weights[k])
-            for k, pattern in enumerate(patterns)
-        ]
+        screened, screen_unit, screen_epsilon = np.zeros(len(patterns), dtype=bool), None, None
+        screen = _screen(units, W, signs)
+        if screen is not None:
+            screened, screen_unit, screen_epsilon = _judge(W, norms, signs, threshold, *screen)
+        # Screened patterns get no LP, and their NaN claims are judged not live.
+        a, t, lam = _margin_lps(W, np.where(screened[:, None], 0.0, signs))
+        strict, a_unit, epsilon = _judge(W, norms, signs, threshold, a, t)
+        failed = ~(screened | strict)
+        witnesses = iter(_witnesses(W, signs[failed], lam[failed]))
+        for k, pattern in enumerate(patterns):
+            margin = float(t[k])
+            if screened[k]:
+                results.append(PatternResult(
+                    pattern, STATUS_STRICT, Certificate(screen_unit[k], screen_epsilon[k]), None))
+            elif strict[k]:
+                results.append(PatternResult(
+                    pattern, STATUS_STRICT, Certificate(a_unit[k], epsilon[k]), margin))
+            else:
+                if margin > threshold:
+                    note = "certificate failed post-hoc verification"
+                else:
+                    note = "numerically marginal" if margin > 0.0 else None
+                results.append(PatternResult(pattern, STATUS_NOT_STRICT, None, margin,
+                                             witness=next(witnesses), note=note))
 
     strict = degenerate_column is None and all(r.status == STATUS_STRICT for r in results)
     return CertificateReport(

@@ -400,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, default=None, metavar="REAL",
                         help="separation threshold on generator norms")
     parser.add_argument("--threshold", type=float, default=None, metavar="REAL",
-                        help="strictness floor for LP margins")
+                        help="strictness floor for pattern margins, closed-form or LP")
     parser.add_argument("--format", choices=FORMATS, default=None,
                         help="report format (overrides the document option)")
     parser.add_argument("--per-patch", action="store_true",

@@ -199,13 +199,14 @@ def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
     )
 
 
-def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
+def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon):
     """Check ``a . v >= epsilon * |v|`` from every generator's ``a . v`` and ``|v|``.
 
     A pass extends to the full cone hull: for ``x = sum(lambda_k v_k)``
     with ``lambda_k >= 0``, ``a . x >= epsilon * sum(lambda_k |v_k|) >=
     epsilon * |x|`` by the triangle inequality. A caller that tries
     several ``a`` or ``epsilon`` on one generator set passes the norms it
-    has.
+    has: ``projections`` may stack one row per direction, with one
+    ``epsilon`` each, and then gets one verdict per row.
     """
-    return bool((projections >= epsilon * norms).all())
+    return np.all(projections >= np.multiply.outer(epsilon, norms), axis=-1)

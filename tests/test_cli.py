@@ -257,7 +257,8 @@ class TestMainExitCodes:
             raise RuntimeError("simplex iteration limit exceeded")
 
         monkeypatch.setattr(lpsolve, "_run_simplex", broken)
-        code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC)])
+        # The collapsed patch's column means coincide, so its patterns reach the LP.
+        code = main(["--input", self.write(tmp_path, COLLAPSED_DOC)])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
@@ -601,8 +602,8 @@ generators per column: 1 1
 min generator norm per column: 1 1
 verdict: STRICT-V-FAMILY
 pattern  status      margin       epsilon      certificate
-+ +      strict      1            0.707107     (0.707107, 0.707107)
-+ -      strict      1            0.707107     (0.707107, -0.707107)
++ +      strict      -            0.707107     (0.707107, 0.707107)
++ -      strict      -            0.707107     (0.707107, -0.707107)
 """
 
 # The witness line of the folded patch ends in a signed-generator sum and a
@@ -670,7 +671,7 @@ min generator norm per column: 0.905539 0.905539
 verdict: NOT-CERTIFIED
 pattern  status      margin       epsilon      certificate
 + +      not-strict  0            -            -
-+ -      strict      1            0.707107     (0.707107, -0.707107)
++ -      strict      -            0.707107     (0.707107, -0.707107)
 FOLDED WITNESS
 oracle trials: 2000
 oracle seed: 0

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from invcert import GeneratorSet, certify_matrix_family, lpsolve
+from invcert import GeneratorSet, certify, certify_matrix_family, lpsolve
+from invcert.cones import DegenerateColumn
 from invcert.lpsolve import OPTIMAL, UNBOUNDED, solve_batch
 
 from helpers import (
@@ -14,7 +15,7 @@ from helpers import (
     record_batches,
     solve_one,
 )
-from oracles import lp_vertex_oracle, multiply_pivot
+from oracles import lp_vertex_oracle, margin_lp_inputs, multiply_pivot
 
 # Beale (1955): cycles under most-negative-reduced-cost pricing. Optimum 1.25
 # at x = (1, 0, 1, 0). Given as (c, G, h).
@@ -163,9 +164,11 @@ class TestPricing:
     ], ids=["n6", "n8-reproducer"])
     def test_near_identity_margin_lps_take_few_pivots(self, monkeypatch, columns,
                                                       patterns, mean_pivots):
+        # Every pattern's LP, although certify_matrix_family decides these
+        # patterns in closed form.
+        assert certify_matrix_family(columns).certified
         calls = record_batches(monkeypatch)
-        report = certify_matrix_family(columns)
-        assert report.certified
+        certify._margin_lps(*margin_lp_inputs(columns))
         pivots = pivots_per_lp(calls)
         assert len(pivots) == patterns
         assert np.mean(pivots) < mean_pivots
@@ -201,11 +204,15 @@ class TestDuals:
 
 
 def margin_lp_batches(monkeypatch, families) -> list[tuple]:
-    """The ``(A, b, c)`` stacks that certifying each family passes to the solver."""
+    """The ``(A, b, c)`` stacks of every pattern LP of each family."""
     with monkeypatch.context() as patch:
         calls = record_batches(patch)
         for columns in families:
-            certify_matrix_family(columns)
+            try:
+                inputs = margin_lp_inputs(columns)
+            except DegenerateColumn:
+                continue  # a degenerate family solves no LP
+            certify._margin_lps(*inputs)
     return [(A, b, c) for A, b, c, _ in calls]
 
 

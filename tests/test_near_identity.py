@@ -15,7 +15,7 @@ from invcert import certify, certify_matrix_family
 from invcert.cones import normalize_generators
 
 from helpers import near_identity_columns
-from oracles import reference_margin_lps
+from oracles import lp_pattern_results, reference_margin_lps
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +52,17 @@ def test_roundoff_reproducer_is_strict(families):
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_margins_match_highs(families, n):
+    # Every pattern's own LP margin matches HiGHS; the report, which decides
+    # patterns in closed form, certifies every pattern HiGHS finds separated.
     columns, report = families[n]
     units = [normalize_generators(col)[0] for col in columns]
-    for res in report.pattern_results:
+    lp_only = lp_pattern_results(columns)
+    for res, lp in zip(report.pattern_results, lp_only, strict=True):
         signed = np.vstack([s * u for s, u in zip(res.pattern.signs, units)])
         reference = highs_margin(signed)
-        assert res.lp_margin == pytest.approx(reference, abs=1e-8)
+        assert lp.lp_margin == pytest.approx(reference, abs=1e-8)
         if reference >= 1e-6:
+            assert lp.status == "strict", lp.note
             assert res.status == "strict", res.note
 
 

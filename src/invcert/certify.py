@@ -42,6 +42,7 @@ from .cones import (
     DegenerateColumn,
     GeneratorSet,
     SignPattern,
+    _sign_patterns,
     dedup_exact,
     enumerate_sign_patterns,
     margin_holds,
@@ -272,19 +273,20 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float,
-           a_raw: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Judge one candidate direction per sign pattern; returns (strict, a_unit, epsilon).
+           a_raw: np.ndarray, t: np.ndarray, strict: np.ndarray, a_unit: np.ndarray,
+           epsilon: np.ndarray) -> None:
+    """Judge the live candidate directions; writes their rows of (strict, a_unit, epsilon).
 
     Row k of ``a_raw`` lies in the box ``|a_j| <= 1`` and claims the margin
     ``t[k]`` on the signed unit generators ``W * signs[k, :, None]``, as an
-    LP optimum does. A pattern is strict when its claim clears
-    ``threshold`` and ``a_unit[k] = a_raw[k] / |a_raw[k]|`` verifiably meets
-    ``epsilon[k]`` on every generator. Rows are stacked through
-    ``np.matmul`` so each gets the bits of judging it alone.
+    LP optimum does; it is live when the claim clears ``threshold``, and
+    only live rows are written. A pattern is strict when ``a_unit[k] =
+    a_raw[k] / |a_raw[k]|`` verifiably meets ``epsilon[k]`` on every
+    generator. Rows are stacked through ``np.matmul`` so each gets the bits
+    of judging it alone. A failing row is checked again one ulp lower, in
+    at most three checks, which stop once every row passes. The caller
+    checks the strict rows' certificates once, as one stack.
     """
-    strict = np.zeros(t.shape, dtype=bool)
-    a_unit = np.zeros_like(a_raw)
-    epsilon = np.zeros(t.shape)
     live = np.flatnonzero(t > threshold)
     for start in range(0, live.size, _CHUNK):
         rows = live[start:start + _CHUNK]
@@ -302,9 +304,10 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
         ok = np.zeros(rows.size, dtype=bool)
         for _ in range(3):
             ok |= (eps > 0.0) & margin_holds(projections, norms, eps)
+            if ok.all():
+                break
             eps = np.where(ok, eps, np.nextafter(eps, 0.0))
         strict[rows], a_unit[rows], epsilon[rows] = ok, unit, eps
-    return strict, a_unit, epsilon
 
 
 def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witness | None]:
@@ -402,26 +405,26 @@ def certify_matrix_family(
         units, min_norms = zip(*normalized)
         W = np.vstack(units)
         patterns = enumerate_sign_patterns(n)
-        signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
-                          [u.shape[0] for u in units], axis=1)
+        signs = np.repeat(_sign_patterns(n)[1], [u.shape[0] for u in units], axis=1)
         norms = np.linalg.norm(W, axis=1)
-        screened, screen_unit, screen_epsilon = np.zeros(len(patterns), dtype=bool), None, None
+        strict = np.zeros(len(patterns), dtype=bool)
+        a_unit, epsilon = np.zeros((len(patterns), n)), np.zeros(len(patterns))
         screen = _screen(units, W, signs)
         if screen is not None:
-            screened, screen_unit, screen_epsilon = _judge(W, norms, signs, threshold, *screen)
-        # Screened patterns get no LP, and their NaN claims are judged not live.
-        a, t, lam = _margin_lps(W, np.where(screened[:, None], 0.0, signs))
-        strict, a_unit, epsilon = _judge(W, norms, signs, threshold, a, t)
-        failed = ~(screened | strict)
-        witnesses = iter(_witnesses(W, signs[failed], lam[failed]))
+            _judge(W, norms, signs, threshold, *screen, strict, a_unit, epsilon)
+        screened = strict.copy()
+        # A family the screen decides entirely builds no LP batch. Screened
+        # patterns get no LP, and their NaN claims are judged not live.
+        if not screened.all():
+            a, t, lam = _margin_lps(W, np.where(screened[:, None], 0.0, signs))
+            _judge(W, norms, signs, threshold, a, t, strict, a_unit, epsilon)
+            witnesses = iter(_witnesses(W, signs[~strict], lam[~strict]))
+        # The certificates are checked once, as one stack.
+        certificates = iter(Certificate.stack(a_unit[strict], epsilon[strict]))
         for k, pattern in enumerate(patterns):
-            margin = float(t[k])
-            if screened[k]:
-                results.append(PatternResult(
-                    pattern, STATUS_STRICT, Certificate(screen_unit[k], screen_epsilon[k]), None))
-            elif strict[k]:
-                results.append(PatternResult(
-                    pattern, STATUS_STRICT, Certificate(a_unit[k], epsilon[k]), margin))
+            margin = None if screened[k] else float(t[k])
+            if strict[k]:
+                results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
             else:
                 if margin > threshold:
                     note = "certificate failed post-hoc verification"

@@ -102,23 +102,44 @@ class SignPattern:
         object.__setattr__(self, "signs", signs)
 
 
+def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
+    """Check a stack of certificates: row k of ``a`` is a unit vector, ``epsilon[k]`` positive."""
+    if a.ndim != 2:
+        raise ValueError("certificate vector must be one-dimensional")
+    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > 1e-12):
+        raise ValueError("certificate vector must have unit Euclidean norm")
+    bad = ~((epsilon > 0.0) & np.isfinite(epsilon))
+    if bad.any():
+        raise ValueError(f"certificate margin must be positive, got {epsilon[bad][0]}")
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone."""
+    """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone.
+
+    The constructor checks one certificate, and :meth:`stack` a whole
+    stack at once by the same rules, building its certificates unchecked.
+    """
 
     a: np.ndarray
     epsilon: float
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1:
-            raise ValueError("certificate vector must be one-dimensional")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
-            raise ValueError("certificate vector must have unit Euclidean norm")
-        if not (self.epsilon > 0.0 and np.isfinite(self.epsilon)):
-            raise ValueError(f"certificate margin must be positive, got {self.epsilon}")
+        _check_certificates(a[None], np.array([self.epsilon]))
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "epsilon", float(self.epsilon))
+
+    @classmethod
+    def stack(cls, a: np.ndarray, epsilon: np.ndarray) -> list[Certificate]:
+        """One certificate per row of ``a`` and entry of ``epsilon``; rows become read-only views."""
+        a, epsilon = _readonly(np.asarray(a, dtype=float)), np.asarray(epsilon, dtype=float)
+        _check_certificates(a, epsilon)
+        certificates = [object.__new__(cls) for _ in range(a.shape[0])]
+        for cert, row, eps in zip(certificates, a, epsilon.tolist(), strict=True):
+            object.__setattr__(cert, "a", row)
+            object.__setattr__(cert, "epsilon", eps)
+        return certificates
 
 
 def dedup_exact(rows: np.ndarray) -> np.ndarray:
@@ -185,18 +206,15 @@ def enumerate_sign_patterns(n: int) -> list[SignPattern]:
     """All 2^(n-1) sign patterns with leading +1, in binary-counting order."""
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
-    return list(_sign_patterns(n))
+    return list(_sign_patterns(n)[0])
 
 
-# Patterns are frozen, so every report of dimension n can share one set.
+# Patterns are frozen, so every report of dimension n shares one set, and one
+# read-only float matrix whose row k holds pattern k's signs.
 @functools.lru_cache(maxsize=16)
-def _sign_patterns(n: int) -> tuple[SignPattern, ...]:
-    return tuple(
-        SignPattern((1,) + tuple(
-            -1 if (code >> (n - 1 - j)) & 1 else 1 for j in range(1, n)
-        ))
-        for code in range(1 << (n - 1))
-    )
+def _sign_patterns(n: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
+    signs = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    return tuple(SignPattern(tuple(row)) for row in signs.tolist()), _readonly(signs.astype(float))
 
 
 def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon):

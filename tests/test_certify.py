@@ -551,17 +551,21 @@ def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     # Each pattern judged as one signed generator matrix, re-checked through
     # verify_certificate, gives the very bytes of the stacked judge, from the
     # closed-form direction for a screened pattern and from its LP otherwise.
-    # A screened pattern reports no LP margin.
+    # A screened pattern reports no LP margin, and a family the screen decides
+    # entirely builds no LP batch.
     seen = record_calls(monkeypatch, "_screen", "_margin_lps")
     report = certify_matrix_family(columns)
     (_, W, signs), (a_box, t_box) = seen["_screen"]
-    (_, asked), (a, t, weights) = seen["_margin_lps"]
+    if all(res.lp_margin is None for res in report.pattern_results):
+        assert "_margin_lps" not in seen
+    else:
+        (_, asked), (a, t, weights) = seen["_margin_lps"]
     screened = 0
     for k, res in enumerate(report.pattern_results):
         signed = W * signs[k, :, None]
         if res.lp_margin is None:
             screened += 1
-            assert not asked[k].any()
+            assert "_margin_lps" not in seen or not asked[k].any()
             want = replace(reference_pattern_result(res.pattern, signed, certify.DEFAULT_THRESHOLD,
                                                     a_box[k], float(t_box[k]), None),
                            lp_margin=None)

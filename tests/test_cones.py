@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invcert import (
+    Certificate,
     DegenerateColumn,
     GeneratorSet,
     SignPattern,
     enumerate_sign_patterns,
     normalize_generators,
 )
+from invcert.cones import _sign_patterns
 
 from helpers import apply_sign_pattern
 from oracles import verify_certificate
@@ -91,6 +93,53 @@ class TestSignPatterns:
     def test_first_sign_fixed(self):
         with pytest.raises(ValueError, match="first sign"):
             SignPattern((-1, 1))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_sign_matrix_rows_are_the_patterns(self, n):
+        patterns, matrix = _sign_patterns(n)
+        assert matrix.tolist() == [list(p.signs) for p in enumerate_sign_patterns(n)]
+        assert list(patterns) == enumerate_sign_patterns(n)
+        assert matrix.dtype == float and not matrix.flags.writeable
+        assert _sign_patterns(n)[1] is matrix
+
+
+class TestCertificate:
+    # The constructor checks one certificate and Certificate.stack a whole
+    # stack, through one check with one set of messages.
+    BAD = [
+        ([[0.6, 0.8]], 0.5, "certificate vector must be one-dimensional"),
+        (np.array([0.6, 0.8]) * (1.0 + 1e-9), 0.5,
+         "certificate vector must have unit Euclidean norm"),
+        ([0.6, 0.8], 0.0, "certificate margin must be positive, got 0.0"),
+        ([0.6, 0.8], -1.0, "certificate margin must be positive, got -1.0"),
+        ([0.6, 0.8], np.nan, "certificate margin must be positive, got nan"),
+        ([0.6, 0.8], np.inf, "certificate margin must be positive, got inf"),
+    ]
+
+    @pytest.mark.parametrize("path", ["constructor", "stack"])
+    @pytest.mark.parametrize("a, epsilon, message", BAD,
+                             ids=["two-dimensional", "norm-off-by-1e-9", "zero-margin",
+                                  "negative-margin", "nan-margin", "inf-margin"])
+    def test_bad_certificate_is_rejected(self, path, a, epsilon, message):
+        if path == "stack":
+            # The bad row sits between two good ones; a 2-D vector makes
+            # every row of its stack 2-D.
+            a = np.asarray(a, dtype=float)
+            good = np.array([[1.0, 0.0], [0.0, -1.0]]).reshape((2,) + a.shape)
+            a, epsilon = np.stack([good[0], a, good[1]]), [0.25, epsilon, 0.75]
+        build = Certificate if path == "constructor" else Certificate.stack
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(a, epsilon)
+
+    def test_stack_matches_the_constructor(self):
+        a = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+        epsilon = np.array([0.25, 1e-300, 1.0])
+        stacked = Certificate.stack(a, epsilon)
+        for row, eps, cert in zip(a, epsilon, stacked, strict=True):
+            alone = Certificate(row.copy(), eps)
+            assert cert.a.tobytes() == alone.a.tobytes() and not cert.a.flags.writeable
+            assert cert.epsilon == alone.epsilon and type(cert.epsilon) is float
+        assert Certificate.stack(np.zeros((0, 2)), []) == []
 
 
 class TestApplySignPattern:

@@ -83,7 +83,7 @@ class PatchGrid:
     def __post_init__(self):
         breaks = []
         for axis, raw in enumerate(self.breakpoints):
-            b = np.asarray(raw, dtype=float)
+            b = np.array(raw, dtype=float)
             if b.ndim != 1 or b.size < 2:
                 raise ValueError(f"axis {axis}: need at least two breakpoints")
             # A few Python floats compare faster than numpy calls on them.

@@ -7,14 +7,16 @@ such ``a`` proves a pattern. Each pattern first tries ``a = C^-T s`` in
 closed form (``C`` holds the mean unit generator of each column, ``s``
 is the pattern's signs), all patterns with one solve; the patterns it
 does not certify each get one small linear program for the max-margin
-``a``. Either way a margin ``t`` above the threshold on the box scale
-``|a|_inf = 1`` yields a certificate ``(a/|a|, t/|a|)`` that is
-re-verified against the generators before the pattern is accepted. A
-pattern certified in closed form has no LP margin. If every pattern passes,
-the family is a strict V-family and the underlying map is globally
-invertible on its convex domain: along the segment between any two domain
-points, the difference of map values integrates Jacobian columns whose
-signed combination stays inside one certified cone, so it cannot vanish.
+``a``, whose results are the bits of solving it alone, whatever other
+patterns share its batch. Either way a margin ``t`` above the threshold
+on the box scale ``|a|_inf = 1`` yields a certificate ``(a/|a|, t/|a|)``
+that is re-verified against the generators before the pattern is
+accepted. A pattern certified in closed form has no LP margin. If every
+pattern passes, the family is a strict V-family and the underlying map
+is globally invertible on its convex domain: along the segment between
+any two domain points, the difference of map values integrates Jacobian
+columns whose signed combination stays inside one certified cone, so it
+cannot vanish.
 
 For a piecewise Bezier map the column generators are the per-patch
 derivative control points, rescaled by the cell widths so they live in
@@ -185,7 +187,9 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     dictionary lists the loose rows, then the tight rows, then row 2n, so a
     ratio tie lets a loose row's slack leave first; that took 10% to 30%
     fewer pivots than the tight rows first. Programs are solved as batches
-    of ``_CHUNK``.
+    of ``_CHUNK``, and ``a . w_0`` and the residuals are formed one row at
+    a time through stacked ``np.matmul``, so each program's results are the
+    bits of solving it alone, whatever other programs share its batch.
 
     The original LP's row duals ``y`` give the primal optimum, ``a = y[:n]
     - y[n:2n]`` (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``.
@@ -195,12 +199,6 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     combination of generators that comes closest to cancelling. Optima
     whose ``|W_s^T lam|_1`` is within the solver's pricing tolerance of zero
     are reported as ``t = 0``.
-
-    A row of ``signs`` that is all zeros asks for no program, and its rows
-    of the results are NaN. The programs asked keep their positions in
-    their batches: a batch's ``a . w_0`` and residuals go through BLAS,
-    whose rounding of a row can depend on its position, so each program
-    gets the same bits whichever other programs are asked.
 
     Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
     ``lam`` of shape (B, m).
@@ -224,23 +222,18 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     oriented = s0[:, None] * W[1:].T
     along = W[1:] @ s0
     size = signs.shape[0]
-    a = np.full((size, n), np.nan)
-    t = np.full(size, np.nan)
-    weights = np.full((size, m), np.nan)
+    a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
     for start in range(0, size, _CHUNK):
         chunk = signs[start:start + _CHUNK]
         stop = start + chunk.shape[0]
-        asked = chunk[:, 0] != 0.0
-        if not asked.any():
-            continue
-        rows = np.empty((np.count_nonzero(asked),) + fixed.shape)
+        rows = np.empty((chunk.shape[0],) + fixed.shape)
         rows[:] = fixed
         D = rows[:, n:2 * n, :k]
-        np.multiply(oriented, chunk[asked, None, 1:], out=D)
+        np.multiply(oriented, chunk[:, None, 1:], out=D)
         np.subtract(mag[:, None], D, out=D)
         np.add(D, D, out=rows[:, :n, :k])
-        c = np.empty((rows.shape[0], m + n))
-        c[:, :k] = norm1 - chunk[asked, 1:] * along
+        c = np.empty((chunk.shape[0], m + n))
+        c[:, :k] = norm1 - chunk[:, 1:] * along
         c[:, k:-1] = -1.0
         c[:, -1] = -norm1
         batch = lpsolve.solve_batch(rows, b, c)
@@ -248,45 +241,44 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if failed.any():
             raise CertificationError(
                 f"certificate LP terminated with status {batch.status[failed][0]}")
-        duals = np.zeros((chunk.shape[0], 2 * n + 1))
-        x = np.zeros((chunk.shape[0], m + n))
-        duals[asked], x[asked] = batch.duals, batch.x
+        duals, x = batch.duals, batch.x
         # The original LP's duals: a loose row's is the solver's, a tight
         # row's the reduced cost of its slack, 1 less the pair's two duals.
         # Row i is tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times
         # (tight dual - loose dual).
         loose = duals[:, :n]
-        a_chunk = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
+        a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
         # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
         # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
         # row 2n's dual.
-        margin = a_chunk @ w0 - duals[:, 2 * n]
-        lam = np.empty((chunk.shape[0], m))
+        margin = np.matmul(a[start:stop, None, :], w0)[:, 0] - duals[:, 2 * n]
+        lam = weights[start:stop]
         lam[:, 1:] = x[:, :k]
         # lam_0 is row 2n's slack.
         lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
-        residual = np.abs((lam * chunk) @ W).sum(axis=1)
-        dest = start + np.flatnonzero(asked)
-        a[dest], weights[dest] = a_chunk[asked], lam[asked]
-        t[dest] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)[asked]
+        residual = np.abs(np.matmul((lam * chunk)[:, None, :], W)[:, 0]).sum(axis=1)
+        t[start:stop] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)
     return a, t, weights
 
 
 def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float,
-           a_raw: np.ndarray, t: np.ndarray, strict: np.ndarray, a_unit: np.ndarray,
-           epsilon: np.ndarray) -> None:
-    """Judge the live candidate directions; writes their rows of (strict, a_unit, epsilon).
+           a_raw: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Judge candidate directions; returns (strict, a_unit, epsilon), one row each.
 
     Row k of ``a_raw`` lies in the box ``|a_j| <= 1`` and claims the margin
     ``t[k]`` on the signed unit generators ``W * signs[k, :, None]``, as an
     LP optimum does; it is live when the claim clears ``threshold``, and
-    only live rows are written. A pattern is strict when ``a_unit[k] =
+    only a live row can be strict. It is strict when ``a_unit[k] =
     a_raw[k] / |a_raw[k]|`` verifiably meets ``epsilon[k]`` on every
-    generator. Rows are stacked through ``np.matmul`` so each gets the bits
-    of judging it alone. A failing row is checked again one ulp lower, in
-    at most three checks, which stop once every row passes. The caller
-    checks the strict rows' certificates once, as one stack.
+    generator; a row that is not live is all zeros. Rows are stacked
+    through ``np.matmul`` so each gets the bits of judging it alone. A
+    failing row is checked again one ulp lower, in at most three checks,
+    which stop once every row passes. The caller checks the strict rows'
+    certificates once, as one stack.
     """
+    size = t.shape[0]
+    strict = np.zeros(size, dtype=bool)
+    a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     live = np.flatnonzero(t > threshold)
     for start in range(0, live.size, _CHUNK):
         rows = live[start:start + _CHUNK]
@@ -308,6 +300,7 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
                 break
             eps = np.where(ok, eps, np.nextafter(eps, 0.0))
         strict[rows], a_unit[rows], epsilon[rows] = ok, unit, eps
+    return strict, a_unit, epsilon
 
 
 def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witness | None]:
@@ -407,23 +400,27 @@ def certify_matrix_family(
         patterns = enumerate_sign_patterns(n)
         signs = np.repeat(_sign_patterns(n)[1], [u.shape[0] for u in units], axis=1)
         norms = np.linalg.norm(W, axis=1)
-        strict = np.zeros(len(patterns), dtype=bool)
-        a_unit, epsilon = np.zeros((len(patterns), n)), np.zeros(len(patterns))
         screen = _screen(units, W, signs)
-        if screen is not None:
-            _judge(W, norms, signs, threshold, *screen, strict, a_unit, epsilon)
-        screened = strict.copy()
-        # A family the screen decides entirely builds no LP batch. Screened
-        # patterns get no LP, and their NaN claims are judged not live.
-        if not screened.all():
-            a, t, lam = _margin_lps(W, np.where(screened[:, None], 0.0, signs))
-            _judge(W, norms, signs, threshold, a, t, strict, a_unit, epsilon)
-            witnesses = iter(_witnesses(W, signs[~strict], lam[~strict]))
+        if screen is None:
+            # No closed-form direction: zero claims, none of them live.
+            screen = np.zeros((len(patterns), n)), np.zeros(len(patterns))
+        strict, a_unit, epsilon = _judge(W, norms, signs, threshold, *screen)
+        # Patterns certified in closed form get no LP; when that is all of
+        # them, no LP batch is built.
+        todo = np.flatnonzero(~strict)
+        lp_margin = [None] * len(patterns)
+        if todo.size:
+            a, t, lam = _margin_lps(W, signs[todo])
+            lp_strict, a_unit[todo], epsilon[todo] = _judge(W, norms, signs[todo], threshold,
+                                                            a, t)
+            strict[todo] = lp_strict
+            witnesses = iter(_witnesses(W, signs[todo[~lp_strict]], lam[~lp_strict]))
+            for k, margin in zip(todo.tolist(), t.tolist()):
+                lp_margin[k] = margin
         # The certificates are checked once, as one stack.
         certificates = iter(Certificate.stack(a_unit[strict], epsilon[strict]))
-        for k, pattern in enumerate(patterns):
-            margin = None if screened[k] else float(t[k])
-            if strict[k]:
+        for pattern, ok, margin in zip(patterns, strict.tolist(), lp_margin):
+            if ok:
                 results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
             else:
                 if margin > threshold:

@@ -67,7 +67,7 @@ class GeneratorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        vectors = np.atleast_2d(np.array(self.vectors, dtype=float))
         if vectors.ndim != 2 or 0 in vectors.shape:
             raise ValueError("generator set must be a 2-D array of at least one vector "
                              f"of at least one coordinate, got shape {np.shape(self.vectors)}")
@@ -106,7 +106,7 @@ def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
     """Check a stack of certificates: row k of ``a`` is a unit vector, ``epsilon[k]`` positive."""
     if a.ndim != 2:
         raise ValueError("certificate vector must be one-dimensional")
-    if np.any(np.abs(np.linalg.norm(a, axis=1) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-12):
         raise ValueError("certificate vector must have unit Euclidean norm")
     bad = ~((epsilon > 0.0) & np.isfinite(epsilon))
     if bad.any():
@@ -125,15 +125,15 @@ class Certificate:
     epsilon: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float)
         _check_certificates(a[None], np.array([self.epsilon]))
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @classmethod
     def stack(cls, a: np.ndarray, epsilon: np.ndarray) -> list[Certificate]:
-        """One certificate per row of ``a`` and entry of ``epsilon``; rows become read-only views."""
-        a, epsilon = _readonly(np.asarray(a, dtype=float)), np.asarray(epsilon, dtype=float)
+        """One certificate per row of ``a`` and entry of ``epsilon``, read-only views of a copy."""
+        a, epsilon = _readonly(np.array(a, dtype=float)), np.asarray(epsilon, dtype=float)
         _check_certificates(a, epsilon)
         certificates = [object.__new__(cls) for _ in range(a.shape[0])]
         for cert, row, eps in zip(certificates, a, epsilon.tolist(), strict=True):

@@ -266,6 +266,14 @@ class TestGridEvaluation:
                 assert eval_many(grid, xs[3]).tobytes() == eval_many(net, xs[3]).tobytes()
 
 
+def test_grid_copies_the_callers_breakpoints():
+    cuts = np.array([0.0, 0.5, 1.0])
+    grid = PatchGrid((cuts,), {(0,): identity_net(1), (1,): identity_net(1)})
+    cuts[1] = 0.25
+    assert grid.breakpoints[0].tolist() == [0.0, 0.5, 1.0]
+    assert not grid.breakpoints[0].flags.writeable
+
+
 class TestValidation:
     def test_points_shape_must_match_degrees(self):
         with pytest.raises(ValueError, match="does not match degrees"):

@@ -38,6 +38,7 @@ from helpers import (
 from oracles import (
     lp_margins,
     lp_pattern_results,
+    margin_lp_inputs,
     reference_column_generators,
     reference_margin_lps,
     reference_pattern_result,
@@ -544,38 +545,44 @@ def record_calls(monkeypatch, *names) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("columns", [v for k, v in REFERENCE_FAMILIES.items()
-                                     if k not in LP_ONLY_FAMILIES],
-                         ids=[k for k in REFERENCE_FAMILIES if k not in LP_ONLY_FAMILIES])
+# The closed-form direction decides some or all patterns of these; the
+# eye + 0.15 normal families leave 13 of 32 and 97 of 128 to the LP.
+SCREENED_FAMILIES = {k: v for k, v in REFERENCE_FAMILIES.items() if k not in LP_ONLY_FAMILIES}
+SCREENED_FAMILIES.update(
+    (f"eye-0.15-n{n}-seed{seed}", near_identity_columns(np.random.default_rng(seed), n, noise=0.15))
+    for n, seed in [(6, 1), (8, 3)])
+
+
+@pytest.mark.parametrize("columns", SCREENED_FAMILIES.values(), ids=SCREENED_FAMILIES.keys())
 def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     # Each pattern judged as one signed generator matrix, re-checked through
     # verify_certificate, gives the very bytes of the stacked judge, from the
     # closed-form direction for a screened pattern and from its LP otherwise.
-    # A screened pattern reports no LP margin, and a family the screen decides
+    # A screened pattern reports no LP margin; the LPs are exactly those of
+    # the other patterns, in pattern order, and a family the screen decides
     # entirely builds no LP batch.
     seen = record_calls(monkeypatch, "_screen", "_margin_lps")
     report = certify_matrix_family(columns)
     (_, W, signs), (a_box, t_box) = seen["_screen"]
-    if all(res.lp_margin is None for res in report.pattern_results):
-        assert "_margin_lps" not in seen
-    else:
+    todo = [k for k, res in enumerate(report.pattern_results) if res.lp_margin is not None]
+    if todo:
         (_, asked), (a, t, weights) = seen["_margin_lps"]
-    screened = 0
+        assert asked.tobytes() == signs[todo].tobytes()
+    else:
+        assert "_margin_lps" not in seen
     for k, res in enumerate(report.pattern_results):
         signed = W * signs[k, :, None]
         if res.lp_margin is None:
-            screened += 1
-            assert "_margin_lps" not in seen or not asked[k].any()
             want = replace(reference_pattern_result(res.pattern, signed, certify.DEFAULT_THRESHOLD,
                                                     a_box[k], float(t_box[k]), None),
                            lp_margin=None)
             assert want.status == certify.STATUS_STRICT
         else:
-            assert asked[k].tobytes() == signs[k].tobytes()
+            j = todo.index(k)
             want = reference_pattern_result(res.pattern, signed, certify.DEFAULT_THRESHOLD,
-                                            a[k], float(t[k]), weights[k])
+                                            a[j], float(t[j]), weights[j])
         assert result_bytes(res) == result_bytes(want)
-    assert screened > 0
+    assert len(todo) < len(report.pattern_results)
 
 
 def readme_reports() -> dict:
@@ -628,26 +635,26 @@ def test_screened_certificates_pass_the_raw_recheck(name):
     assert screened > 0
 
 
-@pytest.mark.parametrize("n, seed", [(6, 1), (8, 3)], ids=["n6", "n8"])
-def test_lp_patterns_of_a_partly_screened_family_are_unchanged(n, seed):
-    # The closed-form direction decides some patterns of this family and
-    # leaves the others to their LPs, which give what they give when every
-    # pattern gets an LP, byte for byte. At n=8 a batch's BLAS rounding of
-    # a . w_0 depends on the row's position in the batch: packing this
-    # family's LPs into fewer batches moves one LP margin by an ulp.
-    columns = near_identity_columns(np.random.default_rng(seed), n, noise=0.15)
-    report = certify_matrix_family(columns)
-    lp_only = lp_pattern_results(columns)
-    screened = [res.lp_margin is None for res in report.pattern_results]
-    assert 0 < sum(screened) < len(screened)
-    for res, want, by_screen in zip(report.pattern_results, lp_only, screened, strict=True):
-        if by_screen:
-            assert res.status == want.status == certify.STATUS_STRICT
-        else:
-            assert result_bytes(res) == result_bytes(want)
-    assert report.verdict == (certify.VERDICT_STRICT
-                              if all(r.status == certify.STATUS_STRICT for r in lp_only)
-                              else certify.VERDICT_NOT_CERTIFIED)
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_each_lp_is_solved_as_if_alone(n):
+    # A pattern's LP results are the bits of its LP solved alone, whatever
+    # other patterns share its batch: every singleton, and random subsets
+    # that span batch boundaries, read the rows of the full call byte for
+    # byte.
+    rng = np.random.default_rng(n)
+    W, signs = margin_lp_inputs(near_identity_columns(rng, n, noise=0.15))
+    full = certify._margin_lps(W, signs)
+    subsets = [[k] for k in range(len(signs))]
+    subsets += [np.sort(rng.choice(len(signs), size=size, replace=False))
+                for size in (2, certify._CHUNK - 1, certify._CHUNK + 3, len(signs) // 2)
+                if size <= len(signs)]
+    if len(signs) > certify._CHUNK:
+        # Subsets whose rows sit in different batches of the full call.
+        assert sum(s[0] // certify._CHUNK != s[-1] // certify._CHUNK for s in subsets) >= 3
+    for subset in subsets:
+        part = certify._margin_lps(W, signs[subset])
+        for got, want in zip(part, full, strict=True):
+            assert got.tobytes() == want[subset].tobytes()
 
 
 @pytest.mark.parametrize("columns", [

@@ -114,12 +114,15 @@ class TestCertificate:
         ([0.6, 0.8], -1.0, "certificate margin must be positive, got -1.0"),
         ([0.6, 0.8], np.nan, "certificate margin must be positive, got nan"),
         ([0.6, 0.8], np.inf, "certificate margin must be positive, got inf"),
+        ([np.nan, 0.0], 0.5, "certificate vector must have unit Euclidean norm"),
+        ([0.0, np.nan], 0.5, "certificate vector must have unit Euclidean norm"),
     ]
 
     @pytest.mark.parametrize("path", ["constructor", "stack"])
     @pytest.mark.parametrize("a, epsilon, message", BAD,
                              ids=["two-dimensional", "norm-off-by-1e-9", "zero-margin",
-                                  "negative-margin", "nan-margin", "inf-margin"])
+                                  "negative-margin", "nan-margin", "inf-margin",
+                                  "nan-first-coordinate", "nan-second-coordinate"])
     def test_bad_certificate_is_rejected(self, path, a, epsilon, message):
         if path == "stack":
             # The bad row sits between two good ones; a 2-D vector makes
@@ -140,6 +143,18 @@ class TestCertificate:
             assert cert.a.tobytes() == alone.a.tobytes() and not cert.a.flags.writeable
             assert cert.epsilon == alone.epsilon and type(cert.epsilon) is float
         assert Certificate.stack(np.zeros((0, 2)), []) == []
+
+
+@pytest.mark.parametrize("build, stored", [
+    (lambda v: GeneratorSet(0, v), lambda g: g.vectors),
+    (lambda v: Certificate(v[0], 0.5), lambda c: c.a),
+    (lambda v: Certificate.stack(v, [0.5]), lambda cs: cs[0].a),
+], ids=["generator-set", "certificate", "certificate-stack"])
+def test_constructors_copy_the_callers_array(build, stored):
+    v = np.array([[1.0, 0.0]])
+    held = stored(build(v))
+    v[0, 0] = 2.0
+    assert held.ravel().tolist() == [1.0, 0.0] and not held.flags.writeable
 
 
 class TestApplySignPattern:

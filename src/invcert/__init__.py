@@ -2,10 +2,13 @@
 
 The certifier encloses every Jacobian column of a map in the cone hull of
 finitely many generator vectors (for Bezier maps: the derivative control
-points), then checks one small linear program per column sign pattern to
-find a direction with a strictly positive margin against all signed
-generators. A map whose 2^(n-1) signed column cones all admit such a
-certificate is globally injective on its convex domain. The same test
+points), then looks, per column sign pattern, for a direction with a
+strictly positive margin against all signed generators. Each pattern
+first tries a direction in closed form, ``a = C^-T s`` with ``C`` the
+matrix of column centres and ``s`` the pattern's signs; every other
+pattern gets one small linear program. A map whose 2^(n-1) signed
+column cones all admit such a certificate is globally injective on its
+convex domain. The same test
 applies to raw matrix families supplied as per-column generator sets.
 """
 

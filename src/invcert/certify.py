@@ -128,7 +128,7 @@ class CertificateReport:
     dimension: int
     verdict: str
     pattern_results: tuple[PatternResult, ...]
-    generator_counts: tuple[int, ...] | None
+    generator_counts: tuple[int, ...]
     min_generator_norms: tuple[float, ...] | None
     provenance: str
     delta: float

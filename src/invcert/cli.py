@@ -280,8 +280,7 @@ def report_to_dict(report: CertificateReport) -> dict:
         "provenance": report.provenance,
         "delta": report.delta,
         "threshold": report.threshold,
-        "generator_counts": None if report.generator_counts is None
-        else list(report.generator_counts),
+        "generator_counts": list(report.generator_counts),
         "min_generator_norms": None if report.min_generator_norms is None
         else list(report.min_generator_norms),
         "degenerate_column": report.degenerate_column,
@@ -296,10 +295,8 @@ def _report_text_lines(payload: dict) -> list[str]:
         f"provenance: {payload['provenance']}",
         f"delta: {_fmt(payload['delta'])}",
         f"threshold: {_fmt(payload['threshold'])}",
+        "generators per column: " + " ".join(str(c) for c in payload["generator_counts"]),
     ]
-    if payload["generator_counts"] is not None:
-        lines.append("generators per column: "
-                     + " ".join(str(c) for c in payload["generator_counts"]))
     if payload["min_generator_norms"] is not None:
         lines.append("min generator norm per column: "
                      + " ".join(_fmt(v) for v in payload["min_generator_norms"]))

@@ -1,20 +1,22 @@
 """Sampling oracle used to cross-examine the certifier.
 
 Injectivity is probed by seeded pair sampling followed by local
-Gauss-Newton refinement of the most promising pairs. It shares no
-machinery with the certification path, and it is one-sided in the
-opposite direction from the certifier: a collision it reports is a
+Gauss-Newton refinement of the most promising pairs. It is one-sided in
+the opposite direction from the certifier: a collision it reports is a
 genuine witness of non-injectivity, while finding none proves nothing.
 That is what makes the agreement checks meaningful.
+
+The contract of a report is all its users rely on: a witness
+``(u, v, F(u), F(v))`` has u and v in the unit cube, at least
+SEPARATION_FLOOR apart, and images (as ``eval_many`` gives them) that
+agree within COLLISION_TOL, and the same map, trials and seed give the
+same report. Which collision is reported is not part of it.
 
 The candidate pairs are refined in lockstep: each round evaluates the
 Jacobians of every running candidate together, solves all their damped
 Gauss-Newton systems in one stacked solve and tries every step length of
-every candidate in one evaluation. The result is the same, bit for bit,
-as refining the candidates one at a time in order and returning the
-first collision: each candidate takes exactly the steps it would take
-alone, and a candidate's collision is returned only once every earlier
-candidate has stopped without one.
+every candidate in one evaluation. The run returns the first collision
+any candidate stops at.
 """
 
 from __future__ import annotations
@@ -83,23 +85,25 @@ class _Jacobians:
     """Exact Jacobians of a grid at a batch of points.
 
     Column ``axis`` on a cell reduces the cell's derivative control points
-    at the local coordinates and divides by the cell's width; both are
-    formed on the cell's first use. Along a degree-0 axis the derivative
-    points are zeros, which reduce to a column of +0.0. Every point has
-    passed ``eval_many``'s unit-cube check, so the local coordinates need
-    no second one.
+    along it, divided by the cell's width as the certifier's generators
+    are, at the local coordinates; they are formed on the cell's first
+    use. A one-cell grid divides by 1.0, exactly. Along a degree-0 axis
+    the derivative points are zeros, which reduce to a column of +0.0.
+    Every point has passed ``eval_many``'s unit-cube check, so the local
+    coordinates need no second one.
     """
 
     def __init__(self, grid: PatchGrid):
         self._grid = grid
-        self._cells: dict[tuple, tuple[np.ndarray, list]] = {}
+        self._cells: dict[tuple, list] = {}
 
-    def _cell(self, cell: tuple) -> tuple[np.ndarray, list]:
-        """The cell's widths and its derivative control points per axis."""
+    def _points(self, cell: tuple) -> list:
+        """The cell's width-scaled derivative control points per axis."""
         if cell not in self._cells:
             net = self._grid.patches[cell]
-            points = [_derivative_points(net, axis) for axis in range(self._grid.dimension)]
-            self._cells[cell] = (self._grid.cell_widths(cell), points)
+            widths = self._grid.cell_widths(cell)
+            self._cells[cell] = [_derivative_points(net, axis, widths[axis])
+                                 for axis in range(self._grid.dimension)]
         return self._cells[cell]
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
@@ -107,35 +111,23 @@ class _Jacobians:
         n = self._grid.dimension
         J = np.zeros((xs.shape[0], n, n))
         for cell, rows, local in _cell_groups(self._grid, xs):
-            widths, dpoints = self._cell(cell)
-            for axis, points in enumerate(dpoints):
-                J[rows, :, axis] = _reduce_batch(points, local) / widths[axis]
+            for axis, points in enumerate(self._points(cell)):
+                J[rows, :, axis] = _reduce_batch(points, local)
         return J
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: ``np.linalg.norm(d, axis=1)`` to 2 ulp.
+    """Euclidean norm of each row, to within 2 ulp of ``np.linalg.norm``.
 
-    These column sums add the squares of a row from left to right, without
-    a reduction loop per row. For rows of up to 7 entries so does that
-    reduction, and the two agree bit for bit; from 8 entries on it adds in
-    unrolled partial sums, and about a fifth of random rows at n=8 differ
-    in the last bit or two.
+    Column sums add the squares of a row from left to right without a
+    reduction loop per row, which makes this the fastest of numpy's ways
+    on the oracle's short rows.
     """
     sq = (d * d).T
     total = sq[0]
     for column in sq[1:]:
         total = total + column
     return np.sqrt(total)
-
-
-def _dot_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``np.linalg.norm(row)``.
-
-    The one-vector norm goes through a BLAS dot product; a stacked
-    vector-by-vector matmul makes the same call once per row.
-    """
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> np.ndarray:
@@ -191,7 +183,7 @@ def _line_search(grid, P, step, gap):
     W = np.clip(P[:, None] + _ALPHAS[:, None, None] * step.reshape(K, 1, 2, n),
                 0.0, 1.0).reshape(-1, 2, n)
     D = W[:, 1] - W[:, 0]
-    sep = _dot_norms(D)
+    sep = _row_norms(D)
     close = sep < SEPARATION_FLOOR
     if close.any():
         # Move a close pair apart to SEPARATION_FLOOR about its midpoint; a
@@ -202,7 +194,7 @@ def _line_search(grid, P, step, gap):
         mid = (W[:, 0] + W[:, 1]) / 2.0
         W = np.where(moved, np.stack([mid - half, mid + half], axis=1), W)
         np.clip(W, 0.0, 1.0, out=W)
-        sep = _dot_norms(W[:, 0] - W[:, 1])
+        sep = _row_norms(W[:, 0] - W[:, 1])
     tried = np.flatnonzero(sep >= SEPARATION_FLOOR)
     images = eval_many(grid, W[tried].reshape(-1, n)).reshape(-1, 2, n)
     R = np.full((W.shape[0], n), np.nan)
@@ -223,33 +215,28 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
     that shrink it by less than 1%, when no step length lowers it, or
     after _REFINE_MAX_ITER steps.
 
-    Returns the ``(u, v)`` of the first candidate, in the given order,
-    that stops with a collision, or None.
+    Returns the ``(u, v)`` of the first candidate to stop with a
+    collision (the earliest given, on a tie), or None.
     """
     K, n = U0.shape
-    # The arrays hold the live candidates, in the given order: those still
-    # running and ahead of every collision found so far. P[k] is (u, v).
+    # The arrays hold the candidates still running. P[k] is (u, v).
     P = np.stack([U0, V0], axis=1)
     images = eval_many(grid, P.reshape(-1, n)).reshape(K, 2, n)
     r = images[:, 0] - images[:, 1]
     gap = _row_norms(r)
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
-    hit = None
     jac = _Jacobians(grid)
     for it in itertools.count():
         stopping = halted | (gap <= 1e-12) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
             collided = stopping & (gap <= COLLISION_TOL) & (
-                _dot_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR)
-            keep = ~stopping
+                _row_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR)
             if collided.any():
-                # Candidates after the first collision cannot change the answer.
-                first = collided.argmax()
-                hit = P[first]
-                keep[first:] = False
+                return P[collided.argmax()]
+            keep = ~stopping
             if not keep.any():
-                return hit
+                return None
             P, r, gap, stalls = P[keep], r[keep], gap[keep], stalls[keep]
 
         J = jac(P.reshape(-1, n)).reshape(-1, 2, n, n)
@@ -299,7 +286,10 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
         V[close] = rng.random((int(close.sum()), n))
 
     mismatch = _pair_norms(U, V, grid)
-    order = _smallest(mismatch, _REFINE_CANDIDATES)
+    # The candidates by rising mismatch; NaN ranks last.
+    k = min(_REFINE_CANDIDATES, trials)
+    picks = np.argpartition(mismatch, k - 1)[:k]
+    order = picks[np.argsort(mismatch[picks])]
 
     best = int(order[0])
     if mismatch[best] <= COLLISION_TOL:
@@ -309,20 +299,6 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
     if pair is None:
         return CollisionReport(False, None, trials, int(seed))
     return CollisionReport(True, _witness(grid, *pair), trials, int(seed))
-
-
-def _smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` entries of ``np.argsort(values, kind="stable")``.
-
-    A partition finds the k-th smallest value; only the entries not above
-    it are sorted. NaN sorts last in both, and ``~(values > kth)`` keeps
-    every entry when ``kth`` itself is NaN.
-    """
-    if values.size <= k:
-        return np.argsort(values, kind="stable")
-    kth = np.partition(values, k - 1)[k - 1]
-    survivors = np.flatnonzero(~(values > kth))
-    return survivors[np.argsort(values[survivors], kind="stable")][:k]
 
 
 def _witness(grid: PatchGrid, u: np.ndarray, v: np.ndarray):

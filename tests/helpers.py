@@ -29,6 +29,12 @@ def identity_net(n: int = 2) -> ControlNet:
     return ControlNet((1,) * n, points)
 
 
+def identity_points(degrees: tuple[int, ...]) -> np.ndarray:
+    """Control points of the identity map for the given per-axis degrees."""
+    axes = [np.linspace(0.0, 1.0, p + 1) for p in degrees]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 def bilinear_net(f00, f10, f01, f11) -> ControlNet:
     """Degree-(1,1) net from its four corner control points."""
     return ControlNet((1, 1), np.array([[f00, f01], [f10, f11]], dtype=float))

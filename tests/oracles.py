@@ -21,19 +21,25 @@ scan of the breakpoints rather than the package's sorted search) and
 :func:`verify_certificate` (a certificate checked against a generator
 matrix).
 
-Six references keep an earlier, plainer form of a runtime step, which
+Five references keep an earlier, plainer form of a runtime step, which
 the runtime must match bit for bit: the simplex pivot through
 ``np.multiply`` (vs ``einsum``), the judging of one sign pattern from its
 signed generators, re-checked through ``verify_certificate`` (vs norms and
 products shared across a family's patterns, judged in stacks), every
 pattern through its max-margin LP (vs a closed-form direction first, and
 the LP only for the patterns it leaves undecided), de Casteljau reduction with
-the codomain axis innermost (vs the batch axis innermost), injectivity
-sampling that refines its candidate pairs one at a time, one point per
-evaluation, with Jacobians from derivative nets (vs all candidates in
-lockstep), and column generators built through a derivative net per cell
-and axis, deduplicated per cell and again per column (vs one pass over
-the control points).
+the codomain axis innermost (vs the batch axis innermost), and column
+generators built through a derivative net per cell and axis, deduplicated
+per cell and again per column (vs one pass over the control points).
+
+The sampling oracle is judged by its contract,
+:func:`check_collision_witness`, not by a reference run. Two of its steps
+keep a plain form: Jacobians from derivative nets, one point at a time
+and divided by the cell width after evaluation (vs width-scaled
+derivative points reduced in a batch), which it matches bit for bit on a
+single patch and to round-off on grids, and one candidate's residual and
+push-apart in the line search (vs all candidates and step lengths at
+once), which it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from scipy.optimize import linprog, nnls
 
 from invcert import (
     Certificate,
-    CollisionReport,
     ControlNet,
     GeneratorSet,
     PatternResult,
@@ -456,93 +461,26 @@ def _reference_push_apart(u, v):
     return u2, v2
 
 
-def reference_refine_pair(map_like, jac, u0, v0):
-    """Damped Gauss-Newton descent on ``|F(u) - F(v)|`` for one pair.
+def check_collision_witness(map_like, witness) -> None:
+    """Assert the contract of an oracle witness ``(u, v, F(u), F(v))``.
 
-    Returns ``(u, v, gap, steps)``, ``steps`` being the number of
-    Gauss-Newton steps taken.
+    u and v lie in the unit cube at least SEPARATION_FLOOR apart, the
+    reported images are ``eval_many``'s at them and agree within
+    COLLISION_TOL, and direct basis summation gives the same images to
+    round-off, so they agree within COLLISION_TOL to round-off as well.
     """
-    u, v = u0.copy(), v0.copy()
-    r, gap = _reference_residual(map_like, u, v)
-    stalls = 0
-    steps = 0
-    for _ in range(80):
-        if gap <= 1e-12 or stalls >= 3:
-            break
-        M = np.hstack([jac(u), -jac(v)])
-        MMt = M @ M.T
-        damping = 1e-12 * max(1.0, float(np.trace(MMt)))
-        try:
-            step = -M.T @ np.linalg.solve(MMt + damping * np.eye(M.shape[0]), r)
-        except np.linalg.LinAlgError:
-            break
-        n = u.size
-        improved = False
-        alpha = 1.0
-        while alpha > 1e-4:
-            u_new = np.clip(u + alpha * step[:n], 0.0, 1.0)
-            v_new = np.clip(v + alpha * step[n:], 0.0, 1.0)
-            sep = np.linalg.norm(u_new - v_new)
-            if sep < SEPARATION_FLOOR:
-                u_new, v_new = _reference_push_apart(u_new, v_new)
-                sep = np.linalg.norm(u_new - v_new)
-            if sep >= SEPARATION_FLOOR:
-                r_new, gap_new = _reference_residual(map_like, u_new, v_new)
-                if gap_new < gap:
-                    stalls = stalls + 1 if gap_new > 0.99 * gap else 0
-                    u, v, r, gap = u_new, v_new, r_new, gap_new
-                    improved = True
-                    steps += 1
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-    return u, v, gap, steps
-
-
-def reference_candidates(map_like, trials: int, seed: int):
-    """The sample pairs, their mismatches and the refinement order."""
-    n = map_like.dimension
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    U = rng.random((trials, n))
-    V = rng.random((trials, n))
-    while True:
-        close = np.linalg.norm(U - V, axis=1) < SEPARATION_FLOOR
-        if not close.any():
-            break
-        U[close] = rng.random((int(close.sum()), n))
-        V[close] = rng.random((int(close.sum()), n))
-    mismatch = np.linalg.norm(eval_many(map_like, U) - eval_many(map_like, V), axis=1)
-    return U, V, mismatch, np.argsort(mismatch, kind="stable")
-
-
-def reference_sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport:
-    """``sampled_injectivity`` refining the 8 best pairs one at a time."""
-    U, V, mismatch, order = reference_candidates(map_like, trials, seed)
-    best = int(order[0])
-    if mismatch[best] <= COLLISION_TOL:
-        return CollisionReport(True, _reference_collision(map_like, U[best], V[best]),
-                               trials, int(seed))
-    jac = _ReferenceJacobian(map_like)
-    for idx in order[:8]:
-        u, v, gap, _ = reference_refine_pair(map_like, jac, U[idx], V[idx])
-        if gap <= COLLISION_TOL and np.linalg.norm(u - v) >= SEPARATION_FLOOR:
-            return CollisionReport(True, _reference_collision(map_like, u, v), trials, int(seed))
-    return CollisionReport(False, None, trials, int(seed))
-
-
-def reference_candidate_runs(map_like, trials: int, seed: int = 0) -> list[tuple[bool, int]]:
-    """``(collided, steps)`` of each of the 8 best pairs, refined alone."""
-    U, V, _, order = reference_candidates(map_like, trials, seed)
-    jac = _ReferenceJacobian(map_like)
-    runs = []
-    for idx in order[:8]:
-        u, v, gap, steps = reference_refine_pair(map_like, jac, U[idx], V[idx])
-        runs.append((bool(gap <= COLLISION_TOL and np.linalg.norm(u - v) >= SEPARATION_FLOOR),
-                     steps))
-    return runs
-
-
-def _reference_collision(map_like, u, v):
-    images = eval_many(map_like, np.vstack([u, v]))
-    return (u.copy(), v.copy(), images[0], images[1])
+    u, v, fu, fv = (np.asarray(x, dtype=float) for x in witness)
+    for x in (u, v):
+        assert x.shape == (map_like.dimension,) and 0.0 <= x.min() and x.max() <= 1.0
+    assert np.linalg.norm(u - v) >= SEPARATION_FLOOR
+    assert np.linalg.norm(fu - fv) <= COLLISION_TOL
+    images = np.vstack([fu, fv])
+    assert images.tobytes() == eval_many(map_like, np.vstack([u, v])).tobytes()
+    direct = []
+    for x in (u, v):
+        if isinstance(map_like, ControlNet):
+            direct.append(direct_bb_eval(map_like, x))
+        else:
+            cell, local = locate_patch(map_like, x)
+            direct.append(direct_bb_eval(map_like.patches[cell], local))
+    assert np.abs(np.array(direct) - images).max() <= 1e-12 * (1.0 + np.abs(images).max())

@@ -11,6 +11,7 @@ from invcert import (
     sampled_injectivity,
 )
 from invcert import oracle
+from invcert.bernstein import _derivative_points, _reduce_batch
 from invcert.cones import GeneratorSet
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
@@ -20,6 +21,7 @@ from helpers import (
     folded_net,
     identity_grid_2x2,
     identity_net,
+    identity_points,
     perturbed_identity_net,
     quad_net,
     random_grid_2x2,
@@ -27,13 +29,13 @@ from helpers import (
     rotation_net,
 )
 from oracles import (
+    _ReferenceJacobian,
     _reference_push_apart,
     _reference_residual,
     acute_2d,
+    check_collision_witness,
     fd_jacobian,
     hull_membership,
-    reference_candidate_runs,
-    reference_sampled_injectivity,
 )
 
 
@@ -64,6 +66,37 @@ def reference_corpus():
              (collapsed_net(), 2, 1), (identity_net(2), 5, 0), (quad_net(), 6, 3)]
     runs.append((perturbed_identity_net(rng, 0.3), 40_000, 5))
     return runs
+
+
+# Whether each reference_corpus() run collides, as measured before the
+# lockstep refinement stopped keeping the sequential loop's candidate order.
+CORPUS_COLLIDED = (
+    "01010000100100001000010010000000000000000011000000100000101011111111"
+    "111111111111011111111111111111111111111111110111000"
+)
+
+
+def folded_corpus() -> list[ControlNet]:
+    """Perturbed identity nets that fold: det J <= 0 at one of 4,000 points.
+
+    The first 80 such nets of degrees (2, 2), (3, 3) and (2, 2, 2), at
+    perturbation amplitudes 0.45, 0.3 and 0.35, from one seeded stream.
+    """
+    rng = np.random.default_rng(21)
+    nets = []
+    for degrees, amplitude in (((2, 2), 0.45), ((3, 3), 0.3), ((2, 2, 2), 0.35)):
+        n = len(degrees)
+        xs = np.random.default_rng(0).random((4000, n))
+        base = identity_points(degrees)
+        kept = 0
+        while kept < 80:
+            net = ControlNet(degrees, base + rng.uniform(-amplitude, amplitude, size=base.shape))
+            J = np.stack([_reduce_batch(_derivative_points(net, j), xs) for j in range(n)],
+                         axis=-1)
+            if (np.linalg.det(J) <= 0.0).any():
+                nets.append(net)
+                kept += 1
+    return nets
 
 
 def counted_evaluations(monkeypatch) -> list[int]:
@@ -136,37 +169,38 @@ class TestSampledInjectivity:
         assert not report.collided
 
 
-class TestLockstepMatchesSequential:
-    """Lockstep refinement against the one-candidate-at-a-time reference."""
+class TestContract:
+    """Every witness is a genuine collision, and every report is reproducible."""
 
-    def test_reports_are_byte_identical(self):
+    def test_corpus_collides_as_pinned(self):
         runs = reference_corpus()
-        collided = 0
-        for map_like, trials, seed in runs:
-            report = sampled_injectivity(map_like, trials, seed)
-            assert same_report(report, reference_sampled_injectivity(map_like, trials, seed)), \
-                (trials, seed)
-            collided += report.collided
-        assert 0 < collided < len(runs)
+        flags = "".join(str(int(sampled_injectivity(*run).collided)) for run in runs)
+        assert flags == CORPUS_COLLIDED
+        assert 0 < flags.count("1") < len(runs)
 
-    def test_corpus_has_collisions_that_finish_out_of_order(self):
-        # In lockstep these candidates stop in a different order than the
-        # sequential loop visits them.
-        later_collides_sooner = earlier_runs_longer = 0
+    def test_corpus_witnesses_meet_the_contract(self):
         for map_like, trials, seed in reference_corpus():
-            runs = reference_candidate_runs(map_like, trials, seed)
-            hits = [i for i, (collided, _) in enumerate(runs) if collided]
-            if not hits:
-                continue
-            first, steps = hits[0], runs[hits[0]][1]
-            later_collides_sooner += any(runs[j][1] < steps for j in hits[1:])
-            earlier_runs_longer += any(runs[i][1] > steps for i in range(first))
-        assert later_collides_sooner >= 3
-        assert earlier_runs_longer >= 3
+            report = sampled_injectivity(map_like, trials, seed)
+            assert (report.trials, report.seed) == (trials, seed)
+            if report.collided:
+                check_collision_witness(map_like, report.witness)
+            else:
+                assert report.witness is None
 
-    def test_degree_zero_axes_match_the_reference(self):
-        # Along a degree-0 axis the Jacobian column is the zero net's +0.0,
-        # the bits of the reference's zero derivative net.
+    def test_the_same_seed_gives_the_same_report(self):
+        for run in reference_corpus():
+            assert same_report(sampled_injectivity(*run), sampled_injectivity(*run)), run[1:]
+
+    def test_folded_nets_are_caught_at_500_trials(self):
+        collided = 0
+        for net in folded_corpus():
+            report = sampled_injectivity(net, 500, seed=3)
+            if report.collided:
+                check_collision_witness(net, report.witness)
+                collided += 1
+        assert collided >= 35
+
+    def test_degree_zero_axes_meet_the_contract(self):
         rng = np.random.default_rng(41)
         maps = [
             ControlNet((2, 0), rng.uniform(size=(3, 1, 2))),
@@ -180,33 +214,133 @@ class TestLockstepMatchesSequential:
         for map_like in maps:
             for seed in range(3):
                 report = sampled_injectivity(map_like, 200, seed)
-                assert same_report(report, reference_sampled_injectivity(map_like, 200, seed))
-                collided += report.collided
+                if report.collided:
+                    check_collision_witness(map_like, report.witness)
+                    collided += 1
         assert collided
 
     def test_blocks_do_not_change_the_report(self, monkeypatch):
+        runs = [(folded_net(), 100, 3), (random_grid_2x2(np.random.default_rng(4)), 100, 1)]
+        for trials in (10_000, 2**12 - 1, 2**12, 2**12 + 1):
+            rng = np.random.default_rng(trials)
+            maps = [perturbed_identity_net(rng, amplitude) for amplitude in (0.2, 0.5, 0.8, 1.1)]
+            maps += [random_grid_2x2(rng), folded_net()]
+            runs += [(map_like, trials, seed) for seed, map_like in enumerate(maps)]
+        assert oracle._BLOCK == 2**12
+        reports = [sampled_injectivity(*run) for run in runs]
         monkeypatch.setattr(oracle, "_BLOCK", 7)
-        for map_like, seed in ((folded_net(), 3), (random_grid_2x2(np.random.default_rng(4)), 1)):
-            assert same_report(sampled_injectivity(map_like, 100, seed),
-                               reference_sampled_injectivity(map_like, 100, seed))
+        for run, report in zip(runs, reports):
+            assert same_report(sampled_injectivity(*run), report), run[1:]
+            if report.collided:
+                check_collision_witness(run[0], report.witness)
+        assert 0 < sum(report.collided for report in reports) < len(runs)
 
-    def test_candidates_are_the_first_of_a_stable_argsort(self):
-        rng = np.random.default_rng(17)
-        for size in list(range(1, 20)) + [100, 1000]:
-            values = rng.integers(0, 4, size=size).astype(float)
-            values[rng.random(size) < 0.1] = np.nan
-            values[rng.random(size) < 0.1] = np.inf
-            for k in (1, 8):
-                assert np.array_equal(oracle._smallest(values, k),
-                                      np.argsort(values, kind="stable")[:k])
+    def test_failed_solves_keep_the_contract(self, monkeypatch):
+        # A lockstep round gives an unsolved system a NaN step, which no
+        # step length accepts, so the candidate stops where it is.
+        real_solve = np.linalg.solve
+        failures = []
 
-    def test_row_norms_match_numpy_byte_for_byte(self):
+        def solve(a, b):
+            rows = np.reshape(b, (-1, a.shape[-1]))
+            if any(row[0] * 1e6 % 1.0 < 0.3 for row in rows):
+                failures.append(len(rows))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        collided = 0
+        for map_like, trials, seed in reference_corpus()[:40]:
+            report = sampled_injectivity(map_like, trials, seed)
+            if report.collided:
+                check_collision_witness(map_like, report.witness)
+                collided += 1
+        # Stacked solves failed, and so did systems solved one at a time.
+        assert max(failures) > 1 and failures.count(1) >= 20
+        assert 0 < collided
+
+
+class TestJacobians:
+    """Batched Jacobians against derivative nets evaluated one point at a time."""
+
+    @staticmethod
+    def points(rng, grid, count):
+        """Random points plus points on every cut, the cube's faces included."""
+        xs = rng.random((count, grid.dimension))
+        for axis, breaks in enumerate(grid.breakpoints):
+            xs[: len(breaks), axis] = breaks
+        return xs
+
+    def test_single_patches_match_exactly(self):
+        rng = np.random.default_rng(43)
+        nets = [random_net(rng, n, max_degree=3, min_degree=0) for n in (1, 2, 3) for _ in range(4)]
+        nets += [folded_net(), ControlNet((2, 0), rng.uniform(size=(3, 1, 2)))]
+        for net in nets:
+            for map_like in (net, PatchGrid.single(net)):
+                grid = oracle._as_grid(map_like)
+                xs = self.points(rng, grid, 50)
+                reference = _ReferenceJacobian(map_like)
+                want = np.array([reference(x) for x in xs])
+                assert oracle._Jacobians(grid)(xs).tobytes() == want.tobytes()
+
+    def test_grids_match_to_round_off(self):
+        rng = np.random.default_rng(47)
+        grids = [
+            PatchGrid((np.array([0.0, 0.13, 0.6, 1.0]), np.array([0.0, 0.7, 1.0])), {
+                cell: ControlNet(degrees, rng.normal(size=tuple(d + 1 for d in degrees) + (2,)))
+                for cell, degrees in zip(
+                    [(i, j) for i in range(3) for j in range(2)],
+                    [(1, 1), (2, 0), (0, 3), (3, 2), (0, 0), (1, 2)])
+            }),
+            PatchGrid((np.array([0.0, 0.3, 1.0]), np.array([0.0, 1.0]),
+                       np.array([0.0, 0.45, 0.55, 1.0])), {
+                (i, 0, k): random_net(rng, 3, max_degree=2, min_degree=0)
+                for i in range(2) for k in range(3)
+            }),
+            random_grid_2x2(rng),
+        ]
+        zeros = 0
+        for grid in grids:
+            xs = self.points(rng, grid, 400)
+            reference = _ReferenceJacobian(grid)
+            want = np.array([reference(x) for x in xs])
+            got = oracle._Jacobians(grid)(xs)
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+            # A degree-0 axis gives a column of +0.0, as its zero derivative net does.
+            assert got[want == 0.0].tobytes() == want[want == 0.0].tobytes()
+            zeros += (want == 0.0).sum()
+        assert zeros
+
+
+class TestLockstepMatchesSequential:
+    """Steps of a lockstep round against the same step taken one candidate at a time."""
+
+    def test_candidates_are_the_pairs_of_least_mismatch(self, monkeypatch):
+        given = []
+
+        def refine(grid, U0, V0):
+            given.append((U0, V0))
+            return None
+
+        monkeypatch.setattr(oracle, "_refine", refine)
+        for net, trials in ((quad_net(), 3000), (quad_net(), 5), (rotation_net(1.0), 2**12 + 9)):
+            given.clear()
+            assert not sampled_injectivity(net, trials, seed=2).collided
+            ((U0, V0),) = given
+            rng = np.random.Generator(np.random.Philox(2))
+            U, V = rng.random((trials, 2)), rng.random((trials, 2))
+            assert np.linalg.norm(U - V, axis=1).min() >= SEPARATION_FLOOR
+            mismatch = np.linalg.norm(eval_many(net, U) - eval_many(net, V), axis=1)
+            order = np.argsort(mismatch, kind="stable")[:min(8, trials)]
+            assert np.array_equal(U0, U[order]) and np.array_equal(V0, V[order])
+
+    def test_row_norms_match_numpy(self):
         rng = np.random.default_rng(23)
-        for n in (1, 2, 3, 4):
+        for n in range(1, 10):
             d = rng.normal(size=(5000, n)) * 10.0 ** rng.uniform(-5, 5, size=(5000, 1))
-            assert oracle._row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
-            one_by_one = np.array([np.linalg.norm(row) for row in d])
-            assert oracle._dot_norms(d).tobytes() == one_by_one.tobytes()
+            want = np.linalg.norm(d, axis=1)
+            assert np.all(np.abs(oracle._row_norms(d) - want) <= 2 * np.spacing(want))
 
     def test_stacked_steps_match_one_system_at_a_time(self):
         rng = np.random.default_rng(29)
@@ -241,29 +375,6 @@ class TestLockstepMatchesSequential:
         steps, solved = oracle._gauss_newton_steps(M, r)
         assert solved.tolist() == [True, True, False, True, True]
         assert steps[solved].tobytes() == expected[solved].tobytes()
-
-    def test_failed_solves_halt_as_in_the_reference(self, monkeypatch):
-        # A lockstep round gives an unsolved system a NaN step, which no
-        # step length accepts; the reference stops the candidate at once.
-        real_solve = np.linalg.solve
-        failures = []
-
-        def solve(a, b):
-            rows = np.reshape(b, (-1, a.shape[-1]))
-            if any(row[0] * 1e6 % 1.0 < 0.3 for row in rows):
-                failures.append(len(rows))
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        collided = 0
-        for map_like, trials, seed in reference_corpus()[:40]:
-            report = sampled_injectivity(map_like, trials, seed)
-            assert same_report(report, reference_sampled_injectivity(map_like, trials, seed))
-            collided += report.collided
-        # Stacked solves failed, and so did systems solved one at a time.
-        assert max(failures) > 1 and failures.count(1) >= 20
-        assert 0 < collided
 
     def test_line_search_matches_one_candidate_at_a_time(self):
         # Close pairs 1e-3 apart and steps that pull them together, so most
@@ -336,19 +447,6 @@ class TestLockstepMatchesSequential:
         sampled_injectivity(perturbed_identity_net(np.random.default_rng(41), 0.3), 40_000, 2)
         assert calls[:20] == [oracle._BLOCK] * 18 + [40_000 - 9 * oracle._BLOCK] * 2
         assert max(calls) <= oracle._BLOCK
-
-    @pytest.mark.parametrize("trials", [10_000, 2**12 - 1, 2**12, 2**12 + 1])
-    def test_reports_match_the_reference_around_the_block_size(self, trials):
-        assert oracle._BLOCK == 2**12
-        rng = np.random.default_rng(trials)
-        maps = [perturbed_identity_net(rng, amplitude) for amplitude in (0.2, 0.5, 0.8, 1.1)]
-        maps += [random_grid_2x2(rng), folded_net()]
-        collided = 0
-        for seed, map_like in enumerate(maps):
-            report = sampled_injectivity(map_like, trials, seed)
-            assert same_report(report, reference_sampled_injectivity(map_like, trials, seed))
-            collided += report.collided
-        assert 0 < collided < len(maps)
 
 
 class TestAcute2d:

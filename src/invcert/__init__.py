@@ -10,6 +10,8 @@ pattern gets one small linear program. A map whose 2^(n-1) signed
 column cones all admit such a certificate is globally injective on its
 convex domain. The same test
 applies to raw matrix families supplied as per-column generator sets.
+A report lists one plain record per pattern, built by the certifier;
+``invcert.cli.report_to_dict`` turns a report into its JSON payload.
 """
 
 from .bernstein import (
@@ -28,11 +30,8 @@ from .certify import (
 )
 from .cones import (
     DEFAULT_DELTA,
-    Certificate,
     DegenerateColumn,
     GeneratorSet,
-    SignPattern,
-    enumerate_sign_patterns,
     normalize_generators,
 )
 from .oracle import CollisionReport, sampled_injectivity
@@ -40,7 +39,6 @@ from .oracle import CollisionReport, sampled_injectivity
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
     "CertificateReport",
     "CollisionReport",
     "ControlNet",
@@ -50,11 +48,9 @@ __all__ = [
     "GeneratorSet",
     "PatchGrid",
     "PatternResult",
-    "SignPattern",
     "Witness",
     "certify_map",
     "certify_matrix_family",
-    "enumerate_sign_patterns",
     "eval_many",
     "grid_column_generators",
     "normalize_generators",

@@ -44,9 +44,10 @@ from .cones import (
     DegenerateColumn,
     GeneratorSet,
     SignPattern,
+    _check_certificates,
+    _readonly,
     _sign_patterns,
     dedup_exact,
-    enumerate_sign_patterns,
     margin_holds,
     normalize_generators,
 )
@@ -187,9 +188,9 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     dictionary lists the loose rows, then the tight rows, then row 2n, so a
     ratio tie lets a loose row's slack leave first; that took 10% to 30%
     fewer pivots than the tight rows first. Programs are solved as batches
-    of ``_CHUNK``, and ``a . w_0`` and the residuals are formed one row at
-    a time through stacked ``np.matmul``, so each program's results are the
-    bits of solving it alone, whatever other programs share its batch.
+    of ``_CHUNK``, and ``a . w_0`` is formed one row at a time through
+    stacked ``np.matmul``, so each program's results are the bits of
+    solving it alone, whatever other programs share its batch.
 
     The original LP's row duals ``y`` give the primal optimum, ``a = y[:n]
     - y[n:2n]`` (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``.
@@ -197,8 +198,8 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and row 2n's duals are the reduced costs of their slacks, formed from
     the solver's duals. The optimal ``lam``, scaled to sum to one, is the
     combination of generators that comes closest to cancelling. Optima
-    whose ``|W_s^T lam|_1`` is within the solver's pricing tolerance of zero
-    are reported as ``t = 0``.
+    whose ``t`` (by strong duality ``|W_s^T lam|_1``) is within the solver's
+    pricing tolerance of zero are reported as ``t = 0``.
 
     Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
     ``lam`` of shape (B, m).
@@ -256,8 +257,7 @@ def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         lam[:, 1:] = x[:, :k]
         # lam_0 is row 2n's slack.
         lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
-        residual = np.abs(np.matmul((lam * chunk)[:, None, :], W)[:, 0]).sum(axis=1)
-        t[start:stop] = np.where(residual > lpsolve.REDUCED_COST_TOL, margin, 0.0)
+        t[start:stop] = np.where(margin > lpsolve.REDUCED_COST_TOL, margin, 0.0)
     return a, t, weights
 
 
@@ -325,7 +325,7 @@ def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witnes
             if total[k] > 0.0 else None for k in range(lam.shape[0])]
 
 
-def _screen(units: list[np.ndarray], W: np.ndarray,
+def _screen(units: list[np.ndarray], W: np.ndarray, column_signs: np.ndarray,
             signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Closed-form direction ``a = C^-T s`` of every pattern, with its box margin.
 
@@ -336,9 +336,8 @@ def _screen(units: list[np.ndarray], W: np.ndarray,
     optimum. Returns ``None`` when ``C`` is singular or ``a`` not finite.
     """
     C = np.stack([u.mean(axis=0) for u in units], axis=1)
-    starts = np.cumsum([0] + [u.shape[0] for u in units[:-1]])
     try:
-        A = np.linalg.solve(C.T, signs[:, starts].T)
+        A = np.linalg.solve(C.T, column_signs.T)
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(A).all():
@@ -397,10 +396,10 @@ def certify_matrix_family(
     else:
         units, min_norms = zip(*normalized)
         W = np.vstack(units)
-        patterns = enumerate_sign_patterns(n)
-        signs = np.repeat(_sign_patterns(n)[1], [u.shape[0] for u in units], axis=1)
+        patterns, column_signs = _sign_patterns(n)
+        signs = np.repeat(column_signs, [u.shape[0] for u in units], axis=1)
         norms = np.linalg.norm(W, axis=1)
-        screen = _screen(units, W, signs)
+        screen = _screen(units, W, column_signs, signs)
         if screen is None:
             # No closed-form direction: zero claims, none of them live.
             screen = np.zeros((len(patterns), n)), np.zeros(len(patterns))
@@ -417,8 +416,10 @@ def certify_matrix_family(
             witnesses = iter(_witnesses(W, signs[todo[~lp_strict]], lam[~lp_strict]))
             for k, margin in zip(todo.tolist(), t.tolist()):
                 lp_margin[k] = margin
-        # The certificates are checked once, as one stack.
-        certificates = iter(Certificate.stack(a_unit[strict], epsilon[strict]))
+        # The certificates are checked once, as one read-only stack of rows.
+        stack = _readonly(a_unit[strict])
+        _check_certificates(stack, epsilon[strict])
+        certificates = map(Certificate, stack, epsilon[strict].tolist())
         for pattern, ok, margin in zip(patterns, strict.tolist(), lp_margin):
             if ok:
                 results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))

@@ -5,7 +5,9 @@ family is represented by the finite set of vectors whose nonnegative
 combinations cover every value that column can take. A certificate
 ``(a, epsilon)`` for such a cone states that ``a . x >= epsilon * |x|``
 for every ``x`` in the cone, which is checked on the generators alone and
-extends to the whole cone by positive combination.
+extends to the whole cone by positive combination. Sign patterns and
+certificates are plain report records: the certifier builds them from
+its own arrays and checks a report's certificates once, as one stack.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_DELTA",
-    "Certificate",
     "DegenerateColumn",
     "GeneratorSet",
-    "SignPattern",
     "dedup_exact",
-    "enumerate_sign_patterns",
     "margin_holds",
     "normalize_generators",
 ]
@@ -86,20 +85,10 @@ class SignPattern:
     """Signs (+1/-1) applied to the column cones; the first sign is fixed +1.
 
     Flipping every sign asks the same question with ``a`` negated, so only
-    patterns with a leading +1 are enumerated.
+    patterns with a leading +1 are enumerated. ``signs`` holds Python ints.
     """
 
     signs: tuple[int, ...]
-
-    def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
-        if len(signs) == 0:
-            raise ValueError("sign pattern must be non-empty")
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError(f"signs must be +1 or -1, got {signs}")
-        if signs[0] != 1:
-            raise ValueError("the first sign is fixed at +1")
-        object.__setattr__(self, "signs", signs)
 
 
 def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
@@ -117,29 +106,12 @@ def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
 class Certificate:
     """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone.
 
-    The constructor checks one certificate, and :meth:`stack` a whole
-    stack at once by the same rules, building its certificates unchecked.
+    ``a`` is a read-only row of a stack that passed
+    :func:`_check_certificates`, and ``epsilon`` a Python float.
     """
 
     a: np.ndarray
     epsilon: float
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        _check_certificates(a[None], np.array([self.epsilon]))
-        object.__setattr__(self, "a", _readonly(a))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-
-    @classmethod
-    def stack(cls, a: np.ndarray, epsilon: np.ndarray) -> list[Certificate]:
-        """One certificate per row of ``a`` and entry of ``epsilon``, read-only views of a copy."""
-        a, epsilon = _readonly(np.array(a, dtype=float)), np.asarray(epsilon, dtype=float)
-        _check_certificates(a, epsilon)
-        certificates = [object.__new__(cls) for _ in range(a.shape[0])]
-        for cert, row, eps in zip(certificates, a, epsilon.tolist(), strict=True):
-            object.__setattr__(cert, "a", row)
-            object.__setattr__(cert, "epsilon", eps)
-        return certificates
 
 
 def dedup_exact(rows: np.ndarray) -> np.ndarray:
@@ -202,15 +174,9 @@ def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tu
     return gens.vectors / norms[:, None], float(low)
 
 
-def enumerate_sign_patterns(n: int) -> list[SignPattern]:
-    """All 2^(n-1) sign patterns with leading +1, in binary-counting order."""
-    if n < 1:
-        raise ValueError(f"dimension must be at least 1, got {n}")
-    return list(_sign_patterns(n)[0])
-
-
-# Patterns are frozen, so every report of dimension n shares one set, and one
-# read-only float matrix whose row k holds pattern k's signs.
+# All 2^(n-1) patterns with leading +1, in binary-counting order. Patterns are
+# frozen, so every report of dimension n shares one set, and one read-only
+# float matrix whose row k holds pattern k's signs.
 @functools.lru_cache(maxsize=16)
 def _sign_patterns(n: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
     signs = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)

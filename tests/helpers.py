@@ -13,11 +13,11 @@ from invcert import (
     ControlNet,
     GeneratorSet,
     PatchGrid,
-    SignPattern,
     normalize_generators,
 )
 from invcert import certify, lpsolve
 from invcert.cli import InputDocument
+from invcert.cones import SignPattern
 
 
 def identity_net(n: int = 2) -> ControlNet:

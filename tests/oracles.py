@@ -51,7 +51,6 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from invcert import (
-    Certificate,
     ControlNet,
     GeneratorSet,
     PatternResult,
@@ -61,10 +60,11 @@ from invcert import (
 from invcert import certify, lpsolve
 from invcert.certify import DEFAULT_THRESHOLD, STATUS_NOT_STRICT, STATUS_STRICT
 from invcert.cones import (
+    Certificate,
     DegenerateColumn,
     _generator_norms,
+    _sign_patterns,
     dedup_exact,
-    enumerate_sign_patterns,
     margin_holds,
     normalize_generators,
 )
@@ -384,7 +384,7 @@ def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray]:
     each row of ``W`` by its column's sign in pattern k.
     """
     units = [normalize_generators(col)[0] for col in columns]
-    patterns = enumerate_sign_patterns(len(columns))
+    patterns = _sign_patterns(len(columns))[0]
     signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
                       [u.shape[0] for u in units], axis=1)
     return np.vstack(units), signs
@@ -413,7 +413,7 @@ def lp_pattern_results(columns, margin_lps=None,
     a, t, weights = (margin_lps or certify._margin_lps)(W, signs)
     return [reference_pattern_result(pattern, W * signs[k, :, None], threshold, a[k],
                                      float(t[k]), weights[k])
-            for k, pattern in enumerate(enumerate_sign_patterns(len(columns)))]
+            for k, pattern in enumerate(_sign_patterns(len(columns))[0])]
 
 
 class _ReferenceJacobian:

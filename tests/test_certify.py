@@ -80,7 +80,7 @@ class TestCertificateLp:
         assert abs(t) <= 1e-12
 
     def test_quad_mixed_pattern_matches_sweep_oracle(self):
-        signed = apply_sign_pattern(QUAD_COLUMNS, certify.enumerate_sign_patterns(2)[1])
+        signed = apply_sign_pattern(QUAD_COLUMNS, certify.SignPattern((1, -1)))
         a, t = certificate_lp(signed)
         assert t == pytest.approx(1.0 / SQRT5, abs=1e-9)
         np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-9)
@@ -220,8 +220,8 @@ class TestStrictVFamily:
         # its LP, which certifies it as if there were no closed form.
         exact = certify._screen
 
-        def tilted(units, W, signs):
-            a, t = exact(units, W, signs)
+        def tilted(*args):
+            a, t = exact(*args)
             a[0] = [-0.1, 1.0]
             return a, t
 
@@ -563,7 +563,7 @@ def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     # entirely builds no LP batch.
     seen = record_calls(monkeypatch, "_screen", "_margin_lps")
     report = certify_matrix_family(columns)
-    (_, W, signs), (a_box, t_box) = seen["_screen"]
+    (_, W, _, signs), (a_box, t_box) = seen["_screen"]
     todo = [k for k, res in enumerate(report.pattern_results) if res.lp_margin is not None]
     if todo:
         (_, asked), (a, t, weights) = seen["_margin_lps"]

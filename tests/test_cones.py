@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invcert import (
-    Certificate,
     DegenerateColumn,
     GeneratorSet,
-    SignPattern,
-    enumerate_sign_patterns,
     normalize_generators,
 )
-from invcert.cones import _sign_patterns
+from invcert.cones import SignPattern, _check_certificates, _sign_patterns
 
 from helpers import apply_sign_pattern
 from oracles import verify_certificate
@@ -69,43 +66,34 @@ class TestGeneratorSet:
 
 class TestSignPatterns:
     def test_n1(self):
-        assert [p.signs for p in enumerate_sign_patterns(1)] == [(1,)]
+        assert [p.signs for p in _sign_patterns(1)[0]] == [(1,)]
 
     def test_n2(self):
-        assert [p.signs for p in enumerate_sign_patterns(2)] == [(1, 1), (1, -1)]
+        assert [p.signs for p in _sign_patterns(2)[0]] == [(1, 1), (1, -1)]
 
     def test_n3_binary_counting_order(self):
-        assert [p.signs for p in enumerate_sign_patterns(3)] == [
+        assert [p.signs for p in _sign_patterns(3)[0]] == [
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)
         ]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_and_uniqueness(self, n):
-        patterns = enumerate_sign_patterns(n)
+        patterns = _sign_patterns(n)[0]
         assert len(patterns) == 2 ** (n - 1)
         assert len({p.signs for p in patterns}) == len(patterns)
         assert all(p.signs[0] == 1 for p in patterns)
 
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(ValueError):
-            enumerate_sign_patterns(0)
-
-    def test_first_sign_fixed(self):
-        with pytest.raises(ValueError, match="first sign"):
-            SignPattern((-1, 1))
-
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_sign_matrix_rows_are_the_patterns(self, n):
         patterns, matrix = _sign_patterns(n)
-        assert matrix.tolist() == [list(p.signs) for p in enumerate_sign_patterns(n)]
-        assert list(patterns) == enumerate_sign_patterns(n)
+        assert matrix.tolist() == [list(p.signs) for p in patterns]
+        assert all(type(s) is int for p in patterns for s in p.signs)
         assert matrix.dtype == float and not matrix.flags.writeable
         assert _sign_patterns(n)[1] is matrix
 
 
-class TestCertificate:
-    # The constructor checks one certificate and Certificate.stack a whole
-    # stack, through one check with one set of messages.
+class TestCheckCertificates:
+    # The certifier checks a report's certificates once, as one stack.
     BAD = [
         ([[0.6, 0.8]], 0.5, "certificate vector must be one-dimensional"),
         (np.array([0.6, 0.8]) * (1.0 + 1e-9), 0.5,
@@ -118,41 +106,28 @@ class TestCertificate:
         ([0.0, np.nan], 0.5, "certificate vector must have unit Euclidean norm"),
     ]
 
-    @pytest.mark.parametrize("path", ["constructor", "stack"])
     @pytest.mark.parametrize("a, epsilon, message", BAD,
                              ids=["two-dimensional", "norm-off-by-1e-9", "zero-margin",
                                   "negative-margin", "nan-margin", "inf-margin",
                                   "nan-first-coordinate", "nan-second-coordinate"])
-    def test_bad_certificate_is_rejected(self, path, a, epsilon, message):
-        if path == "stack":
-            # The bad row sits between two good ones; a 2-D vector makes
-            # every row of its stack 2-D.
-            a = np.asarray(a, dtype=float)
-            good = np.array([[1.0, 0.0], [0.0, -1.0]]).reshape((2,) + a.shape)
-            a, epsilon = np.stack([good[0], a, good[1]]), [0.25, epsilon, 0.75]
-        build = Certificate if path == "constructor" else Certificate.stack
+    def test_bad_certificate_is_rejected(self, a, epsilon, message):
+        # The bad row sits between two good ones; a 2-D vector makes every
+        # row of its stack 2-D.
+        a = np.asarray(a, dtype=float)
+        good = np.array([[1.0, 0.0], [0.0, -1.0]]).reshape((2,) + a.shape)
+        a, epsilon = np.stack([good[0], a, good[1]]), np.array([0.25, epsilon, 0.75])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build(a, epsilon)
+            _check_certificates(a, epsilon)
 
-    def test_stack_matches_the_constructor(self):
-        a = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
-        epsilon = np.array([0.25, 1e-300, 1.0])
-        stacked = Certificate.stack(a, epsilon)
-        for row, eps, cert in zip(a, epsilon, stacked, strict=True):
-            alone = Certificate(row.copy(), eps)
-            assert cert.a.tobytes() == alone.a.tobytes() and not cert.a.flags.writeable
-            assert cert.epsilon == alone.epsilon and type(cert.epsilon) is float
-        assert Certificate.stack(np.zeros((0, 2)), []) == []
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_good_stack_passes(self, size):
+        a = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])[:size]
+        _check_certificates(a, np.array([0.25, 1e-300, 1.0])[:size])
 
 
-@pytest.mark.parametrize("build, stored", [
-    (lambda v: GeneratorSet(0, v), lambda g: g.vectors),
-    (lambda v: Certificate(v[0], 0.5), lambda c: c.a),
-    (lambda v: Certificate.stack(v, [0.5]), lambda cs: cs[0].a),
-], ids=["generator-set", "certificate", "certificate-stack"])
-def test_constructors_copy_the_callers_array(build, stored):
+def test_generator_set_copies_the_callers_array():
     v = np.array([[1.0, 0.0]])
-    held = stored(build(v))
+    held = GeneratorSet(0, v).vectors
     v[0, 0] = 2.0
     assert held.ravel().tolist() == [1.0, 0.0] and not held.flags.writeable
 

@@ -55,7 +55,6 @@ from .cones import (
 __all__ = [
     "DEFAULT_THRESHOLD",
     "CertificateReport",
-    "CertificationError",
     "PatternResult",
     "Witness",
     "certify_map",
@@ -77,10 +76,6 @@ STATUS_NOT_STRICT = "not-strict"
 PROVENANCE_SINGLE = "single-patch"
 PROVENANCE_MULTI = "multi-patch"
 PROVENANCE_MATRIX = "matrix-family"
-
-
-class CertificationError(RuntimeError):
-    """The certificate LP failed in a way that should be impossible."""
 
 
 @dataclass(frozen=True)
@@ -141,126 +136,6 @@ class CertificateReport:
         return self.verdict == VERDICT_STRICT
 
 
-# Pattern LPs are solved this many at a time. A chunk's tableaux bound the
-# memory; at n=10 a whole family at once ran about 40% slower than chunks
-# of 32. Per near-identity family (m=20), chunks of 16 / 32 / 64 took
-# 0.052 / 0.040 / 0.047 s at n=8 and 0.319 / 0.296 / 0.327 s at n=10
-# (medians of 11 rounds, 2-core Xeon VM, BLAS on one thread).
-_CHUNK = 32
-
-
-def _margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-margin LPs of B signings of one generator set; returns (a, t, weights).
-
-    ``W`` holds the m unit generators as rows, and program k signs row
-    r by ``signs[k, r]`` (+1 or -1); every program signs row 0 by +1.
-    Each program maximizes ``t`` subject to ``a . w >= t`` for every
-    signed generator ``w``, ``-1 <= a_j <= 1`` and ``t >= 0``. It is solved
-    through its LP dual: minimize ``|W_s^T lam|_1`` over ``lam >= 0`` with
-    ``sum(lam) >= 1``, written with ``u >= |W_s^T lam|`` as rows ``W_s^T lam
-    - u <= 0`` (row i), ``-W_s^T lam - u <= 0`` (row n + i) and ``-sum(lam)
-    <= -1`` (row 2n). That is ``2n + 1`` rows however many generators there
-    are.
-
-    The slack basis is infeasible for the last row, but a vertex is known:
-    ``lam = e_0`` and ``u = |w_0|``. With ``s = sign(w_0)`` (+1 where
-    ``w_0i`` is zero),
-    coordinate i's "tight" row is row i if ``s_i = +1`` and row n + i
-    otherwise. The basis holds ``lam_0`` on row 2n, ``u_i`` on the tight row
-    and the slack of the other, "loose", row; its primal reading is ``a = s``,
-    ``t = |w_0|_1``. Each program is handed to the solver as its dictionary
-    at that vertex, whose entries are closed-form: the variables are the
-    nonbasic ``lam_1 .. lam_{m-1}``, the tight rows' slacks and row 2n's
-    slack, the rows' own slacks are the basic variables, and with ``D_ik =
-    |w_0i| - s_i W_s[k, i]`` the rows read
-
-    * tight row of i: ``D_ik`` on ``lam_k``, -1 on its slack, ``-|w_0i|`` on
-      row 2n's slack, right-hand side ``|w_0i|``;
-    * loose row of i: twice the tight row's ``lam`` and row-2n entries, -1 on
-      the tight slack, right-hand side ``2|w_0i|``;
-    * row 2n: 1 on each ``lam_k``, -1 on its slack, right-hand side 1.
-
-    The objective ``-sum(u)`` becomes ``-|w_0|_1`` plus costs ``|w_0|_1 -
-    sum_i s_i W_s[k, i]`` on ``lam_k``, -1 on each tight slack and
-    ``-|w_0|_1`` on row 2n's slack. The right-hand side is nonnegative and
-    shared by every program, as the solver needs; the costs differ per
-    program and go to it as one row each. The
-    dictionary lists the loose rows, then the tight rows, then row 2n, so a
-    ratio tie lets a loose row's slack leave first; that took 10% to 30%
-    fewer pivots than the tight rows first. Programs are solved as batches
-    of ``_CHUNK``, and ``a . w_0`` is formed one row at a time through
-    stacked ``np.matmul``, so each program's results are the bits of
-    solving it alone, whatever other programs share its batch.
-
-    The original LP's row duals ``y`` give the primal optimum, ``a = y[:n]
-    - y[n:2n]`` (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``.
-    A loose row's dual is the solver's dual of that row; the tight rows'
-    and row 2n's duals are the reduced costs of their slacks, formed from
-    the solver's duals. The optimal ``lam``, scaled to sum to one, is the
-    combination of generators that comes closest to cancelling. Optima
-    whose ``t`` (by strong duality ``|W_s^T lam|_1``) is within the solver's
-    pricing tolerance of zero are reported as ``t = 0``.
-
-    Returns ``a`` of shape (B, n), ``t`` of shape (B,) and the optimal
-    ``lam`` of shape (B, m).
-    """
-    m, n = W.shape
-    w0 = W[0]
-    s0 = np.where(w0 < 0.0, -1.0, 1.0)
-    mag = np.abs(w0)
-    norm1 = mag.sum()
-    # Rows: the n loose rows, the n tight rows, row 2n. Variables: lam_1 ..
-    # lam_{m-1}, the n tight slacks, row 2n's slack.
-    k = m - 1
-    fixed = np.zeros((2 * n + 1, m + n))
-    fixed[:n, k:-1] = fixed[n:2 * n, k:-1] = -np.eye(n)
-    fixed[:n, -1] = -2.0 * mag
-    fixed[n:2 * n, -1] = -mag
-    fixed[2 * n, :k] = 1.0
-    fixed[2 * n, -1] = -1.0
-    b = np.concatenate([2.0 * mag, mag, [1.0]])
-    # s_i W[k, i] for the unsigned rows; program p multiplies by signs[p, k].
-    oriented = s0[:, None] * W[1:].T
-    along = W[1:] @ s0
-    size = signs.shape[0]
-    a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
-    for start in range(0, size, _CHUNK):
-        chunk = signs[start:start + _CHUNK]
-        stop = start + chunk.shape[0]
-        rows = np.empty((chunk.shape[0],) + fixed.shape)
-        rows[:] = fixed
-        D = rows[:, n:2 * n, :k]
-        np.multiply(oriented, chunk[:, None, 1:], out=D)
-        np.subtract(mag[:, None], D, out=D)
-        np.add(D, D, out=rows[:, :n, :k])
-        c = np.empty((chunk.shape[0], m + n))
-        c[:, :k] = norm1 - chunk[:, 1:] * along
-        c[:, k:-1] = -1.0
-        c[:, -1] = -norm1
-        batch = lpsolve.solve_batch(rows, b, c)
-        failed = batch.status != lpsolve.OPTIMAL
-        if failed.any():
-            raise CertificationError(
-                f"certificate LP terminated with status {batch.status[failed][0]}")
-        duals, x = batch.duals, batch.x
-        # The original LP's duals: a loose row's is the solver's, a tight
-        # row's the reduced cost of its slack, 1 less the pair's two duals.
-        # Row i is tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times
-        # (tight dual - loose dual).
-        loose = duals[:, :n]
-        a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
-        # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
-        # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
-        # row 2n's dual.
-        margin = np.matmul(a[start:stop, None, :], w0)[:, 0] - duals[:, 2 * n]
-        lam = weights[start:stop]
-        lam[:, 1:] = x[:, :k]
-        # lam_0 is row 2n's slack.
-        lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
-        t[start:stop] = np.where(margin > lpsolve.REDUCED_COST_TOL, margin, 0.0)
-    return a, t, weights
-
-
 def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float,
            a_raw: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Judge candidate directions; returns (strict, a_unit, epsilon), one row each.
@@ -280,8 +155,8 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     strict = np.zeros(size, dtype=bool)
     a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     live = np.flatnonzero(t > threshold)
-    for start in range(0, live.size, _CHUNK):
-        rows = live[start:start + _CHUNK]
+    for start in range(0, live.size, lpsolve._CHUNK):
+        rows = live[start:start + lpsolve._CHUNK]
         a = a_raw[rows]
         # |a| as np.linalg.norm takes it, one dot product per row.
         scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
@@ -314,8 +189,8 @@ def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witnes
     total = lam.sum(axis=1)
     weights = np.divide(lam, total[:, None], out=np.zeros_like(lam), where=total[:, None] > 0.0)
     combination = np.empty((lam.shape[0], W.shape[1]))
-    for start in range(0, lam.shape[0], _CHUNK):
-        stop = start + _CHUNK
+    for start in range(0, lam.shape[0], lpsolve._CHUNK):
+        stop = start + lpsolve._CHUNK
         combination[start:stop] = np.matmul(weights[start:stop, None, :],
                                             W * signs[start:stop, :, None])[:, 0]
     residual = np.sqrt(np.matmul(combination[:, None, :], combination[:, :, None])[:, 0, 0])
@@ -409,7 +284,7 @@ def certify_matrix_family(
         todo = np.flatnonzero(~strict)
         lp_margin = [None] * len(patterns)
         if todo.size:
-            a, t, lam = _margin_lps(W, signs[todo])
+            a, t, lam = lpsolve.margin_lps(W, signs[todo])
             lp_strict, a_unit[todo], epsilon[todo] = _judge(W, norms, signs[todo], threshold,
                                                             a, t)
             strict[todo] = lp_strict

@@ -475,8 +475,8 @@ def main(argv=None) -> int:
         print(f"invcert: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:
-        # CertificationError and solver failures; exit code 1 would misreport
-        # them as "not certified".
+        # Solver failures (the iteration limit, an unbounded margin LP); exit
+        # code 1 would misreport them as "not certified".
         print(f"invcert: internal error: {exc}", file=sys.stderr)
         return 4
 

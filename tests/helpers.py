@@ -15,7 +15,7 @@ from invcert import (
     PatchGrid,
     normalize_generators,
 )
-from invcert import certify, lpsolve
+from invcert import lpsolve
 from invcert.cli import InputDocument
 from invcert.cones import SignPattern
 
@@ -180,35 +180,78 @@ def document_to_json(doc: InputDocument) -> str:
 
 
 def record_batches(monkeypatch) -> list[tuple]:
-    """Record every ``lpsolve.solve_batch`` call as ``(A, b, c, batch)``."""
+    """Record every ``lpsolve._run_simplex`` call as ``(T, obj, basis, pivots)``.
+
+    The stacks are copies taken on entry, before the kernel pivots and
+    reorders them in place; ``pivots`` is indexed by entry position.
+    """
     calls = []
-    exact = lpsolve.solve_batch
+    exact = lpsolve._run_simplex
 
-    def recording(A, b, c):
-        batch = exact(A, b, c)
-        calls.append((A, b, c, batch))
-        return batch
+    def recording(T, obj, basis):
+        start = T.copy(), obj.copy(), basis.copy()
+        order, unbounded, pivots = exact(T, obj, basis)
+        calls.append((*start, pivots))
+        return order, unbounded, pivots
 
-    monkeypatch.setattr(lpsolve, "solve_batch", recording)
+    monkeypatch.setattr(lpsolve, "_run_simplex", recording)
     return calls
 
 
 class Solution(NamedTuple):
-    """One program's outcome; ``x``, ``objective_value`` and ``duals`` only when optimal."""
+    """One program's outcome; ``x``, ``objective_value`` and ``duals`` only when bounded."""
 
-    status: str
+    unbounded: bool
     x: np.ndarray | None
     objective_value: float | None
     duals: np.ndarray | None
     pivots: int
 
 
-def member(batch: lpsolve.LpBatch, k: int, c: np.ndarray) -> Solution:
-    """Program k's outcome in ``batch``, whose program k maximizes ``c[k].x``."""
-    if batch.status[k] != lpsolve.OPTIMAL:
-        return Solution(batch.status[k], None, None, None, int(batch.pivots[k]))
-    x = batch.x[k]
-    return Solution(batch.status[k], x, float(c[k] @ x), batch.duals[k], int(batch.pivots[k]))
+def tableaux(A, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(T, obj, basis)`` stacks of ``maximize c[k].x`` s.t. ``A[k] x <= b``, ``x >= 0``.
+
+    ``A`` has shape (B, rows, variables), the B programs share ``b >= 0``
+    and ``c`` has one cost row per program. Each tableau is the
+    constraints, then the slack identity, then ``b``, and starts at the
+    slack basis, the layout ``lpsolve.margin_lps`` writes its dictionaries
+    in for ``lpsolve._run_simplex``.
+    """
+    A = np.asarray(A, dtype=float)
+    size, n_rows, n_var = A.shape
+    T = np.zeros((size, n_rows, n_var + n_rows + 1))
+    T[:, :, :n_var] = A
+    T[:, :, n_var:-1] = np.eye(n_rows)
+    T[:, :, -1] = b
+    # obj[k, j] = z_j - c_j at the slack basis, whose costs are all zero;
+    # obj[k, -1] is the objective value.
+    obj = np.full((size, n_var + n_rows + 1), -0.0)
+    obj[:, :n_var] = -np.asarray(c, dtype=float)
+    obj[:, -1] = 0.0
+    basis = np.repeat(n_var + np.arange(n_rows)[None], size, axis=0)
+    return T, obj, basis
+
+
+def solve_tableaux(T, obj, basis) -> list[Solution]:
+    """Pivot copies of the stacks with ``lpsolve._run_simplex``, one solution per member.
+
+    Solutions are in entry order; ``duals`` price every row.
+    """
+    T, obj, basis = T.copy(), obj.copy(), basis.copy()
+    n_rows = T.shape[1]
+    n_var = T.shape[2] - n_rows - 1
+    order, unbounded, pivots = lpsolve._run_simplex(T, obj, basis)
+    solutions = [None] * len(order)
+    for p, k in enumerate(order.tolist()):
+        if unbounded[k]:
+            solutions[k] = Solution(True, None, None, None, int(pivots[k]))
+            continue
+        y = np.zeros(n_var + n_rows)
+        y[basis[p]] = T[p, :, -1]
+        # Slack column i prices its own row: z_i - 0 = y . e_i, the row dual.
+        solutions[k] = Solution(False, y[:n_var] + 0.0, float(obj[p, -1]),
+                                obj[p, n_var:-1].copy(), int(pivots[k]))
+    return solutions
 
 
 def solve_one(c, G, h, box=None) -> Solution:
@@ -221,18 +264,18 @@ def solve_one(c, G, h, box=None) -> Solution:
     if box is not None:
         A = np.vstack([A, np.eye(A.shape[1])])
         b = np.concatenate([b, box])
-    costs = np.asarray(c, dtype=float)[None]
-    return member(lpsolve.solve_batch(A[None], b, costs), 0, costs)
+    (solution,) = solve_tableaux(*tableaux(A[None], b, np.asarray(c, dtype=float)[None]))
+    return solution
 
 
 def certificate_lp(units) -> tuple[np.ndarray, float]:
     """``(a, t)`` of the max-margin LP over the rows of ``units``, all signed +1."""
-    a, t, _ = certify._margin_lps(np.asarray(units, dtype=float), np.ones((1, len(units))))
+    a, t, _ = lpsolve.margin_lps(np.asarray(units, dtype=float), np.ones((1, len(units))))
     return a[0], float(t[0])
 
 
 def pivots_per_lp(calls: list[tuple]) -> list[int]:
-    return [int(p) for *_, batch in calls for p in batch.pivots]
+    return [int(p) for *_, pivots in calls for p in pivots]
 
 
 def invalid_input_documents() -> dict[str, bytes]:

@@ -57,7 +57,7 @@ from invcert import (
     Witness,
     eval_many,
 )
-from invcert import certify, lpsolve
+from invcert import lpsolve
 from invcert.certify import DEFAULT_THRESHOLD, STATUS_NOT_STRICT, STATUS_STRICT
 from invcert.cones import (
     Certificate,
@@ -311,7 +311,7 @@ def multiply_pivot(T, obj, basis, members, rows, cols, factors, scratch) -> None
 
 
 def reference_margin_lps(W: np.ndarray, signs: np.ndarray):
-    """``certify._margin_lps`` solved by HiGHS's dual simplex, one LP at a time.
+    """``lpsolve.margin_lps`` solved by HiGHS's dual simplex, one LP at a time.
 
     Each program is the dual margin LP as written: minimize ``sum(u)`` over
     ``lam, u >= 0`` subject to ``W_s^T lam - u <= 0``, ``-W_s^T lam - u <=
@@ -379,7 +379,7 @@ def reference_pattern_result(pattern, signed, threshold, a_raw, t, weights) -> P
 def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray]:
     """The unit generators ``W`` and the signs of every pattern's LP.
 
-    These are what ``certify_matrix_family`` hands ``certify._margin_lps``
+    These are what ``certify_matrix_family`` hands ``lpsolve.margin_lps``
     when no pattern is decided in closed form: row k of ``signs`` signs
     each row of ``W`` by its column's sign in pattern k.
     """
@@ -391,15 +391,15 @@ def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lp_margins(columns) -> np.ndarray:
-    """Every pattern's max-margin LP value ``t``, by ``certify._margin_lps``."""
-    return certify._margin_lps(*margin_lp_inputs(columns))[1]
+    """Every pattern's max-margin LP value ``t``, by ``lpsolve.margin_lps``."""
+    return lpsolve.margin_lps(*margin_lp_inputs(columns))[1]
 
 
 def lp_pattern_results(columns, margin_lps=None,
                        threshold: float = DEFAULT_THRESHOLD) -> list[PatternResult]:
     """Every pattern of a family judged from its own max-margin LP.
 
-    All LPs go to ``margin_lps`` (by default ``certify._margin_lps``) in one
+    All LPs go to ``margin_lps`` (by default ``lpsolve.margin_lps``) in one
     call, and each optimum is judged alone by
     :func:`reference_pattern_result`, so every pattern carries its LP
     margin, whether or not the closed-form direction decides it. A
@@ -410,7 +410,7 @@ def lp_pattern_results(columns, margin_lps=None,
         W, signs = margin_lp_inputs(columns)
     except DegenerateColumn:
         return []
-    a, t, weights = (margin_lps or certify._margin_lps)(W, signs)
+    a, t, weights = (margin_lps or lpsolve.margin_lps)(W, signs)
     return [reference_pattern_result(pattern, W * signs[k, :, None], threshold, a[k],
                                      float(t[k]), weights[k])
             for k, pattern in enumerate(_sign_patterns(len(columns))[0])]

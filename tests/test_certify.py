@@ -16,7 +16,7 @@ from invcert import (
     eval_many,
     sampled_injectivity,
 )
-from invcert import certify
+from invcert import certify, lpsolve
 from invcert.cli import parse_input, run
 from invcert.cones import dedup_exact
 
@@ -174,13 +174,13 @@ class TestStrictVFamily:
         # generators meet; the pattern is certified at the verified margin.
         # Without the closed-form direction every pattern goes to the LP.
         monkeypatch.setattr(certify, "_screen", lambda *args: None)
-        exact = certify._margin_lps
+        exact = lpsolve.margin_lps
 
         def inflated(units, signs):
             a, t, weights = exact(units, signs)
             return a, t * (1.0 + 2e-9), weights
 
-        monkeypatch.setattr(certify, "_margin_lps", inflated)
+        monkeypatch.setattr(lpsolve, "margin_lps", inflated)
         report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified
         for res in report.pattern_results:
@@ -193,7 +193,7 @@ class TestStrictVFamily:
         # generator (1, 0): no margin shaved off the LP's can then verify.
         # Without the closed-form direction every pattern goes to the LP.
         monkeypatch.setattr(certify, "_screen", lambda *args: None)
-        exact = certify._margin_lps
+        exact = lpsolve.margin_lps
         passed = {}
 
         def tilted(units, signs):
@@ -202,7 +202,7 @@ class TestStrictVFamily:
             passed["t"] = float(t[0])
             return a, t, weights
 
-        monkeypatch.setattr(certify, "_margin_lps", tilted)
+        monkeypatch.setattr(lpsolve, "margin_lps", tilted)
         report = certify_matrix_family(QUAD_COLUMNS)
         res = pattern_by_signs(report, (1, 1))
         assert not report.certified
@@ -518,14 +518,14 @@ def test_pattern_results_match_reference(monkeypatch, columns):
     # Each pattern judged as one signed generator matrix, re-checked through
     # verify_certificate, gives the very bytes of the shared-norm path.
     seen = []
-    exact = certify._margin_lps
+    exact = lpsolve.margin_lps
 
     def recording(units, signs):
         optimum = exact(units, signs)
         seen.append((units, signs, optimum))
         return optimum
 
-    monkeypatch.setattr(certify, "_margin_lps", recording)
+    monkeypatch.setattr(lpsolve, "margin_lps", recording)
     report = certify_matrix_family(columns)
     (W, signs, (a, t, weights)), = seen
     for k, res in enumerate(report.pattern_results):
@@ -534,14 +534,14 @@ def test_pattern_results_match_reference(monkeypatch, columns):
         assert result_bytes(res) == result_bytes(want)
 
 
-def record_calls(monkeypatch, *names) -> dict:
-    """Record the arguments and result of each named ``certify`` function's last call."""
+def record_calls(monkeypatch, *functions) -> dict:
+    """Record the arguments and result of each ``(module, name)`` function's last call."""
     seen = {}
-    for name in names:
-        def recording(*args, exact=getattr(certify, name), name=name):
+    for module, name in functions:
+        def recording(*args, exact=getattr(module, name), name=name):
             seen[name] = args, exact(*args)
             return seen[name][1]
-        monkeypatch.setattr(certify, name, recording)
+        monkeypatch.setattr(module, name, recording)
     return seen
 
 
@@ -561,15 +561,15 @@ def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     # A screened pattern reports no LP margin; the LPs are exactly those of
     # the other patterns, in pattern order, and a family the screen decides
     # entirely builds no LP batch.
-    seen = record_calls(monkeypatch, "_screen", "_margin_lps")
+    seen = record_calls(monkeypatch, (certify, "_screen"), (lpsolve, "margin_lps"))
     report = certify_matrix_family(columns)
     (_, W, _, signs), (a_box, t_box) = seen["_screen"]
     todo = [k for k, res in enumerate(report.pattern_results) if res.lp_margin is not None]
     if todo:
-        (_, asked), (a, t, weights) = seen["_margin_lps"]
+        (_, asked), (a, t, weights) = seen["margin_lps"]
         assert asked.tobytes() == signs[todo].tobytes()
     else:
-        assert "_margin_lps" not in seen
+        assert "margin_lps" not in seen
     for k, res in enumerate(report.pattern_results):
         signed = W * signs[k, :, None]
         if res.lp_margin is None:
@@ -643,16 +643,16 @@ def test_each_lp_is_solved_as_if_alone(n):
     # byte.
     rng = np.random.default_rng(n)
     W, signs = margin_lp_inputs(near_identity_columns(rng, n, noise=0.15))
-    full = certify._margin_lps(W, signs)
+    full = lpsolve.margin_lps(W, signs)
     subsets = [[k] for k in range(len(signs))]
     subsets += [np.sort(rng.choice(len(signs), size=size, replace=False))
-                for size in (2, certify._CHUNK - 1, certify._CHUNK + 3, len(signs) // 2)
+                for size in (2, lpsolve._CHUNK - 1, lpsolve._CHUNK + 3, len(signs) // 2)
                 if size <= len(signs)]
-    if len(signs) > certify._CHUNK:
+    if len(signs) > lpsolve._CHUNK:
         # Subsets whose rows sit in different batches of the full call.
-        assert sum(s[0] // certify._CHUNK != s[-1] // certify._CHUNK for s in subsets) >= 3
+        assert sum(s[0] // lpsolve._CHUNK != s[-1] // lpsolve._CHUNK for s in subsets) >= 3
     for subset in subsets:
-        part = certify._margin_lps(W, signs[subset])
+        part = lpsolve.margin_lps(W, signs[subset])
         for got, want in zip(part, full, strict=True):
             assert got.tobytes() == want[subset].tobytes()
 
@@ -665,7 +665,7 @@ def test_each_lp_is_solved_as_if_alone(n):
     [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])],
 ], ids=["column-mean-at-origin", "coinciding-column-means"])
 def test_singular_column_means_fall_through_to_the_lp(monkeypatch, columns):
-    seen = record_calls(monkeypatch, "_screen")
+    seen = record_calls(monkeypatch, (certify, "_screen"))
     report = certify_matrix_family(columns)
     assert seen["_screen"][1] is None
     assert [result_bytes(r) for r in report.pattern_results] == \

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invcert import ControlNet, PatchGrid, GeneratorSet, lpsolve
+from invcert import ControlNet, PatchGrid, GeneratorSet, certify_matrix_family, lpsolve
 from invcert.cli import (
     InputDocument,
     InputError,
@@ -263,6 +263,30 @@ class TestMainExitCodes:
         assert code == 4
         assert captured.out == ""
         assert captured.err == "invcert: internal error: simplex iteration limit exceeded\n"
+
+    def test_unbounded_margin_lp_exits_four(self, tmp_path, capsys, monkeypatch):
+        # A margin LP's objective is at most 0, so only round-off could make
+        # the kernel report one unbounded; the first member of each batch is
+        # reported so here.
+        exact = lpsolve._run_simplex
+
+        def first_unbounded(T, obj, basis):
+            order, unbounded, pivots = exact(T, obj, basis)
+            unbounded[0] = True
+            return order, unbounded, pivots
+
+        monkeypatch.setattr(lpsolve, "_run_simplex", first_unbounded)
+        # Both columns have the same mean, so every pattern reaches the LP.
+        columns = [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])]
+        with pytest.raises(RuntimeError, match="unbounded"):
+            certify_matrix_family(columns)
+        code = main(["--input", self.write(tmp_path, COLLAPSED_DOC)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("invcert: internal error: ")
+        assert captured.err.endswith("\n")
 
     @pytest.mark.parametrize("flag", ["--delta", "--threshold"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])

@@ -1,19 +1,25 @@
-"""Tests for the dense simplex solver; every LP here has ``b >= 0``, so it starts feasible."""
+"""Tests for the dense simplex solver.
+
+The kernel's general-LP tests write each program as a tableau at its
+slack basis (``helpers.tableaux``); every LP there has ``b >= 0``, so it
+starts feasible. The margin-LP tests record the tableaux that
+``lpsolve.margin_lps`` hands the kernel.
+"""
 
 import numpy as np
 import pytest
 
-from invcert import GeneratorSet, certify, certify_matrix_family, lpsolve
+from invcert import GeneratorSet, certify_matrix_family, lpsolve
 from invcert.cones import DegenerateColumn
-from invcert.lpsolve import OPTIMAL, UNBOUNDED, solve_batch
 
 from helpers import (
     integer_families,
-    member,
     near_identity_columns,
     pivots_per_lp,
     record_batches,
     solve_one,
+    solve_tableaux,
+    tableaux,
 )
 from oracles import lp_vertex_oracle, margin_lp_inputs, multiply_pivot
 
@@ -50,7 +56,7 @@ def random_bounded_lp(rng, n_vars, n_rows):
 class TestExamples:
     def test_single_variable(self):
         sol = solve_one([1.0], [[1.0]], [1.0])
-        assert sol.status == OPTIMAL
+        assert not sol.unbounded
         np.testing.assert_allclose(sol.x, [1.0])
         assert sol.objective_value == pytest.approx(1.0)
 
@@ -59,7 +65,7 @@ class TestExamples:
         # constraint intersections is (1.6, 1.2) with value 2.8.
         G, h = [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0]
         sol = solve_one([1.0, 1.0], G, h)
-        assert sol.status == OPTIMAL
+        assert not sol.unbounded
         np.testing.assert_allclose(sol.x, [1.6, 1.2], atol=1e-9)
         assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
         oracle = lp_vertex_oracle([1, 1], G, h, [(0.0, 10.0), (0.0, 10.0)])
@@ -67,12 +73,12 @@ class TestExamples:
 
     def test_unbounded(self):
         sol = solve_one([1.0], np.zeros((0, 1)), [])
-        assert sol.status == UNBOUNDED
+        assert sol.unbounded
 
     def test_slack_basis_is_the_start(self):
         # No cost is positive, so the slack basis is already optimal.
         sol = solve_one([-1.0, -2.0], [[1.0, 1.0]], [1.0])
-        assert sol.status == OPTIMAL
+        assert not sol.unbounded
         assert sol.pivots == 0
         np.testing.assert_array_equal(sol.x, [0.0, 0.0])
         np.testing.assert_array_equal(sol.duals, [0.0])
@@ -84,7 +90,7 @@ class TestExamples:
         # and the second slack is 3 - s, so the dictionary is max 2 + s
         # s.t. y - s <= 2, s <= 3.
         sol = solve_one([0.0, 1.0], [[1.0, -1.0], [0.0, 1.0]], [2.0, 3.0])
-        assert sol.status == OPTIMAL
+        assert not sol.unbounded
         y, s = sol.x
         x = 2.0 - y + s
         assert 2.0 + sol.objective_value == pytest.approx(5.0, abs=1e-12)
@@ -99,7 +105,7 @@ class TestRandomSuite:
             n_rows = int(rng.integers(1, 9))
             c, G, h, box = random_bounded_lp(rng, n_vars, n_rows)
             sol = solve_one(c, G, h, box)
-            assert sol.status == OPTIMAL
+            assert not sol.unbounded
             oracle = lp_vertex_oracle(c, G, h, [(0.0, hi) for hi in box])
             assert sol.objective_value == pytest.approx(oracle, abs=1e-8)
 
@@ -110,7 +116,7 @@ class TestRandomSuite:
             n_rows = int(rng.integers(1, 13))
             c, G, h, box = random_bounded_lp(rng, n_vars, n_rows)
             sol = solve_one(c, G, h, box)
-            assert sol.status == OPTIMAL
+            assert not sol.unbounded
             assert np.all(G @ sol.x <= h + 1e-9)
             assert np.all(sol.x >= -1e-9)
             assert np.all(sol.x <= box + 1e-9)
@@ -122,7 +128,7 @@ class TestRandomSuite:
             n_vars = int(rng.integers(2, 5))
             c, G, h, box = random_bounded_lp(rng, n_vars, int(rng.integers(1, 9)))
             sol = solve_one(c, G, h, box)
-            assert sol.status == OPTIMAL
+            assert not sol.unbounded
             samples = rng.random((200, n_vars)) * box
             feasible = samples[np.all(G @ samples.T <= h[:, None], axis=0)]
             if feasible.size:
@@ -135,7 +141,7 @@ class TestRandomSuite:
         for _ in range(20):
             c, G, h, box = random_bounded_lp(rng, 3, 6)
             first, second = solve_one(c, G, h, box), solve_one(c, G, h, box)
-            assert first.status == second.status
+            assert first.unbounded == second.unbounded
             assert first.x.tobytes() == second.x.tobytes()
             assert first.objective_value == second.objective_value
             assert first.duals.tobytes() == second.duals.tobytes()
@@ -144,7 +150,7 @@ class TestRandomSuite:
 class TestPricing:
     def test_beale_reaches_optimum(self):
         sol = solve_one(*BEALE)
-        assert sol.status == OPTIMAL
+        assert not sol.unbounded
         assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
         np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
@@ -168,7 +174,7 @@ class TestPricing:
         # patterns in closed form.
         assert certify_matrix_family(columns).certified
         calls = record_batches(monkeypatch)
-        certify._margin_lps(*margin_lp_inputs(columns))
+        lpsolve.margin_lps(*margin_lp_inputs(columns))
         pivots = pivots_per_lp(calls)
         assert len(pivots) == patterns
         assert np.mean(pivots) < mean_pivots
@@ -191,7 +197,7 @@ class TestDuals:
             c = rng.normal(size=n_vars)
             box = np.full(n_vars, 3.0)
             sol = solve_one(c, G, h, box)
-            assert sol.status == OPTIMAL
+            assert not sol.unbounded
             assert np.all(sol.duals >= -1e-9)
             # Complementary slackness: positive duals sit on tight rows.
             slack = h - G @ sol.x
@@ -204,7 +210,7 @@ class TestDuals:
 
 
 def margin_lp_batches(monkeypatch, families) -> list[tuple]:
-    """The ``(A, b, c)`` stacks of every pattern LP of each family."""
+    """The ``(T, obj, basis, pivots)`` of every batch of each family's pattern LPs."""
     with monkeypatch.context() as patch:
         calls = record_batches(patch)
         for columns in families:
@@ -212,8 +218,8 @@ def margin_lp_batches(monkeypatch, families) -> list[tuple]:
                 inputs = margin_lp_inputs(columns)
             except DegenerateColumn:
                 continue  # a degenerate family solves no LP
-            certify._margin_lps(*inputs)
-    return [(A, b, c) for A, b, c, _ in calls]
+            lpsolve.margin_lps(*inputs)
+    return calls
 
 
 def random_families():
@@ -222,7 +228,7 @@ def random_families():
 
 
 def assert_same_solution(got, alone):
-    assert got.status == alone.status
+    assert got.unbounded == alone.unbounded
     assert got.pivots == alone.pivots
     assert got.objective_value == alone.objective_value
     for field in ("x", "duals"):
@@ -232,14 +238,13 @@ def assert_same_solution(got, alone):
             assert a.tobytes() == b.tobytes()
 
 
-def assert_batch_matches_members(A, b, c) -> list[int]:
-    """Solve the batch and each member alone; ``c`` has one row per member."""
-    batch = solve_batch(A, b, c)
-    assert all(len(field) == A.shape[0] for field in batch)
-    for k in range(A.shape[0]):
-        own = c[k:k + 1]
-        assert_same_solution(member(batch, k, c), member(solve_batch(A[k:k + 1], b, own), 0, own))
-    return batch.pivots.tolist()
+def assert_batch_matches_members(T, obj, basis) -> list[int]:
+    """Solve the stack and each member alone, on copies; returns the pivots."""
+    batch = solve_tableaux(T, obj, basis)
+    assert len(batch) == T.shape[0]
+    for k, got in enumerate(batch):
+        assert_same_solution(got, solve_tableaux(T[k:k + 1], obj[k:k + 1], basis[k:k + 1])[0])
+    return [sol.pivots for sol in batch]
 
 
 class TestBatch:
@@ -250,8 +255,9 @@ class TestBatch:
     def test_margin_lps(self, monkeypatch, families):
         batches = margin_lp_batches(monkeypatch, families())
         spread = 0
-        for A, b, c in batches:
-            pivots = assert_batch_matches_members(A, b, c)
+        for T, obj, basis, recorded in batches:
+            pivots = assert_batch_matches_members(T, obj, basis)
+            assert pivots == recorded.tolist()
             spread = max(spread, max(pivots) - min(pivots))
         # Members leave the batch at different pivot counts.
         assert spread > 0
@@ -260,13 +266,12 @@ class TestBatch:
         # Exact zeros in integer generators give these margin LPs runs of
         # degenerate pivots; in Gaussian families' batches no member reaches
         # a run of 2.
-        (A, b, c), = margin_lp_batches(monkeypatch, [integer_families()[18]])
-        dantzig = solve_batch(A, b, c).pivots.tolist()
+        (T, obj, basis, dantzig), = margin_lp_batches(monkeypatch, [integer_families()[18]])
         monkeypatch.setattr(lpsolve, "_DEGENERATE_RUN", 2)
-        bland = assert_batch_matches_members(A, b, c)
+        bland = assert_batch_matches_members(T, obj, basis)
         # Some members reach a degenerate run of 2 and change their path,
         # others never do and keep Dantzig's.
-        changed = sum(p != q for p, q in zip(dantzig, bland))
+        changed = sum(p != q for p, q in zip(dantzig.tolist(), bland))
         assert 0 < changed < len(bland)
 
     def test_mixed_statuses(self):
@@ -276,12 +281,12 @@ class TestBatch:
         A = rng.normal(size=(60, 3, 3))
         b = np.array([1.0, 2.0, 0.5])
         c = np.tile([1.0, 0.5, -0.25], (60, 1))
-        assert_batch_matches_members(A, b, c)
-        batch = solve_batch(A, b, c)
-        assert set(batch.status) == {OPTIMAL, UNBOUNDED}
-        stopped = batch.status != OPTIMAL
-        assert np.isnan(batch.x[stopped]).all() and np.isnan(batch.duals[stopped]).all()
-        assert not np.isnan(batch.x[~stopped]).any()
+        stacks = tableaux(A, b, c)
+        assert_batch_matches_members(*stacks)
+        batch = solve_tableaux(*stacks)
+        assert {sol.unbounded for sol in batch} == {False, True}
+        assert all(sol.x is None and sol.duals is None for sol in batch if sol.unbounded)
+        assert all(np.isfinite(sol.x).all() for sol in batch if not sol.unbounded)
 
     def test_per_program_costs(self):
         # Members stop in their own order; each must still be priced by its
@@ -290,37 +295,9 @@ class TestBatch:
         A = rng.normal(size=(60, 3, 3))
         b = np.array([1.0, 2.0, 0.5])
         c = rng.normal(size=(60, 3))
-        assert_batch_matches_members(A, b, c)
-        assert set(solve_batch(A, b, c).status) == {OPTIMAL, UNBOUNDED}
-
-    def test_shapes_are_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            solve_batch(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError, match="shape"):
-            solve_batch(np.zeros((1, 2, 3)), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError, match="shape"):
-            solve_batch(np.zeros((2, 2, 3)), np.zeros(2), np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("b, c", [
-        ([1.0, -1e-300], np.zeros((1, 3))),
-        ([1.0, np.nan], np.zeros((1, 3))),
-        ([1.0, 2.0], np.zeros(3)),
-    ], ids=["negative-b", "nan-b", "shared-c"])
-    def test_rejects_what_a_feasible_start_cannot_take(self, b, c):
-        with pytest.raises(ValueError):
-            solve_batch(np.zeros((1, 2, 3)), b, c)
-
-    def test_negative_zero_in_b_is_accepted(self):
-        # -0.0 >= 0, and it must take the same path as 0.0, bit for bit.
-        rng = np.random.default_rng(151)
-        A = rng.normal(size=(20, 3, 3))
-        c = rng.normal(size=(20, 3))
-        got = solve_batch(A, [1.0, -0.0, -0.0], c)
-        want = solve_batch(A, [1.0, 0.0, 0.0], c)
-        assert got.status.tolist() == want.status.tolist()
-        assert got.pivots.tolist() == want.pivots.tolist()
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.duals.tobytes() == want.duals.tobytes()
+        stacks = tableaux(A, b, c)
+        assert_batch_matches_members(*stacks)
+        assert {sol.unbounded for sol in solve_tableaux(*stacks)} == {False, True}
 
 
 def integer_lps():
@@ -329,9 +306,9 @@ def integer_lps():
     lps = []
     for _ in range(40):
         n_rows, n_vars = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        lps.append((rng.integers(-2, 3, size=(16, n_rows, n_vars)).astype(float),
-                    rng.integers(0, 3, size=n_rows).astype(float),
-                    rng.integers(-2, 3, size=(16, n_vars)).astype(float)))
+        lps.append(tableaux(rng.integers(-2, 3, size=(16, n_rows, n_vars)).astype(float),
+                            rng.integers(0, 3, size=n_rows).astype(float),
+                            rng.integers(-2, 3, size=(16, n_vars)).astype(float)))
     return lps
 
 
@@ -340,14 +317,14 @@ def test_rank_one_update_matches_np_multiply(monkeypatch):
     # sign; status, pivots, x and duals, signed zeros included, must not
     # show it.
     negative_zeros = 0
-    for A, b, c in margin_lp_batches(monkeypatch, integer_families()) + integer_lps():
-        got = solve_batch(A, b, c)
+    stacks = [batch[:3] for batch in margin_lp_batches(monkeypatch, integer_families())]
+    for T, obj, basis in stacks + integer_lps():
+        got = solve_tableaux(T, obj, basis)
         with monkeypatch.context() as patch:
             patch.setattr(lpsolve, "_pivot", multiply_pivot)
-            want = solve_batch(A, b, c)
-        assert got.status.tolist() == want.status.tolist()
-        assert got.pivots.tolist() == want.pivots.tolist()
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.duals.tobytes() == want.duals.tobytes()
-        negative_zeros += np.count_nonzero((got.duals == 0.0) & np.signbit(got.duals))
+            want = solve_tableaux(T, obj, basis)
+        for mine, theirs in zip(got, want, strict=True):
+            assert_same_solution(mine, theirs)
+            if mine.duals is not None:
+                negative_zeros += np.count_nonzero((mine.duals == 0.0) & np.signbit(mine.duals))
     assert negative_zeros > 0

@@ -328,3 +328,70 @@ def test_rank_one_update_matches_np_multiply(monkeypatch):
             if mine.duals is not None:
                 negative_zeros += np.count_nonzero((mine.duals == 0.0) & np.signbit(mine.duals))
     assert negative_zeros > 0
+
+
+class TestMarginLps:
+    """``lpsolve.margin_lps`` solves the max-margin LP its docstring states."""
+
+    def test_single_generator_is_its_own_vertex(self):
+        # One generator: the known vertex a = sign(w_0), t = |w_0|_1 is optimal.
+        a, t, weights = lpsolve.margin_lps(np.array([[0.6, -0.8]]), np.ones((1, 1)))
+        np.testing.assert_array_equal(a, [[1.0, -1.0]])
+        assert t[0] == pytest.approx(1.4, abs=1e-15)
+        np.testing.assert_array_equal(weights, [[1.0]])
+
+    def test_opposed_pair_has_zero_margin(self):
+        # Signed by (+1, -1), the pair is w and -w: no direction separates
+        # them, and equal weights cancel them exactly.
+        w = np.array([0.6, 0.0, -0.8])
+        a, t, weights = lpsolve.margin_lps(np.array([w, w]), np.array([[1.0, -1.0]]))
+        assert t[0] == 0.0
+        np.testing.assert_allclose(weights, [[0.5, 0.5]], atol=1e-15)
+        assert np.all(np.abs(a) <= 1.0)
+
+    def test_no_programs_give_empty_results(self):
+        a, t, weights = lpsolve.margin_lps(np.eye(3), np.ones((0, 3)))
+        assert (a.shape, t.shape, weights.shape) == ((0, 3), (0,), (0, 3))
+
+    def test_negative_zero_in_generators_is_zero(self):
+        # A -0.0 entry is zero: its coordinate takes sign +1, as 0.0 does,
+        # and every program takes the same path to the same bits.
+        solved = 0
+        for columns in integer_families():
+            try:
+                W, signs = margin_lp_inputs(columns)
+            except DegenerateColumn:
+                continue
+            if not np.any(W == 0.0):
+                continue
+            negated = np.where(W == 0.0, -0.0, W)
+            assert np.signbit(negated[W == 0.0]).all()
+            got, want = lpsolve.margin_lps(negated, signs), lpsolve.margin_lps(W, signs)
+            for mine, theirs in zip(got, want, strict=True):
+                assert mine.tobytes() == theirs.tobytes()
+            solved += len(signs)
+        assert solved > 0
+
+    @pytest.mark.parametrize("families", [near_identity_families, random_families,
+                                          integer_families],
+                             ids=["near-identity-n4-n6-n8", "random-n6", "integer"])
+    def test_results_meet_the_program(self, families):
+        # a and t are feasible, lam is feasible for the dual, and the two
+        # objectives agree, so both are optimal.
+        checked = 0
+        for columns in families():
+            try:
+                W, signs = margin_lp_inputs(columns)
+            except DegenerateColumn:
+                continue
+            a, t, weights = lpsolve.margin_lps(W, signs)
+            assert np.all(np.abs(a) <= 1.0 + 1e-12)
+            assert np.all(t >= 0.0)
+            assert np.all(weights >= -1e-12)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+            for k in range(len(signs)):
+                signed = W * signs[k, :, None]
+                assert np.all(signed @ a[k] >= t[k] - 1e-9)
+                assert np.abs(signed.T @ weights[k]).sum() == pytest.approx(t[k], abs=1e-9)
+            checked += len(signs)
+        assert checked > 0

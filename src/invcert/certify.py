@@ -155,8 +155,8 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     strict = np.zeros(size, dtype=bool)
     a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     live = np.flatnonzero(t > threshold)
-    for start in range(0, live.size, lpsolve._CHUNK):
-        rows = live[start:start + lpsolve._CHUNK]
+    for start in range(0, live.size, lpsolve.CHUNK):
+        rows = live[start:start + lpsolve.CHUNK]
         a = a_raw[rows]
         # |a| as np.linalg.norm takes it, one dot product per row.
         scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
@@ -189,8 +189,8 @@ def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witnes
     total = lam.sum(axis=1)
     weights = np.divide(lam, total[:, None], out=np.zeros_like(lam), where=total[:, None] > 0.0)
     combination = np.empty((lam.shape[0], W.shape[1]))
-    for start in range(0, lam.shape[0], lpsolve._CHUNK):
-        stop = start + lpsolve._CHUNK
+    for start in range(0, lam.shape[0], lpsolve.CHUNK):
+        stop = start + lpsolve.CHUNK
         combination[start:stop] = np.matmul(weights[start:stop, None, :],
                                             W * signs[start:stop, :, None])[:, 0]
     residual = np.sqrt(np.matmul(combination[:, None, :], combination[:, :, None])[:, 0, 0])

@@ -42,13 +42,13 @@ REDUCED_COST_TOL = 1e-10
 # path is only a guard against cycling.
 _DEGENERATE_RUN = 500
 
-# Pattern LPs are solved this many at a time, and the certifier judges and
-# combines patterns in chunks of the same size. A chunk's tableaux bound the
+# Pattern LPs are solved this many at a time, and certify judges and combines
+# patterns in chunks of this public size too. A chunk's tableaux bound the
 # memory; at n=10 a whole family at once ran about 40% slower than chunks
 # of 32. Per near-identity family (m=20), chunks of 16 / 32 / 64 took
 # 0.052 / 0.040 / 0.047 s at n=8 and 0.319 / 0.296 / 0.327 s at n=10
 # (medians of 11 rounds, 2-core Xeon VM, BLAS on one thread).
-_CHUNK = 32
+CHUNK = 32
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, members: np.ndarray,
@@ -195,7 +195,7 @@ def margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     dictionary lists the loose rows, then the tight rows, then row 2n, so a
     ratio tie lets a loose row's slack leave first; that took 10% to 30%
     fewer pivots than the tight rows first. Programs are solved as batches
-    of ``_CHUNK``, and ``a . w_0`` is formed one row at a time through
+    of ``CHUNK``, and ``a . w_0`` is formed one row at a time through
     stacked ``np.matmul``, so each program's results are the bits of
     solving it alone, whatever other programs share its batch.
 
@@ -234,8 +234,8 @@ def margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     along = W[1:] @ s0
     size = signs.shape[0]
     a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
-    for start in range(0, size, _CHUNK):
-        chunk = signs[start:start + _CHUNK]
+    for start in range(0, size, CHUNK):
+        chunk = signs[start:start + CHUNK]
         batch = chunk.shape[0]
         stop = start + batch
         # The tableaux are written in place: stacking them from temporaries

@@ -235,11 +235,16 @@ def tableaux(A, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def solve_tableaux(T, obj, basis) -> list[Solution]:
     """Pivot copies of the stacks with ``lpsolve._run_simplex``, one solution per member.
 
-    Solutions are in entry order; ``duals`` price every row.
+    Solutions are in entry order; ``duals`` price every row. The
+    objective value is ``c[k] . x`` of the returned ``x``, not the
+    objective row's last cell, which equals the duals' value at every
+    basis and so could not check ``x`` or strong duality.
     """
     T, obj, basis = T.copy(), obj.copy(), basis.copy()
     n_rows = T.shape[1]
     n_var = T.shape[2] - n_rows - 1
+    # The slack basis's objective row is -c, so negating it gives c exactly.
+    costs = -obj[:, :n_var]
     order, unbounded, pivots = lpsolve._run_simplex(T, obj, basis)
     solutions = [None] * len(order)
     for p, k in enumerate(order.tolist()):
@@ -249,8 +254,9 @@ def solve_tableaux(T, obj, basis) -> list[Solution]:
         y = np.zeros(n_var + n_rows)
         y[basis[p]] = T[p, :, -1]
         # Slack column i prices its own row: z_i - 0 = y . e_i, the row dual.
-        solutions[k] = Solution(False, y[:n_var] + 0.0, float(obj[p, -1]),
-                                obj[p, n_var:-1].copy(), int(pivots[k]))
+        x = y[:n_var] + 0.0
+        solutions[k] = Solution(False, x, float(costs[k] @ x), obj[p, n_var:-1].copy(),
+                                int(pivots[k]))
     return solutions
 
 

@@ -646,11 +646,11 @@ def test_each_lp_is_solved_as_if_alone(n):
     full = lpsolve.margin_lps(W, signs)
     subsets = [[k] for k in range(len(signs))]
     subsets += [np.sort(rng.choice(len(signs), size=size, replace=False))
-                for size in (2, lpsolve._CHUNK - 1, lpsolve._CHUNK + 3, len(signs) // 2)
+                for size in (2, lpsolve.CHUNK - 1, lpsolve.CHUNK + 3, len(signs) // 2)
                 if size <= len(signs)]
-    if len(signs) > lpsolve._CHUNK:
+    if len(signs) > lpsolve.CHUNK:
         # Subsets whose rows sit in different batches of the full call.
-        assert sum(s[0] // lpsolve._CHUNK != s[-1] // lpsolve._CHUNK for s in subsets) >= 3
+        assert sum(s[0] // lpsolve.CHUNK != s[-1] // lpsolve.CHUNK for s in subsets) >= 3
     for subset in subsets:
         part = lpsolve.margin_lps(W, signs[subset])
         for got, want in zip(part, full, strict=True):

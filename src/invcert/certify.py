@@ -7,16 +7,16 @@ such ``a`` proves a pattern. Each pattern first tries ``a = C^-T s`` in
 closed form (``C`` holds the mean unit generator of each column, ``s``
 is the pattern's signs), all patterns with one solve; the patterns it
 does not certify each get one small linear program for the max-margin
-``a``, whose results are the bits of solving it alone, whatever other
-patterns share its batch. Either way a margin ``t`` above the threshold
-on the box scale ``|a|_inf = 1`` yields a certificate ``(a/|a|, t/|a|)``
-that is re-verified against the generators before the pattern is
-accepted. A pattern certified in closed form has no LP margin. If every
-pattern passes, the family is a strict V-family and the underlying map
-is globally invertible on its convex domain: along the segment between
-any two domain points, the difference of map values integrates Jacobian
-columns whose signed combination stays inside one certified cone, so it
-cannot vanish.
+``a``. Patterns are decided ``CHUNK`` at a time, in closed form and then
+by LP, each with the bits of deciding it alone. Either way a margin
+``t`` above the threshold on the box scale ``|a|_inf = 1`` yields a
+certificate ``(a/|a|, t/|a|)`` that is re-verified against the
+generators before the pattern is accepted. A pattern certified in
+closed form has no LP margin. If every pattern passes, the family is a
+strict V-family and the underlying map is globally invertible on its
+convex domain: along the segment between any two domain points, the
+difference of map values integrates Jacobian columns whose signed
+combination stays inside one certified cone, so it cannot vanish.
 
 For a piecewise Bezier map the column generators are the per-patch
 derivative control points, rescaled by the cell widths so they live in
@@ -76,6 +76,13 @@ STATUS_NOT_STRICT = "not-strict"
 PROVENANCE_SINGLE = "single-patch"
 PROVENANCE_MULTI = "multi-patch"
 PROVENANCE_MATRIX = "matrix-family"
+
+# Patterns are decided this many at a time, so a chunk's signs, margins and
+# LP tableaux bound the memory. At n=10 a whole family's LPs at once ran
+# about 40% slower than chunks of 32. Per near-identity family (m=20),
+# chunks of 16 / 32 / 64 took 0.052 / 0.040 / 0.047 s at n=8 and 0.319 /
+# 0.296 / 0.327 s at n=10 (medians of 11 rounds, 2-core Xeon VM, one BLAS thread).
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -155,26 +162,24 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     strict = np.zeros(size, dtype=bool)
     a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     live = np.flatnonzero(t > threshold)
-    for start in range(0, live.size, lpsolve.CHUNK):
-        rows = live[start:start + lpsolve.CHUNK]
-        a = a_raw[rows]
-        # |a| as np.linalg.norm takes it, one dot product per row.
-        scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
-        unit = a / scale[:, None]
-        # Negation is exact, so these are the signed generators' products with
-        # the unit direction bit for bit (a zero may change sign, which no
-        # comparison below can see), and ``norms`` are their norms.
-        projections = np.matmul(W, unit[:, :, None])[:, :, 0] * signs[rows]
-        # A claimed margin is only accurate to round-off; certify no more than
-        # the margin the generators verifiably meet.
-        eps = np.minimum(t[rows] / scale, (projections / norms).min(axis=1))
-        ok = np.zeros(rows.size, dtype=bool)
-        for _ in range(3):
-            ok |= (eps > 0.0) & margin_holds(projections, norms, eps)
-            if ok.all():
-                break
-            eps = np.where(ok, eps, np.nextafter(eps, 0.0))
-        strict[rows], a_unit[rows], epsilon[rows] = ok, unit, eps
+    a = a_raw[live]
+    # |a| as np.linalg.norm takes it, one dot product per row.
+    scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    unit = a / scale[:, None]
+    # Negation is exact, so these are the signed generators' products with
+    # the unit direction bit for bit (a zero may change sign, which no
+    # comparison below can see), and ``norms`` are their norms.
+    projections = np.matmul(W, unit[:, :, None])[:, :, 0] * signs[live]
+    # A claimed margin is only accurate to round-off; certify no more than
+    # the margin the generators verifiably meet.
+    eps = np.minimum(t[live] / scale, (projections / norms).min(axis=1))
+    ok = np.zeros(live.size, dtype=bool)
+    for _ in range(3):
+        ok |= (eps > 0.0) & margin_holds(projections, norms, eps)
+        if ok.all():
+            break
+        eps = np.where(ok, eps, np.nextafter(eps, 0.0))
+    strict[live], a_unit[live], epsilon[live] = ok, unit, eps
     return strict, a_unit, epsilon
 
 
@@ -188,11 +193,7 @@ def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witnes
     lam = np.clip(lam, 0.0, None)
     total = lam.sum(axis=1)
     weights = np.divide(lam, total[:, None], out=np.zeros_like(lam), where=total[:, None] > 0.0)
-    combination = np.empty((lam.shape[0], W.shape[1]))
-    for start in range(0, lam.shape[0], lpsolve.CHUNK):
-        stop = start + lpsolve.CHUNK
-        combination[start:stop] = np.matmul(weights[start:stop, None, :],
-                                            W * signs[start:stop, :, None])[:, 0]
+    combination = np.matmul(weights[:, None, :], W * signs[:, :, None])[:, 0]
     residual = np.sqrt(np.matmul(combination[:, None, :], combination[:, :, None])[:, 0, 0])
     # Each witness owns copies: views would keep the stacks alive, and 600
     # retained random-family reports then raised peak RSS by about 8%.
@@ -200,25 +201,19 @@ def _witnesses(W: np.ndarray, signs: np.ndarray, lam: np.ndarray) -> list[Witnes
             if total[k] > 0.0 else None for k in range(lam.shape[0])]
 
 
-def _screen(units: list[np.ndarray], W: np.ndarray, column_signs: np.ndarray,
-            signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Closed-form direction ``a = C^-T s`` of every pattern, with its box margin.
+def _closed_form(units: list[np.ndarray], column_signs: np.ndarray) -> np.ndarray | None:
+    """Closed-form direction ``a = C^-T s`` of every pattern, one column each.
 
     Column j of ``C`` is the mean of column j's unit generators, and ``s``
     a pattern's column signs, so ``a . (s_j c_j) = 1`` for every column
-    centre. Each ``a`` is scaled to ``|a|_inf = 1`` and returned with
-    ``min_w a . w`` over its signed unit generators, the scale of an LP
-    optimum. Returns ``None`` when ``C`` is singular or ``a`` not finite.
+    centre. Returns ``None`` when ``C`` is singular or ``a`` not finite.
     """
     C = np.stack([u.mean(axis=0) for u in units], axis=1)
     try:
         A = np.linalg.solve(C.T, column_signs.T)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(A).all():
-        return None
-    box = np.abs(A).max(axis=0)
-    return (A / box).T, ((W @ A).T * signs).min(axis=1) / box
+    return A if np.isfinite(A).all() else None
 
 
 def certify_matrix_family(
@@ -271,31 +266,43 @@ def certify_matrix_family(
     else:
         units, min_norms = zip(*normalized)
         W = np.vstack(units)
-        patterns, column_signs = _sign_patterns(n)
-        signs = np.repeat(column_signs, [u.shape[0] for u in units], axis=1)
         norms = np.linalg.norm(W, axis=1)
-        screen = _screen(units, W, column_signs, signs)
-        if screen is None:
-            # No closed-form direction: zero claims, none of them live.
-            screen = np.zeros((len(patterns), n)), np.zeros(len(patterns))
-        strict, a_unit, epsilon = _judge(W, norms, signs, threshold, *screen)
-        # Patterns certified in closed form get no LP; when that is all of
-        # them, no LP batch is built.
+        # Generator r is signed by the sign of its column, column_of[r].
+        column_of = np.repeat(np.arange(n), counts)
+        patterns, column_signs = _sign_patterns(n)
+        size = len(patterns)
+        strict = np.zeros(size, dtype=bool)
+        a_unit, epsilon = np.zeros((size, n)), np.zeros(size)
+        # Python floats and Witness records, None where a pattern has none.
+        lp_margin, witnesses = np.full(size, None), np.full(size, None)
+        A = _closed_form(units, column_signs)
+        # Without a closed-form direction every pattern goes to the LP.
+        for start in range(0, size if A is not None else 0, CHUNK):
+            rows = slice(start, start + CHUNK)
+            signs = column_signs[rows][:, column_of]
+            # Each a is scaled to |a|_inf = 1 and claims its least product
+            # with a signed unit generator: the scale of an LP optimum.
+            a = A[:, rows]
+            box = np.abs(a).max(axis=0)
+            t = ((W @ a).T * signs).min(axis=1) / box
+            strict[rows], a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold,
+                                                               (a / box).T, t)
+        # Only the patterns the closed form leaves undecided get an LP.
         todo = np.flatnonzero(~strict)
-        lp_margin = [None] * len(patterns)
-        if todo.size:
-            a, t, lam = lpsolve.margin_lps(W, signs[todo])
-            lp_strict, a_unit[todo], epsilon[todo] = _judge(W, norms, signs[todo], threshold,
-                                                            a, t)
-            strict[todo] = lp_strict
-            witnesses = iter(_witnesses(W, signs[todo[~lp_strict]], lam[~lp_strict]))
-            for k, margin in zip(todo.tolist(), t.tolist()):
-                lp_margin[k] = margin
+        for start in range(0, todo.size, CHUNK):
+            rows = todo[start:start + CHUNK]
+            signs = column_signs[rows][:, column_of]
+            a, t, lam = lpsolve.margin_lps(W, signs)
+            ok, a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold, a, t)
+            strict[rows] = ok
+            lp_margin[rows] = t.tolist()
+            witnesses[rows[~ok]] = _witnesses(W, signs[~ok], lam[~ok])
         # The certificates are checked once, as one read-only stack of rows.
         stack = _readonly(a_unit[strict])
         _check_certificates(stack, epsilon[strict])
         certificates = map(Certificate, stack, epsilon[strict].tolist())
-        for pattern, ok, margin in zip(patterns, strict.tolist(), lp_margin):
+        for pattern, ok, margin, witness in zip(patterns, strict.tolist(), lp_margin,
+                                                witnesses):
             if ok:
                 results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
             else:
@@ -304,7 +311,7 @@ def certify_matrix_family(
                 else:
                     note = "numerically marginal" if margin > 0.0 else None
                 results.append(PatternResult(pattern, STATUS_NOT_STRICT, None, margin,
-                                             witness=next(witnesses), note=note))
+                                             witness=witness, note=note))
 
     strict = degenerate_column is None and all(r.status == STATUS_STRICT for r in results)
     return CertificateReport(

@@ -179,8 +179,15 @@ def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tu
 # float matrix whose row k holds pattern k's signs.
 @functools.lru_cache(maxsize=16)
 def _sign_patterns(n: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
-    signs = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    return tuple(SignPattern(tuple(row)) for row in signs.tolist()), _readonly(signs.astype(float))
+    too_many = ValueError(f"{n} columns need 2^{n - 1} sign patterns, too many to enumerate")
+    if n - 1 >= 63:
+        raise too_many
+    try:
+        signs = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+        patterns = tuple(SignPattern(tuple(row)) for row in signs.tolist())
+        return patterns, _readonly(signs.astype(float))
+    except MemoryError:
+        raise too_many from None
 
 
 def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon):

@@ -1,4 +1,4 @@
-"""Max-margin LPs of the certifier, by dense primal simplex in lockstep batches.
+"""Max-margin LPs of the certifier, by dense primal simplex on a lockstep stack.
 
 :func:`margin_lps`, the only entry point, writes each sign pattern's
 margin LP as its dictionary at a known feasible vertex straight into the
@@ -14,11 +14,12 @@ The kernel pivots the stack in lockstep, with one ``einsum`` forming the
 rank-one update of every member at each step. Each member keeps its own
 pricing rule, degenerate-run counter and iteration limit, and leaves the
 active set when it stops. Its arithmetic is exactly that of solving it
-alone, so a batch returns the same bits, signed zeros included, and
-pivot counts as its members solved one at a time.
+alone, so a stack returns the same bits, signed zeros included, and
+pivot counts as its members solved one at a time. The caller decides
+how many programs share a stack.
 
 Problem sizes here are tiny (a margin LP has 2n + 1 rows and one column
-per generator plus n), so the dense tableau is the right tool; batching
+per generator plus n), so the dense tableau is the right tool; the stack
 spreads numpy's per-call overhead over a family's sign patterns. There
 is no sparse storage, and no warm starting beyond the known vertex.
 """
@@ -41,15 +42,6 @@ REDUCED_COST_TOL = 1e-10
 # families runs of up to 5. The run must stay well above that so Bland's slow
 # path is only a guard against cycling.
 _DEGENERATE_RUN = 500
-
-# Pattern LPs are solved this many at a time, and certify judges and combines
-# patterns in chunks of this public size too. A chunk's tableaux bound the
-# memory; at n=10 a whole family at once ran about 40% slower than chunks
-# of 32. Per near-identity family (m=20), chunks of 16 / 32 / 64 took
-# 0.052 / 0.040 / 0.047 s at n=8 and 0.319 / 0.296 / 0.327 s at n=10
-# (medians of 11 rounds, 2-core Xeon VM, BLAS on one thread).
-CHUNK = 32
-
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, members: np.ndarray,
            rows: np.ndarray, cols: np.ndarray, factors: np.ndarray,
@@ -171,15 +163,14 @@ def margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     The slack basis is infeasible for the last row, but a vertex is known:
     ``lam = e_0`` and ``u = |w_0|``. With ``s = sign(w_0)`` (+1 where
-    ``w_0i`` is zero),
-    coordinate i's "tight" row is row i if ``s_i = +1`` and row n + i
-    otherwise. The basis holds ``lam_0`` on row 2n, ``u_i`` on the tight row
-    and the slack of the other, "loose", row; its primal reading is ``a = s``,
-    ``t = |w_0|_1``. Each program is handed to the solver as its dictionary
-    at that vertex, whose entries are closed-form: the variables are the
-    nonbasic ``lam_1 .. lam_{m-1}``, the tight rows' slacks and row 2n's
-    slack, the rows' own slacks are the basic variables, and with ``D_ik =
-    |w_0i| - s_i W_s[k, i]`` the rows read
+    ``w_0i`` is zero), coordinate i's "tight" row is row i if ``s_i = +1``
+    and row n + i otherwise. The basis holds ``lam_0`` on row 2n, ``u_i`` on
+    the tight row and the slack of the other, "loose", row; its primal
+    reading is ``a = s``, ``t = |w_0|_1``. Each program is handed to the
+    solver as its dictionary at that vertex, whose entries are closed-form:
+    the variables are the nonbasic ``lam_1 .. lam_{m-1}``, the tight rows'
+    slacks and row 2n's slack, the rows' own slacks are the basic
+    variables, and with ``D_ik = |w_0i| - s_i W_s[k, i]`` the rows read
 
     * tight row of i: ``D_ik`` on ``lam_k``, -1 on its slack, ``-|w_0i|`` on
       row 2n's slack, right-hand side ``|w_0i|``;
@@ -190,14 +181,14 @@ def margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     The objective ``-sum(u)`` becomes ``-|w_0|_1`` plus costs ``|w_0|_1 -
     sum_i s_i W_s[k, i]`` on ``lam_k``, -1 on each tight slack and
     ``-|w_0|_1`` on row 2n's slack. The right-hand side is nonnegative and
-    shared by every program, so the slack basis is feasible; each
-    program's costs fill its own objective row. The
-    dictionary lists the loose rows, then the tight rows, then row 2n, so a
-    ratio tie lets a loose row's slack leave first; that took 10% to 30%
-    fewer pivots than the tight rows first. Programs are solved as batches
-    of ``CHUNK``, and ``a . w_0`` is formed one row at a time through
-    stacked ``np.matmul``, so each program's results are the bits of
-    solving it alone, whatever other programs share its batch.
+    shared by every program, so the slack basis is feasible; each program's
+    costs fill its own objective row. The dictionary lists the loose rows,
+    then the tight rows, then row 2n, so a ratio tie lets a loose row's
+    slack leave first; that took 10% to 30% fewer pivots than the tight
+    rows first. All B programs are pivoted as one stack, and ``a . w_0``
+    is formed one row at a time through stacked ``np.matmul``, so each
+    program's results are the bits of solving it alone, whatever other
+    programs share the stack.
 
     The original LP's row duals ``y`` give the primal optimum, ``a = y[:n]
     - y[n:2n]`` (dual feasibility gives ``|a_j| <= 1``) and ``t = y[2n]``.
@@ -233,53 +224,47 @@ def margin_lps(W: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     oriented = s0[:, None] * W[1:].T
     along = W[1:] @ s0
     size = signs.shape[0]
-    a, t, weights = np.empty((size, n)), np.empty(size), np.empty((size, m))
-    for start in range(0, size, CHUNK):
-        chunk = signs[start:start + CHUNK]
-        batch = chunk.shape[0]
-        stop = start + batch
-        # The tableaux are written in place: stacking them from temporaries
-        # of their own size costs page faults once they exceed malloc's mmap
-        # threshold.
-        T = np.empty((batch,) + fixed.shape)
-        T[:] = fixed
-        D = T[:, n:2 * n, :k]
-        np.multiply(oriented, chunk[:, None, 1:], out=D)
-        np.subtract(mag[:, None], D, out=D)
-        np.add(D, D, out=T[:, :n, :k])
-        # obj[p, j] = z_j - c_j at the slack basis, whose costs are all zero,
-        # so it holds the negated costs (a zero cost as -0.0, whose sign can
-        # reach the duals); obj[p, -1] is the objective value.
-        obj = np.full((batch, fixed.shape[1]), -0.0)
-        obj[:, :k] = -(norm1 - chunk[:, 1:] * along)
-        obj[:, k:n_var - 1] = 1.0
-        obj[:, n_var - 1] = norm1
-        obj[:, -1] = 0.0
-        basis = np.repeat(n_var + np.arange(n_rows)[None], batch, axis=0)
-        order, unbounded, _ = _run_simplex(T, obj, basis)
-        if unbounded.any():
-            raise RuntimeError("a margin LP was reported unbounded; its objective is at most 0")
-        # The stacks come back reordered: program order[p] sits at p.
-        y = np.zeros((batch, n_var + n_rows))
-        y[order[:, None], basis] = T[:, :, -1]
-        # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
-        # witness weights that reports print.
-        x = y[:, :n_var] + 0.0
-        # Slack column i prices its own row: z_i - 0 = y . e_i, the row dual.
-        duals = obj[np.argsort(order), n_var:-1]
-        # The original LP's duals: a loose row's is the solver's, a tight
-        # row's the reduced cost of its slack, 1 less the pair's two duals.
-        # Row i is tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times
-        # (tight dual - loose dual).
-        loose = duals[:, :n]
-        a[start:stop] = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
-        # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
-        # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
-        # row 2n's dual.
-        margin = np.matmul(a[start:stop, None, :], w0)[:, 0] - duals[:, 2 * n]
-        lam = weights[start:stop]
-        lam[:, 1:] = x[:, :k]
-        # lam_0 is row 2n's slack.
-        lam[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
-        t[start:stop] = np.where(margin > REDUCED_COST_TOL, margin, 0.0)
-    return a, t, weights
+    # The tableaux are written in place: stacking them from temporaries of
+    # their own size costs page faults once they exceed malloc's mmap
+    # threshold.
+    T = np.empty((size,) + fixed.shape)
+    T[:] = fixed
+    D = T[:, n:2 * n, :k]
+    np.multiply(oriented, signs[:, None, 1:], out=D)
+    np.subtract(mag[:, None], D, out=D)
+    np.add(D, D, out=T[:, :n, :k])
+    # obj[p, j] = z_j - c_j at the slack basis, whose costs are all zero, so
+    # it holds the negated costs (a zero cost as -0.0, whose sign can reach
+    # the duals); obj[p, -1] is the objective value.
+    obj = np.full((size, fixed.shape[1]), -0.0)
+    obj[:, :k] = -(norm1 - signs[:, 1:] * along)
+    obj[:, k:n_var - 1] = 1.0
+    obj[:, n_var - 1] = norm1
+    obj[:, -1] = 0.0
+    basis = np.repeat(n_var + np.arange(n_rows)[None], size, axis=0)
+    order, unbounded, _ = _run_simplex(T, obj, basis)
+    if unbounded.any():
+        raise RuntimeError("a margin LP was reported unbounded; its objective is at most 0")
+    # The stacks come back reordered: program order[p] sits at p.
+    y = np.zeros((size, n_var + n_rows))
+    y[order[:, None], basis] = T[:, :, -1]
+    # Adding 0.0 turns a -0.0 into 0.0, so no negative zero reaches the
+    # witness weights that reports print.
+    x = y[:, :n_var] + 0.0
+    # Slack column i prices its own row: z_i - 0 = y . e_i, the row dual.
+    duals = obj[np.argsort(order), n_var:-1]
+    # The original LP's duals: a loose row's is the solver's, a tight row's
+    # the reduced cost of its slack, 1 less the pair's two duals. Row i is
+    # tight where s_i = +1, so a_i = y[i] - y[n+i] is s_i times (tight dual
+    # - loose dual).
+    loose = duals[:, :n]
+    a = s0 * ((1.0 - duals[:, n:2 * n] - loose) - loose)
+    # Row 2n's is the reduced cost of its slack, |w_0|_1 - sum_i |w_0i|
+    # (tight dual + 2 loose dual) - row 2n's dual, that is a . w_0 less
+    # row 2n's dual.
+    margin = np.matmul(a[:, None, :], w0)[:, 0] - duals[:, 2 * n]
+    weights = np.empty((size, m))
+    weights[:, 1:] = x[:, :k]
+    # lam_0 is row 2n's slack.
+    weights[:, 0] = 1.0 + x[:, -1] - x[:, :k].sum(axis=1)
+    return a, np.where(margin > REDUCED_COST_TOL, margin, 0.0), weights

@@ -1,6 +1,7 @@
 """Tests for the sign-pattern certification pipeline."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,7 +174,7 @@ class TestStrictVFamily:
         # Round-off can leave the LP's claimed margin slightly above what the
         # generators meet; the pattern is certified at the verified margin.
         # Without the closed-form direction every pattern goes to the LP.
-        monkeypatch.setattr(certify, "_screen", lambda *args: None)
+        monkeypatch.setattr(certify, "_closed_form", lambda *args: None)
         exact = lpsolve.margin_lps
 
         def inflated(units, signs):
@@ -192,7 +193,7 @@ class TestStrictVFamily:
         # Tilt the (+, +) direction until it has a negative product with the
         # generator (1, 0): no margin shaved off the LP's can then verify.
         # Without the closed-form direction every pattern goes to the LP.
-        monkeypatch.setattr(certify, "_screen", lambda *args: None)
+        monkeypatch.setattr(certify, "_closed_form", lambda *args: None)
         exact = lpsolve.margin_lps
         passed = {}
 
@@ -217,21 +218,28 @@ class TestStrictVFamily:
     def test_closed_form_direction_failing_post_hoc_check_goes_to_the_lp(self, monkeypatch):
         # The same tilt on the closed-form direction of (+, +), with a claim
         # above the threshold, fails the same re-check; the pattern then gets
-        # its LP, which certifies it as if there were no closed form.
-        exact = certify._screen
+        # its LP, which certifies it as if there were no closed form. The
+        # closed form's own claim follows its direction, so the tilt is made
+        # where the judge receives both, in its first call.
+        exact = certify._judge
+        calls = []
 
-        def tilted(*args):
-            a, t = exact(*args)
-            a[0] = [-0.1, 1.0]
-            return a, t
+        def tilted(W, norms, signs, threshold, a, t):
+            calls.append(len(t))
+            if len(calls) == 1:
+                assert t[0] > threshold
+                a[0] = [-0.1, 1.0]
+            return exact(W, norms, signs, threshold, a, t)
 
-        monkeypatch.setattr(certify, "_screen", tilted)
+        monkeypatch.setattr(certify, "_judge", tilted)
         report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified
         res = pattern_by_signs(report, (1, 1))
         assert res.lp_margin is not None
         assert result_bytes(res) == result_bytes(lp_pattern_results(QUAD_COLUMNS)[0])
         assert pattern_by_signs(report, (1, -1)).lp_margin is None
+        # One closed-form call over both patterns, then one LP call for (+, +).
+        assert calls == [2, 1]
 
     def test_certificates_reverify_with_shaved_margin(self):
         report = certify_matrix_family(QUAD_COLUMNS)
@@ -535,12 +543,12 @@ def test_pattern_results_match_reference(monkeypatch, columns):
 
 
 def record_calls(monkeypatch, *functions) -> dict:
-    """Record the arguments and result of each ``(module, name)`` function's last call."""
-    seen = {}
+    """Record the arguments and result of every call of each ``(module, name)`` function."""
+    seen = {name: [] for _, name in functions}
     for module, name in functions:
         def recording(*args, exact=getattr(module, name), name=name):
-            seen[name] = args, exact(*args)
-            return seen[name][1]
+            seen[name].append((args, exact(*args)))
+            return seen[name][-1][1]
         monkeypatch.setattr(module, name, recording)
     return seen
 
@@ -561,15 +569,31 @@ def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     # A screened pattern reports no LP margin; the LPs are exactly those of
     # the other patterns, in pattern order, and a family the screen decides
     # entirely builds no LP batch.
-    seen = record_calls(monkeypatch, (certify, "_screen"), (lpsolve, "margin_lps"))
+    seen = record_calls(monkeypatch, (certify, "_closed_form"), (certify, "_judge"),
+                        (lpsolve, "margin_lps"))
     report = certify_matrix_family(columns)
-    (_, W, _, signs), (a_box, t_box) = seen["_screen"]
+    W, signs = margin_lp_inputs(columns)
     todo = [k for k, res in enumerate(report.pattern_results) if res.lp_margin is not None]
+    # The judge sees the closed-form chunks, all patterns in order, then
+    # one chunk per LP batch; every chunk has at most CHUNK patterns.
+    batches = seen["margin_lps"]
+    judged = seen["_judge"]
+    closed = judged[:len(judged) - len(batches)]
+    assert len(closed) == -(-len(signs) // certify.CHUNK)
+    assert len(batches) == -(-len(todo) // certify.CHUNK)
+    assert all(len(args[2]) <= certify.CHUNK for args, _ in judged)
+    assert np.concatenate([args[2] for args, _ in closed]).tobytes() == signs.tobytes()
     if todo:
-        (_, asked), (a, t, weights) = seen["margin_lps"]
+        asked = np.concatenate([args[1] for args, _ in batches])
         assert asked.tobytes() == signs[todo].tobytes()
-    else:
-        assert "margin_lps" not in seen
+        a, t, weights = (np.concatenate(part) for part in zip(*(out for _, out in batches)))
+    a_box, t_box = (np.concatenate(part) for part in zip(*(args[4:] for args, _ in closed)))
+    # The closed-form claims are a = C^-T s on the box scale and its least
+    # product with a signed unit generator.
+    (_, A), = seen["_closed_form"]
+    box = np.abs(A).max(axis=0)
+    assert a_box.tobytes() == (A / box).T.tobytes()
+    np.testing.assert_allclose(t_box, ((W @ A).T * signs).min(axis=1) / box, rtol=0, atol=1e-15)
     for k, res in enumerate(report.pattern_results):
         signed = W * signs[k, :, None]
         if res.lp_margin is None:
@@ -646,11 +670,11 @@ def test_each_lp_is_solved_as_if_alone(n):
     full = lpsolve.margin_lps(W, signs)
     subsets = [[k] for k in range(len(signs))]
     subsets += [np.sort(rng.choice(len(signs), size=size, replace=False))
-                for size in (2, lpsolve.CHUNK - 1, lpsolve.CHUNK + 3, len(signs) // 2)
+                for size in (2, certify.CHUNK - 1, certify.CHUNK + 3, len(signs) // 2)
                 if size <= len(signs)]
-    if len(signs) > lpsolve.CHUNK:
-        # Subsets whose rows sit in different batches of the full call.
-        assert sum(s[0] // lpsolve.CHUNK != s[-1] // lpsolve.CHUNK for s in subsets) >= 3
+    if len(signs) > certify.CHUNK:
+        # Subsets whose rows sit in different chunks of certify's LP loop.
+        assert sum(s[0] // certify.CHUNK != s[-1] // certify.CHUNK for s in subsets) >= 3
     for subset in subsets:
         part = lpsolve.margin_lps(W, signs[subset])
         for got, want in zip(part, full, strict=True):
@@ -665,11 +689,29 @@ def test_each_lp_is_solved_as_if_alone(n):
     [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])],
 ], ids=["column-mean-at-origin", "coinciding-column-means"])
 def test_singular_column_means_fall_through_to_the_lp(monkeypatch, columns):
-    seen = record_calls(monkeypatch, (certify, "_screen"))
+    seen = record_calls(monkeypatch, (certify, "_closed_form"))
     report = certify_matrix_family(columns)
-    assert seen["_screen"][1] is None
+    (_, A), = seen["_closed_form"]
+    assert A is None
     assert [result_bytes(r) for r in report.pattern_results] == \
         [result_bytes(r) for r in lp_pattern_results(columns)]
+
+
+def test_transient_memory_stays_small():
+    # Certifying an n=14 family holds its report and, beyond that, about one
+    # chunk of patterns at a time: no array of all 8,192 patterns times all
+    # 280 generators (18 MB each) is formed. The cached pattern enumeration
+    # is built first, so it is not counted.
+    columns = near_identity_columns(np.random.default_rng(1), 14)
+    certify._sign_patterns(14)
+    tracemalloc.start()
+    try:
+        report = certify_matrix_family(columns)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.certified
+    assert peak - held < 8e6
 
 
 def test_large_near_identity_family_needs_no_lp(monkeypatch):

@@ -288,6 +288,39 @@ class TestMainExitCodes:
         assert captured.err.startswith("invcert: internal error: ")
         assert captured.err.endswith("\n")
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_too_many_patterns_exits_three(self, tmp_path, capsys, n):
+        # 2^(n-1) patterns cannot be indexed by int64; they are refused
+        # before any array is built.
+        doc = json.dumps({"mode": "matrix-family", "dimension": n,
+                          "columns": np.eye(n)[:, None, :].tolist()})
+        code = main(["--input", self.write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == \
+            f"invcert: {n} columns need 2^{n - 1} sign patterns, too many to enumerate\n"
+
+    def test_patterns_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        # The enumeration's first array of 2^33 rows raises MemoryError here
+        # without allocating, as it would on a machine without the room.
+        exact = np.arange
+
+        def arange(*args, **kwargs):
+            if isinstance(args[0], int) and args[0] >= 1 << 32:
+                raise MemoryError
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", arange)
+        doc = json.dumps({"mode": "matrix-family", "dimension": 34,
+                          "columns": np.eye(34)[:, None, :].tolist()})
+        code = main(["--input", self.write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == \
+            "invcert: 34 columns need 2^33 sign patterns, too many to enumerate\n"
+
     @pytest.mark.parametrize("flag", ["--delta", "--threshold"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     def test_flag_must_be_finite_and_positive(self, tmp_path, capsys, flag, value):

@@ -581,6 +581,7 @@ def test_screened_and_lp_patterns_match_reference(monkeypatch, columns):
     closed = judged[:len(judged) - len(batches)]
     assert len(closed) == -(-len(signs) // certify.CHUNK)
     assert len(batches) == -(-len(todo) // certify.CHUNK)
+    assert all(len(args[1]) <= certify.CHUNK for args, _ in batches)
     assert all(len(args[2]) <= certify.CHUNK for args, _ in judged)
     assert np.concatenate([args[2] for args, _ in closed]).tobytes() == signs.tobytes()
     if todo:

@@ -162,6 +162,8 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     strict = np.zeros(size, dtype=bool)
     a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     live = np.flatnonzero(t > threshold)
+    if live.size == 0:
+        return strict, a_unit, epsilon
     a = a_raw[live]
     # |a| as np.linalg.norm takes it, one dot product per row.
     scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])

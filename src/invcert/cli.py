@@ -20,8 +20,10 @@ A run builds one payload, :func:`report_to_dict` plus ``oracle`` and
 ``per_patch`` sections where those flags apply, and prints it as JSON or
 renders it as text lines read from that payload alone.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
-1 not certified, 2 degenerate input, 3 usage or parse error, 4 internal
-error (a solver or certification failure that should not happen).
+1 not certified, 2 degenerate input, 3 usage or parse error (a closed
+stdin included), 4 internal error (a solver or certification failure
+that should not happen). A reader that closes stdout early does not
+change the code: the run still exits with its verdict's.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -415,6 +418,8 @@ def main(argv=None) -> int:
 
     try:
         if args.input == "-":
+            if sys.stdin is None:
+                raise OSError("standard input is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(args.input, "rb") as fh:
@@ -480,7 +485,14 @@ def main(argv=None) -> int:
         print(f"invcert: internal error: {exc}", file=sys.stderr)
         return 4
 
-    print(_render(payload, doc.fmt))
+    try:
+        print(_render(payload, doc.fmt), flush=True)
+    except BrokenPipeError:
+        # The reader left early; the verdict stands. What is still buffered
+        # goes to devnull, so the interpreter's flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if report.degenerate_column is not None:
         return 2
     return 0 if report.verdict == VERDICT_STRICT else 1

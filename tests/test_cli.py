@@ -1,9 +1,11 @@
 """End-to-end tests for document parsing, report emission, and exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from helpers import (
     identity_grid_2x2,
     identity_net,
     invalid_input_documents,
+    near_identity_columns,
     quad_net,
 )
 from oracles import check_collision_witness
@@ -364,7 +367,7 @@ class TestMainExitCodes:
             path = tmp_path / f"doc-{k}.json"
             path.write_text(doc)
             map_like = parse_input(doc).payload
-            for trials, seed in (("3", "0"), ("50", "6"), ("2000", "7")):
+            for trials, seed in (("3", "0"), ("50", "6"), ("2000", "0"), ("2000", "7")):
                 argv = ["--input", str(path), "--oracle", trials, "--seed", seed]
                 main(argv + ["--format", "structured"])
                 pair = json.loads(capsys.readouterr().out)["oracle"]["witness"]
@@ -447,17 +450,35 @@ class TestMainExitCodes:
     def test_wide_constant_patch_lists_no_patterns(self, tmp_path, capsys):
         # Degree 0 along all 20 axes: every column is zero, and the report
         # says so without enumerating the 2^19 sign patterns.
-        points: object = [0.5] * 20
-        for _ in range(20):
-            points = [points]
-        doc = json.dumps({"mode": "bb-patch", "dimension": 20, "degrees": [0] * 20,
-                          "control_points": points})
-        code = main(["--input", self.write(tmp_path, doc), "--format", "structured"])
+        code = main(["--input", self.write(tmp_path, constant_patch_doc(20)),
+                     "--format", "structured"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 2
         assert payload["pattern_results"] == []
         assert payload["degenerate_column"] == 0
         assert payload["generator_counts"] == [1] * 20
+
+    @pytest.mark.parametrize("n, seed, noise", [(12, 12, 0.05), (8, 2, 0.15)],
+                             ids=["12-columns-closed-form", "8-columns-some-lp"])
+    def test_near_identity_family_splits_between_closed_form_and_lp(self, tmp_path, capsys,
+                                                                    n, seed, noise):
+        # Every pattern of the 12-column family is certified in closed form;
+        # the 8-column family leaves some, not all, to the LP. The report
+        # checked its certificates once, as one stack; each is checked again
+        # here as the JSON gives it.
+        doc = family_doc(near_identity_columns(np.random.default_rng(seed), n, noise=noise))
+        code = main(["--input", self.write(tmp_path, doc), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        patterns = json.loads(captured.out)["pattern_results"]
+        assert len(patterns) == 2 ** (n - 1)
+        with_lp = sum(p["lp_margin"] is not None for p in patterns)
+        assert with_lp == 0 if n == 12 else 0 < with_lp < len(patterns)
+        a = np.array([p["certificate"]["a"] for p in patterns])
+        epsilon = np.array([p["certificate"]["epsilon"] for p in patterns])
+        assert np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.isfinite(epsilon) & (epsilon > 0.0))
 
     def test_oracle_skipped_for_matrix_family(self, tmp_path, capsys):
         code = main(["--input", self.write(tmp_path, MATRIX_DOC), "--oracle", "10"])
@@ -488,6 +509,27 @@ def patch_doc(points, **extra) -> str:
     return json.dumps({"mode": "bb-patch", "dimension": points.shape[-1],
                        "degrees": [s - 1 for s in points.shape[:-1]],
                        "control_points": points.tolist(), **extra})
+
+
+def family_doc(columns: list[GeneratorSet]) -> str:
+    return json.dumps({"mode": "matrix-family", "dimension": len(columns),
+                       "columns": [col.vectors.tolist() for col in columns]})
+
+
+def constant_patch_doc(axes: int) -> str:
+    """A patch of degree 0 along every axis: every column is zero."""
+    points: object = [0.5] * axes
+    for _ in range(axes):
+        points = [points]
+    return json.dumps({"mode": "bb-patch", "dimension": axes, "degrees": [0] * axes,
+                       "control_points": points})
+
+
+def zero_column_family_doc(n: int, column: int) -> str:
+    """The identity family with one column replaced by the zero vector."""
+    columns = [GeneratorSet(j, [np.eye(n)[j]]) for j in range(n)]
+    columns[column] = GeneratorSet(column, [np.zeros(n)])
+    return family_doc(columns)
 
 
 HUGE_LINEAR_DOC = patch_doc([[[0, 0], [0, 1e200]], [[1e200, 0], [1e200, 1e200]]])
@@ -622,6 +664,77 @@ class TestInputBeyondTheSchemaChecks:
         capsys.readouterr()
 
 
+class TestInAProcessOfItsOwn:
+    """``python -m invcert`` with closed streams, under time and memory limits."""
+
+    @pytest.mark.parametrize("doc, column", [
+        (constant_patch_doc(30), 0),
+        (zero_column_family_doc(24, 7), 7),
+    ], ids=["30-axis-degree-0-patch", "24-column-family-with-a-zero-column"])
+    def test_wide_degenerate_document_exits_two_at_once(self, doc, column):
+        # A degenerate report lists no patterns, so none is enumerated: the
+        # 2^29 or 2^23 patterns would not fit in the timeout, or in memory.
+        proc = subprocess.run([sys.executable, "-m", "invcert", "--format", "structured"],
+                              input=doc, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["pattern_results"] == []
+        assert payload["degenerate_column"] == column
+
+    def test_sixteen_column_family_in_bounded_memory(self, tmp_path):
+        # Every one of the 32,768 patterns is decided, one chunk of patterns
+        # at a time, so memory does not grow with patterns times generators;
+        # a family-wide patterns x generators sign matrix peaked at 296 MB.
+        # The peak is this child's own, read as it is reaped: RUSAGE_CHILDREN
+        # would give the largest of every child this process has reaped.
+        (tmp_path / "doc.json").write_text(
+            family_doc(near_identity_columns(np.random.default_rng(1), 16)))
+        with open(tmp_path / "doc.json") as stdin, open(tmp_path / "out.txt", "w") as stdout, \
+                open(tmp_path / "err.txt", "w") as stderr:
+            proc = subprocess.Popen([sys.executable, "-m", "invcert", "--format", "text"],
+                                    stdin=stdin, stdout=stdout, stderr=stderr)
+            watchdog = threading.Timer(120, proc.kill)
+            watchdog.start()
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            finally:
+                watchdog.cancel()
+        # Reaped here, so Popen must not wait for it again.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out = (tmp_path / "out.txt").read_text()
+        assert proc.returncode == 0
+        assert (tmp_path / "err.txt").read_text() == ""
+        assert len(re.findall(r"^[+-](?: [+-])* +strict ", out, flags=re.M)) == 32768
+        # ru_maxrss is in kB on Linux.
+        assert usage.ru_maxrss / 1024 < 200
+
+    @pytest.mark.parametrize("doc, code", [
+        (family_doc([GeneratorSet(0, [[1.0, 0.0], [1.0, 0.1]]),
+                     GeneratorSet(1, [[0.0, 1.0]])]), 0),
+        (COLLAPSED_DOC, 1),
+    ], ids=["certified", "not-certified"])
+    def test_closed_stdout_keeps_the_verdict(self, doc, code):
+        # The reader of stdout is gone before the report is written, as
+        # under `invcert | head -1`: the exit code is still the verdict's.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "invcert"], input=doc.encode(),
+                                  stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == b""
+
+    def test_closed_stdin_exits_three(self):
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m invcert <&-', sys.executable],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "invcert: cannot read input: standard input is closed\n"
+
+
 class TestStructuredOutputIsJson:
     def test_cli_small_like_corpus_parses_strictly(self, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -753,6 +866,16 @@ oracle collision: none
 oracle agreement: consistent (certified, no collision found)
 """),
 }
+
+# Both flags at once: the per-patch and oracle sections follow the report.
+GOLDEN["readme-grid-per-patch-oracle"] = (
+    README_GRID_DOC, ["--per-patch", "--oracle", "2000", "--seed", "1"], 0,
+    GOLDEN["readme-grid-per-patch"][3] + """\
+oracle trials: 2000
+oracle seed: 1
+oracle collision: none
+oracle agreement: consistent (certified, no collision found)
+""")
 
 
 def _text_value(lines: list[str], prefix: str) -> str | None:

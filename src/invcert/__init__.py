@@ -20,18 +20,16 @@ from .bernstein import (
     eval_many,
 )
 from .certify import (
+    DEFAULT_DELTA,
     DEFAULT_THRESHOLD,
     CertificateReport,
+    DegenerateColumn,
+    GeneratorSet,
     PatternResult,
     Witness,
     certify_map,
     certify_matrix_family,
     grid_column_generators,
-)
-from .cones import (
-    DEFAULT_DELTA,
-    DegenerateColumn,
-    GeneratorSet,
     normalize_generators,
 )
 from .oracle import CollisionReport, sampled_injectivity

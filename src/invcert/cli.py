@@ -22,8 +22,9 @@ renders it as text lines read from that payload alone.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
 1 not certified, 2 degenerate input, 3 usage or parse error (a closed
 stdin included), 4 internal error (a solver or certification failure
-that should not happen). A reader that closes stdout early does not
-change the code: the run still exits with its verdict's.
+that should not happen). A reader that closes stdout or stderr early
+does not change the code: the run still exits with the code it would
+have had.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ import numpy as np
 
 from .bernstein import ControlNet, PatchGrid
 from .certify import (
+    DEFAULT_DELTA,
     DEFAULT_THRESHOLD,
     CertificateReport,
+    GeneratorSet,
     VERDICT_STRICT,
     _certify_cells,
     certify_map,
     certify_matrix_family,
 )
-from .cones import DEFAULT_DELTA, GeneratorSet
 from .oracle import MAX_TRIALS, sampled_injectivity
 
 __all__ = [
@@ -378,12 +380,23 @@ def _oracle_dict(doc: InputDocument, report: CertificateReport,
             "collided": collision.collided, "witness": witness, "agreement": agreement}
 
 
+def _write_line(stream, line: str) -> None:
+    """Write one line; if the stream's reader has gone away, the run goes on."""
+    try:
+        print(line, file=stream, flush=True)
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so later writes and the
+        # interpreter's flush at exit raise nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     # The exit-code contract reserves 2 for degenerate inputs; argparse's
     # default usage-error exit code collides with it.
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _write_line(sys.stderr, f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(3)
 
 
@@ -425,19 +438,19 @@ def main(argv=None) -> int:
             with open(args.input, "rb") as fh:
                 data = fh.read()
     except OSError as exc:
-        print(f"invcert: cannot read input: {exc}", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: cannot read input: {exc}")
         return 3
 
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        print(f"invcert: invalid input: not UTF-8 text: {exc}", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: invalid input: not UTF-8 text: {exc}")
         return 3
 
     try:
         doc = parse_input(text)
     except InputError as exc:
-        print(f"invcert: invalid input: {exc}", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: invalid input: {exc}")
         return 3
 
     for flag in ("delta", "threshold"):
@@ -445,16 +458,16 @@ def main(argv=None) -> int:
         if value is None:
             continue
         if not (math.isfinite(value) and value > 0.0):
-            print(f"invcert: --{flag} must be finite and positive", file=sys.stderr)
+            _write_line(sys.stderr, f"invcert: --{flag} must be finite and positive")
             return 3
         doc = replace(doc, **{flag: value})
     if args.format is not None:
         doc = replace(doc, fmt=args.format)
     if args.oracle is not None and not 1 <= args.oracle <= MAX_TRIALS:
-        print(f"invcert: --oracle takes 1 to {MAX_TRIALS} trials", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: --oracle takes 1 to {MAX_TRIALS} trials")
         return 3
     if args.seed < 0:
-        print("invcert: --seed must be a non-negative integer", file=sys.stderr)
+        _write_line(sys.stderr, "invcert: --seed must be a non-negative integer")
         return 3
 
     try:
@@ -462,14 +475,14 @@ def main(argv=None) -> int:
         payload = report_to_dict(report)
         if args.oracle is not None:
             if doc.mode == "matrix-family":
-                print("invcert: --oracle needs a map input; skipped for matrix-family",
-                      file=sys.stderr)
+                _write_line(sys.stderr,
+                            "invcert: --oracle needs a map input; skipped for matrix-family")
             else:
                 payload["oracle"] = _oracle_dict(doc, report, args.oracle, args.seed)
         if args.per_patch:
             if doc.mode != "bb-grid":
-                print("invcert: --per-patch applies to bb-grid inputs; skipped",
-                      file=sys.stderr)
+                _write_line(sys.stderr,
+                            "invcert: --per-patch applies to bb-grid inputs; skipped")
             else:
                 payload["per_patch"] = [
                     {"cell": list(cell), "report": report_to_dict(
@@ -477,22 +490,15 @@ def main(argv=None) -> int:
                     for cell in doc.payload.cells()
                 ]
     except ValueError as exc:
-        print(f"invcert: {exc}", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: {exc}")
         return 3
     except RuntimeError as exc:
         # Solver failures (the iteration limit, an unbounded margin LP); exit
         # code 1 would misreport them as "not certified".
-        print(f"invcert: internal error: {exc}", file=sys.stderr)
+        _write_line(sys.stderr, f"invcert: internal error: {exc}")
         return 4
 
-    try:
-        print(_render(payload, doc.fmt), flush=True)
-    except BrokenPipeError:
-        # The reader left early; the verdict stands. What is still buffered
-        # goes to devnull, so the interpreter's flush at exit raises nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write_line(sys.stdout, _render(payload, doc.fmt))
     if report.degenerate_column is not None:
         return 2
     return 0 if report.verdict == VERDICT_STRICT else 1

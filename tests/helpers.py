@@ -17,7 +17,7 @@ from invcert import (
 )
 from invcert import lpsolve
 from invcert.cli import InputDocument
-from invcert.cones import SignPattern
+from invcert.certify import SignPattern
 
 
 def identity_net(n: int = 2) -> ControlNet:

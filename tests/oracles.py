@@ -58,8 +58,10 @@ from invcert import (
     eval_many,
 )
 from invcert import lpsolve
-from invcert.certify import DEFAULT_THRESHOLD, STATUS_NOT_STRICT, STATUS_STRICT
-from invcert.cones import (
+from invcert.certify import (
+    DEFAULT_THRESHOLD,
+    STATUS_NOT_STRICT,
+    STATUS_STRICT,
     Certificate,
     DegenerateColumn,
     _generator_norms,

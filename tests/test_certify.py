@@ -19,7 +19,7 @@ from invcert import (
 )
 from invcert import certify, lpsolve
 from invcert.cli import parse_input, run
-from invcert.cones import dedup_exact
+from invcert.certify import dedup_exact
 
 from helpers import (
     apply_sign_pattern,

@@ -727,6 +727,28 @@ class TestInAProcessOfItsOwn:
         assert proc.returncode == code
         assert proc.stderr == b""
 
+    @pytest.mark.parametrize("doc, flags, code", [
+        (MATRIX_DOC, ["--oracle", "10"], 0),
+        (MATRIX_DOC, ["--per-patch"], 0),
+        ('{"mode": "nope"}', [], 3),
+        (MATRIX_DOC, ["--bogus"], 3),
+        (MATRIX_DOC, ["--oracle", "0"], 3),
+        (MATRIX_DOC, ["--delta", "nan"], 3),
+    ], ids=["skipped-oracle", "skipped-per-patch", "bad-mode", "unknown-flag", "zero-trials",
+            "nan-delta"])
+    def test_closed_stderr_keeps_the_exit_code(self, doc, flags, code):
+        # Every one of these runs writes one line to stderr, whose reader is
+        # already gone: the exit code and the report on stdout stay as they are.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "invcert", *flags], input=doc.encode(),
+                                  stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert (b"verdict: STRICT-V-FAMILY" in proc.stdout) == (code == 0)
+
     def test_closed_stdin_exits_three(self):
         proc = subprocess.run(["sh", "-c", 'exec "$0" -m invcert <&-', sys.executable],
                               capture_output=True, text=True)

@@ -12,7 +12,7 @@ from invcert import (
     GeneratorSet,
     normalize_generators,
 )
-from invcert.cones import SignPattern, _check_certificates, _sign_patterns
+from invcert.certify import SignPattern, _check_certificates, _sign_patterns
 
 from helpers import apply_sign_pattern
 from oracles import verify_certificate

@@ -24,12 +24,12 @@ from invcert import (
 )
 from invcert.bernstein import _as_grid as as_grid, _derivative_points
 from invcert.certify import (
+    DEFAULT_DELTA,
     DEFAULT_THRESHOLD,
     PROVENANCE_MULTI,
     PROVENANCE_SINGLE,
     _certify_cells,
 )
-from invcert.cones import DEFAULT_DELTA
 
 from oracles import (
     reference_column_generators,

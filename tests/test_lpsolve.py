@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from invcert import GeneratorSet, certify_matrix_family, lpsolve
-from invcert.cones import DegenerateColumn
+from invcert.certify import DegenerateColumn
 
 from helpers import (
     integer_families,

@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import linprog
 
 from invcert import certify_matrix_family, lpsolve
-from invcert.cones import normalize_generators
+from invcert.certify import normalize_generators
 
 from helpers import near_identity_columns
 from oracles import lp_pattern_results, reference_margin_lps

@@ -12,7 +12,7 @@ from invcert import (
 )
 from invcert import oracle
 from invcert.bernstein import _derivative_points, _reduce_batch
-from invcert.cones import GeneratorSet
+from invcert.certify import GeneratorSet
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
 from helpers import (

@@ -10,9 +10,9 @@ numerically stable on [0,1] and reproduces corner control points exactly.
 Differentiation along an axis is the first-difference construction: its
 control points, one fewer along that axis, enclose every value of the
 partial derivative on the patch. Along an axis of degree 0 the map is
-constant and the derivative is the zero net. The certifier consumes
-derivative control points as column generators, and the sampling oracle
-evaluates them as exact Jacobians.
+constant and the derivative is the zero net. The module gives a map's
+values, its exact Jacobians and each cell's derivative control points in
+global coordinates, which the certifier stacks as column generators.
 """
 
 from __future__ import annotations
@@ -206,6 +206,17 @@ def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -
     return points
 
 
+def _cell_derivatives(grid: PatchGrid, cell: tuple) -> list[np.ndarray]:
+    """The cell's derivative control points per axis, in global coordinates.
+
+    Axis ``j``'s points are divided by the cell's width along ``j`` (chain
+    rule), so they enclose column ``j`` of the map's Jacobian on the cell;
+    a one-cell grid divides by 1.0, exactly.
+    """
+    net, widths = grid.patches[cell], grid.cell_widths(cell)
+    return [_derivative_points(net, j, widths[j]) for j in range(grid.dimension)]
+
+
 def _cell_groups(grid: PatchGrid, pts: np.ndarray):
     """Split checked global points by the cell that contains them.
 
@@ -268,3 +279,19 @@ def eval_many(map_like, xs) -> np.ndarray:
     for cell, rows, local in groups:
         out[rows] = _reduce_batch(grid.patches[cell].points, local)
     return out
+
+
+def _jacobians(grid: PatchGrid, derivatives, xs: np.ndarray) -> np.ndarray:
+    """Exact Jacobians at checked global points, shape (N, n) -> (N, n, n).
+
+    ``derivatives`` maps each cell to its :func:`_cell_derivatives`; column
+    ``j`` at a point reduces its cell's axis-``j`` points at the local
+    coordinates. Along a degree-0 axis they are zeros, which reduce to a
+    column of +0.0.
+    """
+    n = grid.dimension
+    J = np.zeros((xs.shape[0], n, n))
+    for cell, rows, local in _cell_groups(grid, xs):
+        for axis, points in enumerate(derivatives[cell]):
+            J[rows, :, axis] = _reduce_batch(points, local)
+    return J

@@ -18,12 +18,11 @@ convex domain: along the segment between any two domain points, the
 difference of map values integrates Jacobian columns whose signed
 combination stays inside one certified cone, so it cannot vanish.
 
-For a piecewise Bezier map the column generators are the per-patch
-derivative control points, rescaled by the cell widths so they live in
-global coordinates, and aggregated by union across patches. The union is
-enough: the test only sees cone hulls, which convex aggregation does not
-enlarge. They are formed in one pass over the control points, with no
-derivative net per cell, and exact duplicates are dropped once per
+For a piecewise Bezier map the column generators are each cell's
+derivative control points in global coordinates, as
+:mod:`invcert.bernstein` forms them, aggregated by union across patches.
+The union is enough: the test only sees cone hulls, which convex
+aggregation does not enlarge. Exact duplicates are dropped once per
 column. Coordinates may have any finite size: generators are normalized
 before any LP sees them, and a derivative control point or generator
 norm beyond the float range raises ``ValueError``.
@@ -38,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lpsolve
-from .bernstein import PatchGrid, _as_grid, _derivative_points
+from .bernstein import PatchGrid, _as_grid, _cell_derivatives
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -503,9 +502,9 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
     """Union of the given cells' scaled generators, one set per column.
 
     ``cells`` holds index tuples, as :meth:`PatchGrid.cells` lists them.
-    A cell's derivative control points along axis ``j`` are divided by
-    its width along ``j`` (chain rule), so they live in global
-    coordinates; the factor is positive, so cone hulls are unchanged.
+    Column ``j`` takes each cell's global-coordinate derivative control
+    points along ``j`` (``bernstein._cell_derivatives``); the cell widths
+    they are divided by are positive, so cone hulls are unchanged.
     A degree-0 axis contributes the zero generator, so the column touches
     the origin. Cells are stacked in the given order and exact duplicates
     are dropped once, keeping first occurrences. Raises
@@ -517,10 +516,8 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
     n = grid.dimension
     rows: list[list[np.ndarray]] = [[] for _ in range(n)]
     for cell in cells:
-        net = grid.patches[cell]
-        widths = grid.cell_widths(cell)
-        for j in range(n):
-            rows[j].append(_derivative_points(net, j, widths[j]).reshape(-1, n))
+        for j, points in enumerate(_cell_derivatives(grid, cell)):
+            rows[j].append(points.reshape(-1, n))
     return [GeneratorSet(j, dedup_exact(np.concatenate(blocks)))
             for j, blocks in enumerate(rows)]
 

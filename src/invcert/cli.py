@@ -21,10 +21,10 @@ A run builds one payload, :func:`report_to_dict` plus ``oracle`` and
 renders it as text lines read from that payload alone.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
 1 not certified, 2 degenerate input, 3 usage or parse error (a closed
-stdin included), 4 internal error (a solver or certification failure
-that should not happen). A reader that closes stdout or stderr early
-does not change the code: the run still exits with the code it would
-have had.
+stdin and an input too large for the memory included), 4 internal
+error (a solver or certification failure that should not happen). A
+reader that closes stdout or stderr early does not change the code: the
+run still exits with the code it would have had.
 """
 
 from __future__ import annotations
@@ -428,7 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except MemoryError:
+        _write_line(sys.stderr, "invcert: not enough memory for this input")
+        return 3
 
+
+def _main(args) -> int:
     try:
         if args.input == "-":
             if sys.stdin is None:

@@ -13,7 +13,8 @@ agree within COLLISION_TOL, and the same map, trials and seed give the
 same report. Which collision is reported is not part of it.
 
 The candidate pairs are refined in lockstep: each round evaluates the
-Jacobians of every running candidate together, solves all their damped
+exact Jacobians of every running candidate together, as
+:mod:`invcert.bernstein` forms them, solves all their damped
 Gauss-Newton systems in one stacked solve and tries every step length of
 every candidate in one evaluation. The run returns the first collision
 any candidate stops at.
@@ -26,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import (
-    PatchGrid,
-    _as_grid,
-    _cell_groups,
-    _derivative_points,
-    _reduce_batch,
-    eval_many,
-)
+from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _jacobians, eval_many
 
 __all__ = [
     "COLLISION_TOL",
@@ -79,41 +73,6 @@ class CollisionReport:
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-class _Jacobians:
-    """Exact Jacobians of a grid at a batch of points.
-
-    Column ``axis`` on a cell reduces the cell's derivative control points
-    along it, divided by the cell's width as the certifier's generators
-    are, at the local coordinates; they are formed on the cell's first
-    use. A one-cell grid divides by 1.0, exactly. Along a degree-0 axis
-    the derivative points are zeros, which reduce to a column of +0.0.
-    Every point has passed ``eval_many``'s unit-cube check, so the local
-    coordinates need no second one.
-    """
-
-    def __init__(self, grid: PatchGrid):
-        self._grid = grid
-        self._cells: dict[tuple, list] = {}
-
-    def _points(self, cell: tuple) -> list:
-        """The cell's width-scaled derivative control points per axis."""
-        if cell not in self._cells:
-            net = self._grid.patches[cell]
-            widths = self._grid.cell_widths(cell)
-            self._cells[cell] = [_derivative_points(net, axis, widths[axis])
-                                 for axis in range(self._grid.dimension)]
-        return self._cells[cell]
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        """Jacobians at the rows of ``xs``, shape (N, n) -> (N, n, n)."""
-        n = self._grid.dimension
-        J = np.zeros((xs.shape[0], n, n))
-        for cell, rows, local in _cell_groups(self._grid, xs):
-            for axis, points in enumerate(self._points(cell)):
-                J[rows, :, axis] = _reduce_batch(points, local)
-        return J
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -226,7 +185,7 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
     gap = _row_norms(r)
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
-    jac = _Jacobians(grid)
+    derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
     for it in itertools.count():
         stopping = halted | (gap <= 1e-12) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
@@ -239,7 +198,7 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
                 return None
             P, r, gap, stalls = P[keep], r[keep], gap[keep], stalls[keep]
 
-        J = jac(P.reshape(-1, n)).reshape(-1, 2, n, n)
+        J = _jacobians(grid, derivatives, P.reshape(-1, n)).reshape(-1, 2, n, n)
         M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
         step, solved = _gauss_newton_steps(M, r)
         # No step length accepts a NaN step, so an unsolved system halts.

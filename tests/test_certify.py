@@ -294,6 +294,26 @@ class TestCertifyMap:
             certify_map([[1.0, 0.0], [0.0, 1.0]])
 
 
+def discontinuous_grid():
+    """Two cells along x: the identity on [0, 0.5], then an image that restarts at x = 0.2."""
+    return PatchGrid((np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])), {
+        (0, 0): ControlNet((1, 1), [[[0.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.5, 1.0]]]),
+        (1, 0): ControlNet((1, 1), [[[0.2, 0.0], [0.2, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]),
+    })
+
+
+class TestContinuity:
+    """The paper's Lipschitz step needs a map continuous across cell faces."""
+
+    def test_discontinuous_grid_is_not_injective(self):
+        # The collision is near u = (0.684, 0.464), v = (0.495, 0.464).
+        assert sampled_injectivity(discontinuous_grid(), 4000, seed=0).collided
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: continuity is not checked")
+    def test_discontinuous_grid_is_not_certified(self):
+        assert not certify_map(discontinuous_grid()).certified
+
+
 ONE_CELL_NETS = {
     "identity": identity_net(2),
     "identity-n3": identity_net(3),

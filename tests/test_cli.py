@@ -324,6 +324,22 @@ class TestMainExitCodes:
         assert captured.err == \
             "invcert: 34 columns need 2^33 sign patterns, too many to enumerate\n"
 
+    def test_out_of_memory_outside_the_enumeration_exits_three(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # A margin LP stack grows with the generator count; here the first one
+        # raises MemoryError without allocating, as it would without the room.
+        def no_room(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(lpsolve, "margin_lps", no_room)
+        doc = json.dumps({"mode": "matrix-family", "dimension": 2,
+                          "columns": [[[1, 0], [-1, 0.2]], [[0, 1], [0.3, -1]]]})
+        code = main(["--input", self.write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "invcert: not enough memory for this input\n"
+
     @pytest.mark.parametrize("flag", ["--delta", "--threshold"])
     @pytest.mark.parametrize("value", ["inf", "nan", "0"])
     def test_flag_must_be_finite_and_positive(self, tmp_path, capsys, flag, value):

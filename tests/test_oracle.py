@@ -11,8 +11,8 @@ from invcert import (
     sampled_injectivity,
 )
 from invcert import oracle
-from invcert.bernstein import _derivative_points, _reduce_batch
-from invcert.certify import GeneratorSet
+from invcert.bernstein import _cell_derivatives, _derivative_points, _jacobians, _reduce_batch
+from invcert.certify import GeneratorSet, grid_column_generators
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
 from helpers import (
@@ -168,6 +168,20 @@ class TestSampledInjectivity:
         report = sampled_injectivity(identity_net(2), np.int64(20), seed=np.uint8(3))
         assert not report.collided
 
+    # Image differences near 1e308 overflow as squares in the pair norms.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_derivative_overflow_is_an_input_error(self, seed):
+        # The right cell's values are finite, but its derivative points are
+        # not; the refinement forms every cell's points, visited or not.
+        grid = PatchGrid((np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])), {
+            (0, 0): ControlNet((1, 1), [[[0.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.5, 1.0]]]),
+            (1, 0): ControlNet((1, 1), [[[-1e308, 0.0], [-1e308, 1.0]],
+                                        [[1e308, 0.0], [1e308, 1.0]]]),
+        })
+        with pytest.raises(ValueError, match="^derivative control points overflow$"):
+            sampled_injectivity(grid, 100, seed)
+
 
 class TestContract:
     """Every witness is a genuine collision, and every report is reproducible."""
@@ -260,6 +274,20 @@ class TestContract:
         assert 0 < collided
 
 
+def unequal_grid(rng):
+    """A 3x2 grid with unequal widths and degree-0 axes among its cells."""
+    return PatchGrid((np.array([0.0, 0.13, 0.6, 1.0]), np.array([0.0, 0.7, 1.0])), {
+        cell: ControlNet(degrees, rng.normal(size=tuple(d + 1 for d in degrees) + (2,)))
+        for cell, degrees in zip(
+            [(i, j) for i in range(3) for j in range(2)],
+            [(1, 1), (2, 0), (0, 3), (3, 2), (0, 0), (1, 2)])
+    })
+
+
+def jacobians(grid, xs):
+    return _jacobians(grid, {cell: _cell_derivatives(grid, cell) for cell in grid.patches}, xs)
+
+
 class TestJacobians:
     """Batched Jacobians against derivative nets evaluated one point at a time."""
 
@@ -281,17 +309,12 @@ class TestJacobians:
                 xs = self.points(rng, grid, 50)
                 reference = _ReferenceJacobian(map_like)
                 want = np.array([reference(x) for x in xs])
-                assert oracle._Jacobians(grid)(xs).tobytes() == want.tobytes()
+                assert jacobians(grid, xs).tobytes() == want.tobytes()
 
     def test_grids_match_to_round_off(self):
         rng = np.random.default_rng(47)
         grids = [
-            PatchGrid((np.array([0.0, 0.13, 0.6, 1.0]), np.array([0.0, 0.7, 1.0])), {
-                cell: ControlNet(degrees, rng.normal(size=tuple(d + 1 for d in degrees) + (2,)))
-                for cell, degrees in zip(
-                    [(i, j) for i in range(3) for j in range(2)],
-                    [(1, 1), (2, 0), (0, 3), (3, 2), (0, 0), (1, 2)])
-            }),
+            unequal_grid(rng),
             PatchGrid((np.array([0.0, 0.3, 1.0]), np.array([0.0, 1.0]),
                        np.array([0.0, 0.45, 0.55, 1.0])), {
                 (i, 0, k): random_net(rng, 3, max_degree=2, min_degree=0)
@@ -304,13 +327,24 @@ class TestJacobians:
             xs = self.points(rng, grid, 400)
             reference = _ReferenceJacobian(grid)
             want = np.array([reference(x) for x in xs])
-            got = oracle._Jacobians(grid)(xs)
+            got = jacobians(grid, xs)
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
             # A degree-0 axis gives a column of +0.0, as its zero derivative net does.
             assert got[want == 0.0].tobytes() == want[want == 0.0].tobytes()
             zeros += (want == 0.0).sum()
         assert zeros
+
+    def test_cell_corners_are_certifier_generators(self):
+        # At its upper corner a cell's local coordinates are all 1.0, so each
+        # Jacobian column is one of the cell's derivative control points: the
+        # oracle and the certifier must read the same ones, bit for bit.
+        grid = unequal_grid(np.random.default_rng(47))
+        for cell in grid.cells():
+            corner = [breaks[k + 1] for breaks, k in zip(grid.breakpoints, cell)]
+            J = jacobians(grid, np.array([corner]))[0]
+            for j, gens in enumerate(grid_column_generators(grid, [cell])):
+                assert J[:, j].tobytes() in {row.tobytes() for row in gens.vectors}
 
 
 class TestLockstepMatchesSequential:

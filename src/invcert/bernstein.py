@@ -130,9 +130,16 @@ class PatchGrid:
 
     @classmethod
     def single(cls, net: ControlNet) -> "PatchGrid":
-        """Wrap one net as a grid with a single cell covering [0,1]^n."""
-        breaks = tuple(np.array([0.0, 1.0]) for _ in range(net.dimension))
-        return cls(breaks, {(0,) * net.dimension: net})
+        """Wrap one net as a grid with a single cell covering [0,1]^n.
+
+        The net is checked, so its grid is not: all axes share one read-only [0.0, 1.0].
+        """
+        breaks = np.array([0.0, 1.0])
+        breaks.setflags(write=False)
+        grid = object.__new__(cls)
+        grid.__dict__.update(breakpoints=(breaks,) * net.dimension,
+                             patches={(0,) * net.dimension: net})
+        return grid
 
     def cells(self) -> list[tuple[int, ...]]:
         return sorted(self.patches)
@@ -213,8 +220,9 @@ def _cell_derivatives(grid: PatchGrid, cell: tuple) -> list[np.ndarray]:
     rule), so they enclose column ``j`` of the map's Jacobian on the cell;
     a one-cell grid divides by 1.0, exactly.
     """
-    net, widths = grid.patches[cell], grid.cell_widths(cell)
-    return [_derivative_points(net, j, widths[j]) for j in range(grid.dimension)]
+    net = grid.patches[cell]
+    return [_derivative_points(net, j, breaks[k + 1] - breaks[k])
+            for j, (breaks, k) in enumerate(zip(grid.breakpoints, cell))]
 
 
 def _cell_groups(grid: PatchGrid, pts: np.ndarray):

@@ -26,13 +26,19 @@ aggregation does not enlarge. Exact duplicates are dropped once per
 column. Coordinates may have any finite size: generators are normalized
 before any LP sees them, and a derivative control point or generator
 norm beyond the float range raises ``ValueError``.
+
+Each call makes one stacked pass: the raw generators of all columns sit
+in one array, which is normalised with one norm pass and one division
+and then decided pattern by pattern as above. A map's generators go from
+:mod:`invcert.bernstein` straight into that pass, with no
+:class:`GeneratorSet` records on the way.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,11 +152,11 @@ def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
     """Check a stack of certificates: row k of ``a`` is a unit vector, ``epsilon[k]`` positive."""
     if a.ndim != 2:
         raise ValueError("certificate vector must be one-dimensional")
-    if not np.all(np.abs(np.linalg.norm(a, axis=1) - 1.0) <= 1e-12):
+    if not (np.abs(np.sqrt(np.einsum("ij,ij->i", a, a)) - 1.0) <= 1e-12).all():
         raise ValueError("certificate vector must have unit Euclidean norm")
-    bad = ~((epsilon > 0.0) & np.isfinite(epsilon))
-    if bad.any():
-        raise ValueError(f"certificate margin must be positive, got {epsilon[bad][0]}")
+    ok = (epsilon > 0.0) & (epsilon < np.inf)
+    if not ok.all():
+        raise ValueError(f"certificate margin must be positive, got {epsilon[~ok][0]}")
 
 
 @dataclass(frozen=True)
@@ -179,20 +185,21 @@ def dedup_exact(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Euclidean norm of each row of a non-empty stack, with the smallest and largest.
+def _generator_norms(vectors: np.ndarray, starts=(0,)):
+    """Euclidean norm of each row of a stack, and each column's least and largest.
 
-    Rows get ``np.linalg.norm``'s sum-of-squares norm, except where that
-    overflows or falls below ``_TINY_NORM``, where squares may have
-    underflowed: those rows are recomputed as ``s * |row / s|`` with ``s``
-    their largest absolute entry, whose squares do neither. So the norms
-    are accurate for entries of any finite size; zero rows get 0 and rows
-    whose true norm exceeds the float range get inf.
+    Column j starts at row ``starts[j]`` and has at least one row; by
+    default all rows are one column. Rows get ``np.linalg.norm``'s
+    sum-of-squares norm, except where that overflows or falls below
+    ``_TINY_NORM``, where squares may have underflowed: those rows are
+    recomputed as ``s * |row / s|`` with ``s`` their largest absolute
+    entry, whose squares do neither. So the norms are accurate for
+    entries of any finite size; zero rows get 0 and rows whose true norm
+    exceeds the float range get inf.
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
-        low, high = norms.min(), norms.max()
-        if not (low >= _TINY_NORM and high < np.inf):
+        if not (norms.min() >= _TINY_NORM and norms.max() < np.inf):
             redo = ~((norms >= _TINY_NORM) & (norms < np.inf))
             rows = vectors[redo]
             scale = np.abs(rows).max(axis=1)
@@ -201,8 +208,25 @@ def _generator_norms(vectors: np.ndarray) -> tuple[np.ndarray, float, float]:
             fixed = np.zeros(rows.shape[0])
             fixed[nonzero] = scale[:, 0] * np.linalg.norm(rows[nonzero] / scale, axis=1)
             norms[redo] = fixed
-            low, high = norms.min(), norms.max()
-    return norms, low, high
+    return norms, np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
+
+
+def _unit_columns(raw: np.ndarray, starts, delta: float, first: int = 0):
+    """Unit generators of columns split as in :func:`_generator_norms`, and their least norms.
+
+    The lowest failing column ``first + j`` raises, as checks one column
+    at a time would: :class:`DegenerateColumn` for a norm below ``delta``,
+    else ``ValueError`` for a norm beyond the float range.
+    """
+    norms, lows, highs = _generator_norms(raw, starts)
+    bad = (lows < delta) | (highs == np.inf)
+    if bad.any():
+        j = int(bad.argmax())
+        if lows[j] < delta:
+            raise DegenerateColumn(first + j, float(lows[j]))
+        raise ValueError(
+            f"column {first + j} has a generator whose norm exceeds the float range")
+    return raw / norms[:, None], lows
 
 
 def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tuple[np.ndarray, float]:
@@ -217,20 +241,20 @@ def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tu
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    norms, low, high = _generator_norms(gens.vectors)
-    if low < delta:
-        raise DegenerateColumn(gens.column, float(low))
-    if high == np.inf:
-        raise ValueError(
-            f"column {gens.column} has a generator whose norm exceeds the float range")
-    return gens.vectors / norms[:, None], float(low)
+    units, lows = _unit_columns(gens.vectors, (0,), delta, gens.column)
+    return units, float(lows[0])
 
 
 # All 2^(n-1) patterns with leading +1, in binary-counting order. Patterns are
 # frozen, so every report of dimension n shares one set, and one read-only
-# float matrix whose row k holds pattern k's signs.
-@functools.lru_cache(maxsize=16)
+# float matrix whose row k holds pattern k's signs. Only n <= 12 is cached: an
+# entry holds 0.4 MB at n=12 and 1.1 MB at n=13, and would stay for good.
 def _sign_patterns(n: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
+    return _enumerate_patterns(n) if n <= 12 else _enumerate_patterns.__wrapped__(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _enumerate_patterns(n: int) -> tuple[tuple[SignPattern, ...], np.ndarray]:
     too_many = ValueError(f"{n} columns need 2^{n - 1} sign patterns, too many to enumerate")
     if n - 1 >= 63:
         raise too_many
@@ -379,12 +403,81 @@ def _closed_form(units: list[np.ndarray], column_signs: np.ndarray) -> np.ndarra
     a pattern's column signs, so ``a . (s_j c_j) = 1`` for every column
     centre. Returns ``None`` when ``C`` is singular or ``a`` not finite.
     """
-    C = np.stack([u.mean(axis=0) for u in units], axis=1)
+    # Row j of C^T, summed as mean(axis=0) sums; a reduceat on W changes bits.
+    CT = np.array([np.add.reduce(u, axis=0) / len(u) for u in units])
     try:
-        A = np.linalg.solve(C.T, column_signs.T)
+        A = np.linalg.solve(CT, column_signs.T)
     except np.linalg.LinAlgError:
         return None
     return A if np.isfinite(A).all() else None
+
+
+def _check_parameters(delta: float, threshold: float) -> None:
+    for name, value in (("delta", delta), ("threshold", threshold)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, threshold: float,
+                   provenance: str) -> CertificateReport:
+    """:func:`certify_matrix_family` on checked columns, column j the next ``counts[j]`` rows."""
+    n = len(counts)
+    starts = np.cumsum((0,) + counts[:-1])
+    try:
+        W, lows = _unit_columns(raw, starts, delta)
+    except DegenerateColumn as exc:
+        return CertificateReport(n, VERDICT_NOT_CERTIFIED, (), counts, None, provenance,
+                                 delta, threshold, degenerate_column=exc.column)
+    norms = np.linalg.norm(W, axis=1)
+    # Generator r is signed by the sign of its column, column_of[r].
+    column_of = np.repeat(np.arange(n), counts)
+    patterns, column_signs = _sign_patterns(n)
+    size = len(patterns)
+    strict = np.zeros(size, dtype=bool)
+    a_unit, epsilon = np.zeros((size, n)), np.zeros(size)
+    # Python floats and Witness records of the patterns that have them.
+    lp_margin, witnesses = {}, {}
+    A = _closed_form([W[a:a + c] for a, c in zip(starts.tolist(), counts)], column_signs)
+    # Without a closed-form direction every pattern goes to the LP.
+    for start in range(0, size if A is not None else 0, CHUNK):
+        rows = slice(start, start + CHUNK)
+        signs = column_signs[rows][:, column_of]
+        # Each a is scaled to |a|_inf = 1 and claims its least product
+        # with a signed unit generator: the scale of an LP optimum.
+        a = A[:, rows]
+        box = np.abs(a).max(axis=0)
+        t = ((W @ a).T * signs).min(axis=1) / box
+        strict[rows], a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold,
+                                                           (a / box).T, t)
+    # Only the patterns the closed form leaves undecided get an LP.
+    todo = np.flatnonzero(~strict)
+    for start in range(0, todo.size, CHUNK):
+        rows = todo[start:start + CHUNK]
+        signs = column_signs[rows][:, column_of]
+        a, t, lam = lpsolve.margin_lps(W, signs)
+        ok, a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold, a, t)
+        strict[rows] = ok
+        lp_margin.update(zip(rows.tolist(), t.tolist()))
+        witnesses.update(zip(rows[~ok].tolist(), _witnesses(W, signs[~ok], lam[~ok])))
+    # The certificates are checked once, as one read-only stack of rows.
+    stack = _readonly(a_unit[strict])
+    _check_certificates(stack, epsilon[strict])
+    certificates = map(Certificate, stack, epsilon[strict].tolist())
+    results = []
+    for k, (pattern, ok) in enumerate(zip(patterns, strict.tolist())):
+        margin = lp_margin.get(k)
+        if ok:
+            results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
+        else:
+            if margin > threshold:
+                note = "certificate failed post-hoc verification"
+            else:
+                note = "numerically marginal" if margin > 0.0 else None
+            results.append(PatternResult(pattern, STATUS_NOT_STRICT, None, margin,
+                                         witness=witnesses.get(k), note=note))
+    verdict = VERDICT_STRICT if strict.all() else VERDICT_NOT_CERTIFIED
+    return CertificateReport(n, verdict, tuple(results), counts, tuple(lows.tolist()),
+                             provenance, delta, threshold)
 
 
 def certify_matrix_family(
@@ -410,9 +503,7 @@ def certify_matrix_family(
     lowest such column, solves no LP and lists no patterns. ``delta``
     and ``threshold`` must be finite and positive.
     """
-    for name, value in (("delta", delta), ("threshold", threshold)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_parameters(delta, threshold)
     columns = list(columns)
     n = len(columns)
     if n == 0:
@@ -428,74 +519,18 @@ def certify_matrix_family(
                 f"but {n} columns were supplied"
             )
     counts = tuple(int(col.vectors.shape[0]) for col in columns)
-    degenerate_column = min_norms = None
-    results = []
-    try:
-        normalized = [normalize_generators(col, delta) for col in columns]
-    except DegenerateColumn as exc:
-        degenerate_column = exc.column
-    else:
-        units, min_norms = zip(*normalized)
-        W = np.vstack(units)
-        norms = np.linalg.norm(W, axis=1)
-        # Generator r is signed by the sign of its column, column_of[r].
-        column_of = np.repeat(np.arange(n), counts)
-        patterns, column_signs = _sign_patterns(n)
-        size = len(patterns)
-        strict = np.zeros(size, dtype=bool)
-        a_unit, epsilon = np.zeros((size, n)), np.zeros(size)
-        # Python floats and Witness records, None where a pattern has none.
-        lp_margin, witnesses = np.full(size, None), np.full(size, None)
-        A = _closed_form(units, column_signs)
-        # Without a closed-form direction every pattern goes to the LP.
-        for start in range(0, size if A is not None else 0, CHUNK):
-            rows = slice(start, start + CHUNK)
-            signs = column_signs[rows][:, column_of]
-            # Each a is scaled to |a|_inf = 1 and claims its least product
-            # with a signed unit generator: the scale of an LP optimum.
-            a = A[:, rows]
-            box = np.abs(a).max(axis=0)
-            t = ((W @ a).T * signs).min(axis=1) / box
-            strict[rows], a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold,
-                                                               (a / box).T, t)
-        # Only the patterns the closed form leaves undecided get an LP.
-        todo = np.flatnonzero(~strict)
-        for start in range(0, todo.size, CHUNK):
-            rows = todo[start:start + CHUNK]
-            signs = column_signs[rows][:, column_of]
-            a, t, lam = lpsolve.margin_lps(W, signs)
-            ok, a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold, a, t)
-            strict[rows] = ok
-            lp_margin[rows] = t.tolist()
-            witnesses[rows[~ok]] = _witnesses(W, signs[~ok], lam[~ok])
-        # The certificates are checked once, as one read-only stack of rows.
-        stack = _readonly(a_unit[strict])
-        _check_certificates(stack, epsilon[strict])
-        certificates = map(Certificate, stack, epsilon[strict].tolist())
-        for pattern, ok, margin, witness in zip(patterns, strict.tolist(), lp_margin,
-                                                witnesses):
-            if ok:
-                results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
-            else:
-                if margin > threshold:
-                    note = "certificate failed post-hoc verification"
-                else:
-                    note = "numerically marginal" if margin > 0.0 else None
-                results.append(PatternResult(pattern, STATUS_NOT_STRICT, None, margin,
-                                             witness=witness, note=note))
+    return _certify_stack(np.concatenate([col.vectors for col in columns]), counts,
+                          delta, threshold, PROVENANCE_MATRIX)
 
-    strict = degenerate_column is None and all(r.status == STATUS_STRICT for r in results)
-    return CertificateReport(
-        dimension=n,
-        verdict=VERDICT_STRICT if strict else VERDICT_NOT_CERTIFIED,
-        pattern_results=tuple(results),
-        generator_counts=counts,
-        min_generator_norms=min_norms,
-        provenance=PROVENANCE_MATRIX,
-        delta=delta,
-        threshold=threshold,
-        degenerate_column=degenerate_column,
-    )
+
+def _grid_columns(grid: PatchGrid, cells) -> list[np.ndarray]:
+    """Each column's stacked derivative control points over ``cells``, deduplicated."""
+    n = grid.dimension
+    blocks: list[list[np.ndarray]] = [[] for _ in range(n)]
+    for cell in cells:
+        for j, points in enumerate(_cell_derivatives(grid, cell)):
+            blocks[j].append(points.reshape(-1, n))
+    return [dedup_exact(b[0] if len(b) == 1 else np.concatenate(b)) for b in blocks]
 
 
 def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
@@ -513,26 +548,25 @@ def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
     """
     if not cells or not all(isinstance(c, tuple) and c in grid.patches for c in cells):
         raise ValueError(f"cells must be a non-empty list of the grid's cells, got {cells!r}")
-    n = grid.dimension
-    rows: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for cell in cells:
-        for j, points in enumerate(_cell_derivatives(grid, cell)):
-            rows[j].append(points.reshape(-1, n))
-    return [GeneratorSet(j, dedup_exact(np.concatenate(blocks)))
-            for j, blocks in enumerate(rows)]
+    return [GeneratorSet(j, v) for j, v in enumerate(_grid_columns(grid, cells))]
 
 
 def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> CertificateReport:
     """Certify the map on the union of the given cells of a grid.
 
-    One cell is a single patch, several a multi-patch map, and the report
-    says which. A degree-0 axis in any of the cells gives its column a
-    zero generator, so the report is degenerate like any other column
-    that touches the origin.
+    ``cells`` is a non-empty list of the grid's cells. One cell is a
+    single patch, several a multi-patch map, and the report says which.
+    A degree-0 axis in any of the cells gives its column a zero
+    generator, so the report is degenerate like any other column that
+    touches the origin. The report is that of
+    ``certify_matrix_family(grid_column_generators(grid, cells))`` apart
+    from its provenance.
     """
-    report = certify_matrix_family(grid_column_generators(grid, cells), delta, threshold)
+    columns = _grid_columns(grid, cells)
+    _check_parameters(delta, threshold)
     provenance = PROVENANCE_SINGLE if len(cells) == 1 else PROVENANCE_MULTI
-    return replace(report, provenance=provenance)
+    return _certify_stack(np.concatenate(columns), tuple(len(v) for v in columns),
+                          delta, threshold, provenance)
 
 
 def certify_map(

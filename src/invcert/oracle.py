@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _jacobians, eval_many
+from .certify import _generator_norms
 
 __all__ = [
     "COLLISION_TOL",
@@ -80,13 +81,21 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 
     Column sums add the squares of a row from left to right without a
     reduction loop per row, which makes this the fastest of numpy's ways
-    on the oracle's short rows.
+    on the oracle's short rows. Where squares overflow, which
+    :func:`sampled_injectivity` lets pass as inf, a finite row gets the
+    certifier's rescaled generator norm instead; a row holding an inf
+    keeps inf.
     """
     sq = (d * d).T
     total = sq[0]
     for column in sq[1:]:
         total = total + column
-    return np.sqrt(total)
+    norms = np.sqrt(total)
+    if np.fmax.reduce(norms) == np.inf:
+        over = (norms == np.inf) & np.isfinite(d).all(axis=1)
+        if over.any():
+            norms[over] = _generator_norms(d[over])[0]
+    return norms
 
 
 def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> np.ndarray:
@@ -186,6 +195,10 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
     derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
+    # Entries near 2^512 overflow M Mᵀ; from 2^400 on, each system is solved
+    # scaled by a power of two, which leaves the exact step unchanged.
+    top = max(np.abs(points).max() for axes in derivatives.values() for points in axes)
+    c = 1.0 if top < 2.0 ** 400 else 2.0 ** -int(np.frexp(top)[1])
     for it in itertools.count():
         stopping = halted | (gap <= 1e-12) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
@@ -200,7 +213,7 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
 
         J = _jacobians(grid, derivatives, P.reshape(-1, n)).reshape(-1, 2, n, n)
         M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
-        step, solved = _gauss_newton_steps(M, r)
+        step, solved = _gauss_newton_steps(M, r) if c == 1.0 else _gauss_newton_steps(c * M, c * r)
         # No step length accepts a NaN step, so an unsolved system halts.
         step[~solved] = np.nan
         accepted, P_new, r, gap_new = _line_search(grid, P, step, gap)
@@ -235,29 +248,32 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
     grid = _as_grid(map_like)
     n = grid.dimension
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    U = rng.random((trials, n))
-    V = rng.random((trials, n))
-    while True:
-        close = _pair_norms(U, V) < SEPARATION_FLOOR
-        if not close.any():
-            break
-        U[close] = rng.random((int(close.sum()), n))
-        V[close] = rng.random((int(close.sum()), n))
+    # Overflow is no error here: an image or a norm beyond the float range
+    # is inf, and no comparison takes inf for a collision.
+    with np.errstate(over="ignore"):
+        U = rng.random((trials, n))
+        V = rng.random((trials, n))
+        while True:
+            close = _pair_norms(U, V) < SEPARATION_FLOOR
+            if not close.any():
+                break
+            U[close] = rng.random((int(close.sum()), n))
+            V[close] = rng.random((int(close.sum()), n))
 
-    mismatch = _pair_norms(U, V, grid)
-    # The candidates by rising mismatch; NaN ranks last.
-    k = min(_REFINE_CANDIDATES, trials)
-    picks = np.argpartition(mismatch, k - 1)[:k]
-    order = picks[np.argsort(mismatch[picks])]
+        mismatch = _pair_norms(U, V, grid)
+        # The candidates by rising mismatch; NaN ranks last.
+        k = min(_REFINE_CANDIDATES, trials)
+        picks = np.argpartition(mismatch, k - 1)[:k]
+        order = picks[np.argsort(mismatch[picks])]
 
-    best = int(order[0])
-    if mismatch[best] <= COLLISION_TOL:
-        return CollisionReport(True, _witness(grid, U[best], V[best]), trials, int(seed))
+        best = int(order[0])
+        if mismatch[best] <= COLLISION_TOL:
+            return CollisionReport(True, _witness(grid, U[best], V[best]), trials, int(seed))
 
-    pair = _refine(grid, U[order], V[order])
-    if pair is None:
-        return CollisionReport(False, None, trials, int(seed))
-    return CollisionReport(True, _witness(grid, *pair), trials, int(seed))
+        pair = _refine(grid, U[order], V[order])
+        if pair is None:
+            return CollisionReport(False, None, trials, int(seed))
+        return CollisionReport(True, _witness(grid, *pair), trials, int(seed))
 
 
 def _witness(grid: PatchGrid, u: np.ndarray, v: np.ndarray):

@@ -1,5 +1,7 @@
 """Tests for the sampling, angle, finite-difference, and hull oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,49 @@ class TestSampledInjectivity:
         })
         with pytest.raises(ValueError, match="^derivative control points overflow$"):
             sampled_injectivity(grid, 100, seed)
+
+
+class TestHugeImages:
+    # Images of x -> 1e200 x differ by more than the square root of the float
+    # maximum, so their squared differences overflow. The oracle lets that
+    # pass as inf and rescales those rows, as the certifier's generator
+    # norms do; no overflow warning escapes (-W error).
+    SQUARE = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
+    FOLD = np.array([[[0, 0], [0, 1]], [[2, 0], [2, 1]], [[0, 0.1], [0, 1.1]]], dtype=float)
+
+    def test_huge_linear_map_runs_clean(self):
+        net = ControlNet((1, 1), self.SQUARE * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not sampled_injectivity(net, 1000, 0).collided
+            rng = np.random.default_rng(3)
+            U, V = rng.random((300, 2)), rng.random((300, 2))
+            with np.errstate(over="ignore"):
+                mismatch = oracle._pair_norms(U, V, PatchGrid.single(net))
+        np.testing.assert_allclose(mismatch, 1e200 * np.linalg.norm(U - V, axis=1), rtol=1e-14)
+
+    def test_scaled_fold_is_caught_like_the_fold(self):
+        # The ranking and the refinement see finite mismatches and steps, so
+        # the fold scaled by 1e200 collides where the fold does.
+        want = sampled_injectivity(ControlNet((2, 1), self.FOLD), 1000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sampled_injectivity(ControlNet((2, 1), self.FOLD * 1e200), 1000, 0)
+        assert want.collided and got.collided
+        np.testing.assert_allclose(np.stack(got.witness[:2]), np.stack(want.witness[:2]),
+                                   rtol=0, atol=1e-12)
+        check_collision_witness(ControlNet((2, 1), self.FOLD * 1e200), got.witness)
+
+    def test_only_overflowing_rows_are_rescaled(self):
+        rng = np.random.default_rng(31)
+        plain = rng.normal(size=(50, 3))
+        d = np.vstack([plain, [[1e200, -1e200, 3e199]], [[np.inf, 1.0, 0.0]],
+                       [[1e300, 0.0, 0.0]]])
+        with np.errstate(over="ignore"):
+            norms = oracle._row_norms(d)
+        assert norms[:50].tobytes() == oracle._row_norms(plain).tobytes()
+        np.testing.assert_allclose(norms[50], 1e200 * np.linalg.norm([1.0, -1.0, 0.3]), rtol=1e-15)
+        assert norms[51] == np.inf and norms[52] == 1e300
 
 
 class TestContract:

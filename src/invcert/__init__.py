@@ -23,14 +23,11 @@ from .certify import (
     DEFAULT_DELTA,
     DEFAULT_THRESHOLD,
     CertificateReport,
-    DegenerateColumn,
     GeneratorSet,
     PatternResult,
     Witness,
     certify_map,
     certify_matrix_family,
-    grid_column_generators,
-    normalize_generators,
 )
 from .oracle import CollisionReport, sampled_injectivity
 
@@ -42,7 +39,6 @@ __all__ = [
     "ControlNet",
     "DEFAULT_DELTA",
     "DEFAULT_THRESHOLD",
-    "DegenerateColumn",
     "GeneratorSet",
     "PatchGrid",
     "PatternResult",
@@ -50,7 +46,5 @@ __all__ = [
     "certify_map",
     "certify_matrix_family",
     "eval_many",
-    "grid_column_generators",
-    "normalize_generators",
     "sampled_injectivity",
 ]

@@ -144,12 +144,6 @@ class PatchGrid:
     def cells(self) -> list[tuple[int, ...]]:
         return sorted(self.patches)
 
-    def cell_widths(self, cell: tuple[int, ...]) -> np.ndarray:
-        return np.array(
-            [self.breakpoints[axis][k + 1] - self.breakpoints[axis][k]
-             for axis, k in enumerate(cell)]
-        )
-
 
 def _reduce_batch(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """De Casteljau reduction of a point tensor at a batch of parameters.

@@ -27,11 +27,9 @@ column. Coordinates may have any finite size: generators are normalized
 before any LP sees them, and a derivative control point or generator
 norm beyond the float range raises ``ValueError``.
 
-Each call makes one stacked pass: the raw generators of all columns sit
-in one array, which is normalised with one norm pass and one division
-and then decided pattern by pattern as above. A map's generators go from
-:mod:`invcert.bernstein` straight into that pass, with no
-:class:`GeneratorSet` records on the way.
+Each call makes one stacked pass: the raw generators of all columns, a
+map's straight from :mod:`invcert.bernstein`, sit in one array that is
+normalised at once and then decided pattern by pattern as above.
 """
 
 from __future__ import annotations
@@ -49,16 +47,13 @@ __all__ = [
     "DEFAULT_DELTA",
     "DEFAULT_THRESHOLD",
     "CertificateReport",
-    "DegenerateColumn",
     "GeneratorSet",
     "PatternResult",
     "Witness",
     "certify_map",
     "certify_matrix_family",
     "dedup_exact",
-    "grid_column_generators",
     "margin_holds",
-    "normalize_generators",
 ]
 
 # Default separation threshold: generators with Euclidean norm below this
@@ -91,18 +86,6 @@ PROVENANCE_MATRIX = "matrix-family"
 # chunks of 16 / 32 / 64 took 0.052 / 0.040 / 0.047 s at n=8 and 0.319 /
 # 0.296 / 0.327 s at n=10 (medians of 11 rounds, 2-core Xeon VM, one BLAS thread).
 CHUNK = 32
-
-
-class DegenerateColumn(ValueError):
-    """A column's generators are not separated from the origin."""
-
-    def __init__(self, column: int, norm: float):
-        super().__init__(
-            f"column {column} has a generator of norm {norm:.6g} "
-            "below the separation threshold"
-        )
-        self.column = column
-        self.norm = norm
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -211,38 +194,21 @@ def _generator_norms(vectors: np.ndarray, starts=(0,)):
     return norms, np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
 
 
-def _unit_columns(raw: np.ndarray, starts, delta: float, first: int = 0):
-    """Unit generators of columns split as in :func:`_generator_norms`, and their least norms.
+def _unit_columns(raw: np.ndarray, starts, delta: float):
+    """Unit generators of columns split as in :func:`_generator_norms`, as ``(units, lows, None)``.
 
-    The lowest failing column ``first + j`` raises, as checks one column
-    at a time would: :class:`DegenerateColumn` for a norm below ``delta``,
-    else ``ValueError`` for a norm beyond the float range.
+    ``lows`` are the columns' least norms. The lowest column j with a norm
+    below ``delta`` gives ``(None, None, j)`` instead, unless a column
+    below it has a norm beyond the float range, which raises ``ValueError``.
     """
     norms, lows, highs = _generator_norms(raw, starts)
     bad = (lows < delta) | (highs == np.inf)
     if bad.any():
         j = int(bad.argmax())
         if lows[j] < delta:
-            raise DegenerateColumn(first + j, float(lows[j]))
-        raise ValueError(
-            f"column {first + j} has a generator whose norm exceeds the float range")
-    return raw / norms[:, None], lows
-
-
-def normalize_generators(gens: GeneratorSet, delta: float = DEFAULT_DELTA) -> tuple[np.ndarray, float]:
-    """Scale every generator to unit norm.
-
-    Returns ``(units, min_norm)`` where ``min_norm`` is the smallest
-    original generator norm (see :func:`_generator_norms`), kept for
-    reporting alongside the margin. Raises :class:`DegenerateColumn` if
-    any generator has norm below ``delta``: the cone then touches the
-    origin and no margin can hold. Raises ``ValueError`` if a generator's
-    norm exceeds the float range.
-    """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    units, lows = _unit_columns(gens.vectors, (0,), delta, gens.column)
-    return units, float(lows[0])
+            return None, None, j
+        raise ValueError(f"column {j} has a generator whose norm exceeds the float range")
+    return raw / norms[:, None], lows, None
 
 
 # All 2^(n-1) patterns with leading +1, in binary-counting order. Patterns are
@@ -423,11 +389,10 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
     """:func:`certify_matrix_family` on checked columns, column j the next ``counts[j]`` rows."""
     n = len(counts)
     starts = np.cumsum((0,) + counts[:-1])
-    try:
-        W, lows = _unit_columns(raw, starts, delta)
-    except DegenerateColumn as exc:
+    W, lows, degenerate = _unit_columns(raw, starts, delta)
+    if degenerate is not None:
         return CertificateReport(n, VERDICT_NOT_CERTIFIED, (), counts, None, provenance,
-                                 delta, threshold, degenerate_column=exc.column)
+                                 delta, threshold, degenerate_column=degenerate)
     norms = np.linalg.norm(W, axis=1)
     # Generator r is signed by the sign of its column, column_of[r].
     column_of = np.repeat(np.arange(n), counts)
@@ -524,31 +489,16 @@ def certify_matrix_family(
 
 
 def _grid_columns(grid: PatchGrid, cells) -> list[np.ndarray]:
-    """Each column's stacked derivative control points over ``cells``, deduplicated."""
+    """Each column's derivative control points over ``cells``, stacked and deduplicated.
+
+    Cells stack in the given order, and exact duplicates go once, first ones kept.
+    """
     n = grid.dimension
     blocks: list[list[np.ndarray]] = [[] for _ in range(n)]
     for cell in cells:
         for j, points in enumerate(_cell_derivatives(grid, cell)):
             blocks[j].append(points.reshape(-1, n))
     return [dedup_exact(b[0] if len(b) == 1 else np.concatenate(b)) for b in blocks]
-
-
-def grid_column_generators(grid: PatchGrid, cells) -> list[GeneratorSet]:
-    """Union of the given cells' scaled generators, one set per column.
-
-    ``cells`` holds index tuples, as :meth:`PatchGrid.cells` lists them.
-    Column ``j`` takes each cell's global-coordinate derivative control
-    points along ``j`` (``bernstein._cell_derivatives``); the cell widths
-    they are divided by are positive, so cone hulls are unchanged.
-    A degree-0 axis contributes the zero generator, so the column touches
-    the origin. Cells are stacked in the given order and exact duplicates
-    are dropped once, keeping first occurrences. Raises
-    :class:`ValueError` unless ``cells`` is a non-empty list of the grid's
-    cell tuples.
-    """
-    if not cells or not all(isinstance(c, tuple) and c in grid.patches for c in cells):
-        raise ValueError(f"cells must be a non-empty list of the grid's cells, got {cells!r}")
-    return [GeneratorSet(j, v) for j, v in enumerate(_grid_columns(grid, cells))]
 
 
 def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> CertificateReport:
@@ -558,9 +508,8 @@ def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> Ce
     single patch, several a multi-patch map, and the report says which.
     A degree-0 axis in any of the cells gives its column a zero
     generator, so the report is degenerate like any other column that
-    touches the origin. The report is that of
-    ``certify_matrix_family(grid_column_generators(grid, cells))`` apart
-    from its provenance.
+    touches the origin. The report is that of ``certify_matrix_family``
+    on the columns of :func:`_grid_columns` apart from its provenance.
     """
     columns = _grid_columns(grid, cells)
     _check_parameters(delta, threshold)

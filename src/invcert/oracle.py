@@ -9,8 +9,9 @@ That is what makes the agreement checks meaningful.
 The contract of a report is all its users rely on: a witness
 ``(u, v, F(u), F(v))`` has u and v in the unit cube, at least
 SEPARATION_FLOOR apart, and images (as ``eval_many`` gives them) that
-agree within COLLISION_TOL, and the same map, trials and seed give the
-same report. Which collision is reported is not part of it.
+agree within COLLISION_TOL times ``min(1, L)``, L the largest absolute
+derivative control point of the map; and the same map, trials and seed
+give the same report. Which collision is reported is not part of it.
 
 The candidate pairs are refined in lockstep: each round evaluates the
 exact Jacobians of every running candidate together, as
@@ -38,9 +39,9 @@ __all__ = [
     "sampled_injectivity",
 ]
 
-# Two sampled points count as a collision only if their images agree to
-# COLLISION_TOL while the points themselves stay SEPARATION_FLOOR apart;
-# the floor keeps evaluation round-off from faking collisions.
+# Two sampled points collide only if their images agree to COLLISION_TOL
+# (times min(1, L), as above) while they stay SEPARATION_FLOOR apart; the
+# floor keeps evaluation round-off from faking collisions.
 COLLISION_TOL = 1e-9
 SEPARATION_FLOOR = 1e-3
 
@@ -110,17 +111,18 @@ def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> 
     return out
 
 
-def _gauss_newton_steps(M: np.ndarray, r: np.ndarray):
+def _gauss_newton_steps(M: np.ndarray, r: np.ndarray, floor: float):
     """Damped steps ``-Mᵀ (M Mᵀ + λI)⁻¹ r`` for a stack of systems.
 
-    ``M`` is (K, n, 2n) and ``r`` is (K, n). Returns the (K, 2n) steps and
+    ``M`` is (K, n, 2n), ``r`` is (K, n) and λ is 1e-12 times the larger
+    of ``floor`` and the trace of ``M Mᵀ``. Returns the (K, 2n) steps and
     a mask of the systems that could be solved. Each step has the bits of
     the same system solved alone.
     """
     K, n, _ = M.shape
     A = M @ M.transpose(0, 2, 1)
-    # fmax ignores a NaN trace, as Python's max(1.0, trace) does.
-    damping = 1e-12 * np.fmax(1.0, np.trace(A, axis1=1, axis2=2))
+    # fmax ignores a NaN trace, as Python's max(floor, trace) does.
+    damping = 1e-12 * np.fmax(floor, np.trace(A, axis1=1, axis2=2))
     A += damping[:, None, None] * np.eye(n)
     ok = np.ones(K, dtype=bool)
     try:
@@ -173,15 +175,16 @@ def _line_search(grid, P, step, gap):
     return better.any(axis=1), W[rows], R[rows], gaps[rows]
 
 
-def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
+def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.ndarray):
     """Drive ``|F(u) - F(v)|`` toward zero for candidate pairs, in lockstep.
 
     Damped Gauss-Newton steps keep both points inside the unit cube and at
     least SEPARATION_FLOOR apart, so any limit with zero mismatch is a
     genuine collision rather than the trivial ``u = v`` one. A candidate
-    stops when its mismatch drops to 1e-12, after three steps in a row
+    stops when its mismatch drops to 1e-12 s, after three steps in a row
     that shrink it by less than 1%, when no step length lowers it, or
-    after _REFINE_MAX_ITER steps.
+    after _REFINE_MAX_ITER steps. ``top`` is the largest absolute entry
+    of ``derivatives`` (each cell's), ``s = min(1, top)``.
 
     Returns the ``(u, v)`` of the first candidate to stop with a
     collision (the earliest given, on a tie), or None.
@@ -194,15 +197,14 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
     gap = _row_norms(r)
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
-    derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
+    s = min(1.0, top)
     # Entries near 2^512 overflow M Mᵀ; from 2^400 on, each system is solved
     # scaled by a power of two, which leaves the exact step unchanged.
-    top = max(np.abs(points).max() for axes in derivatives.values() for points in axes)
     c = 1.0 if top < 2.0 ** 400 else 2.0 ** -int(np.frexp(top)[1])
     for it in itertools.count():
-        stopping = halted | (gap <= 1e-12) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
+        stopping = halted | (gap <= 1e-12 * s) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
-            collided = stopping & (gap <= COLLISION_TOL) & (
+            collided = stopping & (gap <= COLLISION_TOL * s) & (
                 _row_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR)
             if collided.any():
                 return P[collided.argmax()]
@@ -213,7 +215,7 @@ def _refine(grid: PatchGrid, U0: np.ndarray, V0: np.ndarray):
 
         J = _jacobians(grid, derivatives, P.reshape(-1, n)).reshape(-1, 2, n, n)
         M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
-        step, solved = _gauss_newton_steps(M, r) if c == 1.0 else _gauss_newton_steps(c * M, c * r)
+        step, solved = _gauss_newton_steps(c * M, c * r, s * s)
         # No step length accepts a NaN step, so an unsolved system halts.
         step[~solved] = np.nan
         accepted, P_new, r, gap_new = _line_search(grid, P, step, gap)
@@ -247,6 +249,8 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     grid = _as_grid(map_like)
     n = grid.dimension
+    derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
+    top = max(np.abs(points).max() for axes in derivatives.values() for points in axes)
     rng = np.random.Generator(np.random.Philox(int(seed)))
     # Overflow is no error here: an image or a norm beyond the float range
     # is inf, and no comparison takes inf for a collision.
@@ -267,10 +271,10 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
         order = picks[np.argsort(mismatch[picks])]
 
         best = int(order[0])
-        if mismatch[best] <= COLLISION_TOL:
+        if mismatch[best] <= COLLISION_TOL * min(1.0, top):
             return CollisionReport(True, _witness(grid, U[best], V[best]), trials, int(seed))
 
-        pair = _refine(grid, U[order], V[order])
+        pair = _refine(grid, derivatives, top, U[order], V[order])
         if pair is None:
             return CollisionReport(False, None, trials, int(seed))
         return CollisionReport(True, _witness(grid, *pair), trials, int(seed))

@@ -13,11 +13,12 @@ from invcert import (
     ControlNet,
     GeneratorSet,
     PatchGrid,
-    normalize_generators,
 )
 from invcert import lpsolve
 from invcert.cli import InputDocument
 from invcert.certify import SignPattern
+
+from oracles import unit_generators
 
 
 def identity_net(n: int = 2) -> ControlNet:
@@ -141,15 +142,15 @@ def apply_sign_pattern(
     n = len(pattern.signs)
     if len(columns) != n:
         raise ValueError(f"expected {n} columns, got {len(columns)}")
-    blocks = []
-    for sign, col in zip(pattern.signs, columns):
+    for col in columns:
         if col.dimension != n:
             raise ValueError(
                 f"column {col.column} has vectors of length {col.dimension}, expected {n}"
             )
-        units, _ = normalize_generators(col, delta)
-        blocks.append(sign * units)
-    return np.vstack(blocks)
+    units = unit_generators(columns, delta)
+    if units is None:
+        raise ValueError("a column touches the origin")
+    return np.vstack([sign * u for sign, u in zip(pattern.signs, units)])
 
 
 def document_to_json(doc: InputDocument) -> str:

@@ -13,11 +13,14 @@ live here rather than in the package, which keeps scipy out of its
 imports. The HiGHS margins need only match the runtime's to round-off,
 with the same verdicts.
 
-Three plain helpers live here rather than in the package, which has no
+Five plain helpers live here rather than in the package, which has no
 use for them: :func:`derivative_net` (the derivative along an axis as a
 net of its own, the zero net along an axis of degree 0, where the map is
-constant), :func:`locate_patch` (the cell of one point, found by a
-scan of the breakpoints rather than the package's sorted search) and
+constant), :func:`cell_widths` (a cell's extent along each axis),
+:func:`locate_patch` (the cell of one point, found by a scan of the
+breakpoints rather than the package's sorted search),
+:func:`unit_generators` (each column's generators scaled to unit norm,
+or ``None`` for a family with a column that touches the origin) and
 :func:`verify_certificate` (a certificate checked against a generator
 matrix).
 
@@ -51,8 +54,10 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 
 from invcert import (
+    DEFAULT_DELTA,
     ControlNet,
     GeneratorSet,
+    PatchGrid,
     PatternResult,
     Witness,
     eval_many,
@@ -63,12 +68,10 @@ from invcert.certify import (
     STATUS_NOT_STRICT,
     STATUS_STRICT,
     Certificate,
-    DegenerateColumn,
     _generator_norms,
     _sign_patterns,
     dedup_exact,
     margin_holds,
-    normalize_generators,
 )
 from invcert.oracle import COLLISION_TOL, SEPARATION_FLOOR
 
@@ -246,6 +249,11 @@ def derivative_net(net: ControlNet, axis: int) -> ControlNet:
     return ControlNet(degrees, np.moveaxis(diff, 0, axis))
 
 
+def cell_widths(grid, cell) -> np.ndarray:
+    """A grid cell's extent along each axis."""
+    return np.array([b[k + 1] - b[k] for b, k in zip(grid.breakpoints, cell)])
+
+
 def locate_patch(grid, x) -> tuple[tuple[int, ...], np.ndarray]:
     """Cell containing ``x``, a point of the unit cube, and its local coordinates.
 
@@ -257,7 +265,7 @@ def locate_patch(grid, x) -> tuple[tuple[int, ...], np.ndarray]:
     cell = tuple(next(k for k in range(len(b) - 1) if xk <= b[k + 1])
                  for xk, b in zip(x, grid.breakpoints))
     lo = np.array([b[k] for k, b in zip(cell, grid.breakpoints)])
-    return cell, (x - lo) / grid.cell_widths(cell)
+    return cell, (x - lo) / cell_widths(grid, cell)
 
 
 def verify_certificate(a, epsilon: float, generators) -> bool:
@@ -282,16 +290,19 @@ def reference_column_generators(net: ControlNet, axis: int) -> GeneratorSet:
 def reference_patch_column_generators(grid, cell) -> list[GeneratorSet]:
     """One cell's column generators, divided by its widths after deduplication."""
     net = grid.patches[tuple(cell)]
-    widths = grid.cell_widths(tuple(cell))
+    widths = cell_widths(grid, cell)
     return [GeneratorSet(j, reference_column_generators(net, j).vectors / widths[j])
             for j in range(grid.dimension)]
 
 
-def reference_grid_column_generators(grid) -> list[GeneratorSet]:
-    """Every cell's scaled generators stacked per column and deduplicated again."""
+def reference_grid_column_generators(grid, cells=None) -> list[GeneratorSet]:
+    """The cells' scaled generators stacked per column and deduplicated again.
+
+    ``cells`` defaults to every cell of the grid, in ``grid.cells()`` order.
+    """
     n = grid.dimension
     stacked: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for cell in grid.cells():
+    for cell in grid.cells() if cells is None else cells:
         for j, gens in enumerate(reference_patch_column_generators(grid, cell)):
             stacked[j].append(gens.vectors)
     return [GeneratorSet(j, dedup_exact(np.vstack(stacked[j]))) for j in range(n)]
@@ -378,14 +389,31 @@ def reference_pattern_result(pattern, signed, threshold, a_raw, t, weights) -> P
                          witness=_reference_witness(weights, signed), note=note)
 
 
-def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray]:
+def unit_generators(columns, delta: float = DEFAULT_DELTA) -> list[np.ndarray] | None:
+    """Each column's generators divided by their ``np.linalg.norm``.
+
+    ``None`` when a generator is shorter than ``delta``: its column's cone
+    touches the origin, and the family's report lists no patterns. On
+    generators of moderate size these are the package's unit generators,
+    bit for bit.
+    """
+    norms = [np.linalg.norm(col.vectors, axis=1) for col in columns]
+    if min(v.min() for v in norms) < delta:
+        return None
+    return [col.vectors / v[:, None] for col, v in zip(columns, norms)]
+
+
+def margin_lp_inputs(columns) -> tuple[np.ndarray, np.ndarray] | None:
     """The unit generators ``W`` and the signs of every pattern's LP.
 
     These are what ``certify_matrix_family`` hands ``lpsolve.margin_lps``
     when no pattern is decided in closed form: row k of ``signs`` signs
-    each row of ``W`` by its column's sign in pattern k.
+    each row of ``W`` by its column's sign in pattern k. ``None`` for a
+    family with a degenerate column, which solves no LP.
     """
-    units = [normalize_generators(col)[0] for col in columns]
+    units = unit_generators(columns)
+    if units is None:
+        return None
     patterns = _sign_patterns(len(columns))[0]
     signs = np.repeat(np.array([p.signs for p in patterns], dtype=float),
                       [u.shape[0] for u in units], axis=1)
@@ -408,10 +436,10 @@ def lp_pattern_results(columns, margin_lps=None,
     family with a degenerate column has no pattern results, as its
     report has none.
     """
-    try:
-        W, signs = margin_lp_inputs(columns)
-    except DegenerateColumn:
+    inputs = margin_lp_inputs(columns)
+    if inputs is None:
         return []
+    W, signs = inputs
     a, t, weights = (margin_lps or lpsolve.margin_lps)(W, signs)
     return [reference_pattern_result(pattern, W * signs[k, :, None], threshold, a[k],
                                      float(t[k]), weights[k])
@@ -439,7 +467,7 @@ class _ReferenceJacobian:
         else:
             cell, local = locate_patch(self._map, x)
             net = self._map.patches[cell]
-            widths = self._map.cell_widths(cell)
+            widths = cell_widths(self._map, cell)
         for axis in range(n):
             dnet = self._dnet(net, axis, cell + (axis,))
             J[:, axis] = eval_many(dnet, local[None, :])[0] / widths[axis]
@@ -463,19 +491,26 @@ def _reference_push_apart(u, v):
     return u2, v2
 
 
+def collision_tolerance(map_like) -> float:
+    """COLLISION_TOL times ``min(1, L)``, L the largest absolute derivative control point."""
+    grid = map_like if isinstance(map_like, PatchGrid) else PatchGrid.single(map_like)
+    top = max(np.abs(gens.vectors).max() for gens in reference_grid_column_generators(grid))
+    return COLLISION_TOL * min(1.0, float(top))
+
+
 def check_collision_witness(map_like, witness) -> None:
     """Assert the contract of an oracle witness ``(u, v, F(u), F(v))``.
 
     u and v lie in the unit cube at least SEPARATION_FLOOR apart, the
     reported images are ``eval_many``'s at them and agree within
-    COLLISION_TOL, and direct basis summation gives the same images to
-    round-off, so they agree within COLLISION_TOL to round-off as well.
+    :func:`collision_tolerance`, and direct basis summation gives the same
+    images to round-off, so they agree within it to round-off as well.
     """
     u, v, fu, fv = (np.asarray(x, dtype=float) for x in witness)
     for x in (u, v):
         assert x.shape == (map_like.dimension,) and 0.0 <= x.min() and x.max() <= 1.0
     assert np.linalg.norm(u - v) >= SEPARATION_FLOOR
-    assert np.linalg.norm(fu - fv) <= COLLISION_TOL
+    assert np.linalg.norm(fu - fv) <= collision_tolerance(map_like)
     images = np.vstack([fu, fv])
     assert images.tobytes() == eval_many(map_like, np.vstack([u, v])).tobytes()
     direct = []

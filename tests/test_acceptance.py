@@ -15,10 +15,8 @@ from invcert import (
     certify_map,
     certify_matrix_family,
     eval_many,
-    normalize_generators,
     sampled_injectivity,
 )
-from invcert import certify
 from invcert.bernstein import _derivative_points, _reduce_batch
 from invcert.cli import emit_report
 
@@ -35,7 +33,13 @@ from helpers import (
     rotation_net,
     solve_one,
 )
-from oracles import acute_2d, lp_vertex_oracle, sweep_unit_margin
+from oracles import (
+    acute_2d,
+    lp_vertex_oracle,
+    reference_grid_column_generators,
+    sweep_unit_margin,
+    unit_generators,
+)
 from test_certify import manual_aggregation, pattern_by_signs
 
 SQRT2 = np.sqrt(2.0)
@@ -82,11 +86,8 @@ def test_criterion_03_quad_certification_with_sweep_oracle():
     report = certify_map(quad_net())
     assert report.certified
     res = pattern_by_signs(report, (1, -1))
-    signed = np.vstack([
-        normalize_generators(c)[0] * s
-        for s, c in zip((1, -1),
-                        certify.grid_column_generators(PatchGrid.single(quad_net()), [(0, 0)]))
-    ])
+    units = unit_generators(reference_grid_column_generators(PatchGrid.single(quad_net())))
+    signed = np.vstack([units[0], -units[1]])
     sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**6)
     # The pattern's max-margin LP.
     a, t = certificate_lp(signed)
@@ -247,8 +248,7 @@ def test_criterion_10_acute_lp_agreement():
         gens = gens[np.linalg.norm(gens, axis=1) > 1e-6]
         if gens.shape[0] == 0:
             continue
-        units, _ = normalize_generators(GeneratorSet(0, gens))
-        _, t = certificate_lp(units)
+        _, t = certificate_lp(unit_generators([GeneratorSet(0, gens)])[0])
         strict = t > 1e-7
         exact = acute_2d(gens)
         if 1e-8 <= t <= 1e-6:

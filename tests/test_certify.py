@@ -37,10 +37,12 @@ from helpers import (
     rotation_net,
 )
 from oracles import (
+    cell_widths,
     lp_margins,
     lp_pattern_results,
     margin_lp_inputs,
     reference_column_generators,
+    reference_grid_column_generators,
     reference_margin_lps,
     reference_pattern_result,
     sweep_unit_margin,
@@ -269,7 +271,7 @@ class TestCertifyMap:
                    if r.status == certify.STATUS_NOT_STRICT]
         assert failing
         signed = apply_sign_pattern(
-            certify.grid_column_generators(PatchGrid.single(folded_net()), [(0, 0)]),
+            reference_grid_column_generators(PatchGrid.single(folded_net())),
             failing[0].pattern,
         )
         sweep_eps, _ = sweep_unit_margin(signed, n_angles=10**5)
@@ -507,7 +509,7 @@ def manual_aggregation(grid):
     n = grid.dimension
     per_column = [[] for _ in range(n)]
     for cell in sorted(grid.patches):
-        widths = grid.cell_widths(cell)
+        widths = cell_widths(grid, cell)
         net = grid.patches[cell]
         for j in range(n):
             per_column[j].append(reference_column_generators(net, j).vectors / widths[j])
@@ -641,7 +643,7 @@ def readme_reports() -> dict:
         else:
             grid = PatchGrid.single(doc.payload) if isinstance(doc.payload, ControlNet) \
                 else doc.payload
-            columns = certify.grid_column_generators(grid, grid.cells())
+            columns = reference_grid_column_generators(grid)
         out[f"readme-{k}-{doc.mode}"] = (run(doc), columns)
     return out
 

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invcert import (
-    DegenerateColumn,
-    GeneratorSet,
-    normalize_generators,
-)
-from invcert.certify import SignPattern, _check_certificates, _sign_patterns
+from invcert import DEFAULT_DELTA, GeneratorSet
+from invcert.certify import SignPattern, _check_certificates, _sign_patterns, _unit_columns
 
 from helpers import apply_sign_pattern
 from oracles import verify_certificate
@@ -23,25 +19,21 @@ SQRT5 = np.sqrt(5.0)
 
 class TestNormalize:
     def test_rescales_to_unit_norm(self):
-        units, min_norm = normalize_generators(GeneratorSet(0, [[3.0, 4.0]]), delta=1e-12)
+        units, lows, degenerate = _unit_columns(np.array([[3.0, 4.0]]), (0,), 1e-12)
         np.testing.assert_allclose(units, [[0.6, 0.8]])
-        assert min_norm == 5.0
+        assert lows.tolist() == [5.0] and degenerate is None
 
     def test_zero_vector_is_degenerate(self):
-        with pytest.raises(DegenerateColumn) as err:
-            normalize_generators(GeneratorSet(0, [[0.0, 0.0]]), delta=1e-12)
-        assert err.value.column == 0
+        assert _unit_columns(np.zeros((1, 2)), (0,), 1e-12) == (None, None, 0)
 
     def test_below_threshold_is_degenerate(self):
-        gens = GeneratorSet(1, [[1.0, 0.0], [1e-15, 0.0]])
-        with pytest.raises(DegenerateColumn) as err:
-            normalize_generators(gens, delta=1e-12)
-        assert err.value.column == 1
+        raw = np.array([[0.0, 1.0], [1.0, 0.0], [1e-15, 0.0]])
+        assert _unit_columns(raw, (0, 1), 1e-12) == (None, None, 1)
 
     def test_norm_equal_to_delta_is_kept(self):
-        units, min_norm = normalize_generators(GeneratorSet(0, [[1e-6, 0.0]]), delta=1e-6)
+        units, lows, degenerate = _unit_columns(np.array([[1e-6, 0.0]]), (0,), 1e-6)
         np.testing.assert_allclose(units, [[1.0, 0.0]])
-        assert min_norm == pytest.approx(1e-6)
+        assert lows.tolist() == [pytest.approx(1e-6)] and degenerate is None
 
 
 class TestGeneratorSet:
@@ -154,7 +146,7 @@ class TestApplySignPattern:
 
     def test_degenerate_column_propagates(self):
         cols = [GeneratorSet(0, [[0.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]])]
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(ValueError, match="touches the origin"):
             apply_sign_pattern(cols, SignPattern((1, 1)))
 
 
@@ -227,6 +219,6 @@ class TestScalingInvariance:
         vectors = vectors[np.linalg.norm(vectors, axis=1) > 1e-6]
         if vectors.shape[0] == 0:
             return
-        base, _ = normalize_generators(GeneratorSet(0, vectors))
-        scaled, _ = normalize_generators(GeneratorSet(0, lam * vectors))
+        base = _unit_columns(vectors, (0,), DEFAULT_DELTA)[0]
+        scaled = _unit_columns(lam * vectors, (0,), DEFAULT_DELTA)[0]
         np.testing.assert_allclose(scaled, base, atol=1e-12)

@@ -12,10 +12,9 @@ import pytest
 from scipy.optimize import linprog
 
 from invcert import certify_matrix_family, lpsolve
-from invcert.certify import normalize_generators
 
 from helpers import near_identity_columns
-from oracles import lp_pattern_results, reference_margin_lps
+from oracles import lp_pattern_results, reference_margin_lps, unit_generators
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def test_margins_match_highs(families, n):
     # Every pattern's own LP margin matches HiGHS; the report, which decides
     # patterns in closed form, certifies every pattern HiGHS finds separated.
     columns, report = families[n]
-    units = [normalize_generators(col)[0] for col in columns]
+    units = unit_generators(columns)
     lp_only = lp_pattern_results(columns)
     for res, lp in zip(report.pattern_results, lp_only, strict=True):
         signed = np.vstack([s * u for s, u in zip(res.pattern.signs, units)])

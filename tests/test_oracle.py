@@ -7,14 +7,15 @@ import pytest
 
 from invcert import (
     ControlNet,
+    GeneratorSet,
     PatchGrid,
+    certify_map,
     eval_many,
-    normalize_generators,
     sampled_injectivity,
 )
 from invcert import oracle
 from invcert.bernstein import _cell_derivatives, _derivative_points, _jacobians, _reduce_batch
-from invcert.certify import GeneratorSet, grid_column_generators
+from invcert.certify import _grid_columns
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
 from helpers import (
@@ -38,6 +39,7 @@ from oracles import (
     check_collision_witness,
     fd_jacobian,
     hull_membership,
+    unit_generators,
 )
 
 
@@ -189,12 +191,15 @@ class TestHugeImages:
     # Images of x -> 1e200 x differ by more than the square root of the float
     # maximum, so their squared differences overflow. The oracle lets that
     # pass as inf and rescales those rows, as the certifier's generator
-    # norms do; no overflow warning escapes (-W error).
+    # norms do; no overflow warning escapes (-W error). Images of x -> 1e-8 x
+    # at points 1e-3 apart differ by 1e-11, below COLLISION_TOL itself; the
+    # tolerances scale with a map smaller than 1, so they collide no more.
     SQUARE = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
     FOLD = np.array([[[0, 0], [0, 1]], [[2, 0], [2, 1]], [[0, 0.1], [0, 1.1]]], dtype=float)
 
-    def test_huge_linear_map_runs_clean(self):
-        net = ControlNet((1, 1), self.SQUARE * 1e200)
+    @pytest.mark.parametrize("scale", [1e200, 1e-6, 1e-8])
+    def test_huge_linear_map_runs_clean(self, scale):
+        net = ControlNet((1, 1), self.SQUARE * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not sampled_injectivity(net, 1000, 0).collided
@@ -202,19 +207,29 @@ class TestHugeImages:
             U, V = rng.random((300, 2)), rng.random((300, 2))
             with np.errstate(over="ignore"):
                 mismatch = oracle._pair_norms(U, V, PatchGrid.single(net))
-        np.testing.assert_allclose(mismatch, 1e200 * np.linalg.norm(U - V, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(mismatch, scale * np.linalg.norm(U - V, axis=1), rtol=1e-14)
 
-    def test_scaled_fold_is_caught_like_the_fold(self):
+    @pytest.mark.parametrize("scale", [1e200, 1e-6, 1e-8])
+    def test_scaled_fold_is_caught_like_the_fold(self, scale):
         # The ranking and the refinement see finite mismatches and steps, so
-        # the fold scaled by 1e200 collides where the fold does.
+        # the scaled fold collides where the fold does.
         want = sampled_injectivity(ControlNet((2, 1), self.FOLD), 1000, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sampled_injectivity(ControlNet((2, 1), self.FOLD * 1e200), 1000, 0)
+            got = sampled_injectivity(ControlNet((2, 1), self.FOLD * scale), 1000, 0)
         assert want.collided and got.collided
         np.testing.assert_allclose(np.stack(got.witness[:2]), np.stack(want.witness[:2]),
                                    rtol=0, atol=1e-12)
-        check_collision_witness(ControlNet((2, 1), self.FOLD * 1e200), got.witness)
+        check_collision_witness(ControlNet((2, 1), self.FOLD * scale), got.witness)
+
+    def test_offset_identity_is_certified(self):
+        assert certify_map(ControlNet((1, 1), self.SQUARE + 1e15)).certified
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: near 1e15, images of points "
+                       "1e-3 apart round to one float, and only a proved collision tells "
+                       "that from a fold")
+    def test_offset_identity_runs_clean(self):
+        assert not sampled_injectivity(ControlNet((1, 1), self.SQUARE + 1e15), 200, 0).collided
 
     def test_only_overflowing_rows_are_rescaled(self):
         rng = np.random.default_rng(31)
@@ -388,8 +403,8 @@ class TestJacobians:
         for cell in grid.cells():
             corner = [breaks[k + 1] for breaks, k in zip(grid.breakpoints, cell)]
             J = jacobians(grid, np.array([corner]))[0]
-            for j, gens in enumerate(grid_column_generators(grid, [cell])):
-                assert J[:, j].tobytes() in {row.tobytes() for row in gens.vectors}
+            for j, gens in enumerate(_grid_columns(grid, [cell])):
+                assert J[:, j].tobytes() in {row.tobytes() for row in gens}
 
 
 class TestLockstepMatchesSequential:
@@ -398,7 +413,7 @@ class TestLockstepMatchesSequential:
     def test_candidates_are_the_pairs_of_least_mismatch(self, monkeypatch):
         given = []
 
-        def refine(grid, U0, V0):
+        def refine(grid, derivatives, top, U0, V0):
             given.append((U0, V0))
             return None
 
@@ -427,7 +442,7 @@ class TestLockstepMatchesSequential:
             M = rng.normal(size=(64, n, 2 * n)) * 10.0 ** rng.uniform(-4, 2, size=(64, 1, 1))
             r = rng.normal(size=(64, n))
             M[3] = 0.0  # zero system: damping 1e-12 and a zero step
-            steps, solved = oracle._gauss_newton_steps(M, r)
+            steps, solved = oracle._gauss_newton_steps(M, r, 1.0)
             assert solved.all()
             for k in range(64):
                 Mk = np.array(M[k])
@@ -448,10 +463,10 @@ class TestLockstepMatchesSequential:
 
         rng = np.random.default_rng(31)
         M, r = rng.normal(size=(5, 2, 4)), rng.normal(size=(5, 2))
-        expected, _ = oracle._gauss_newton_steps(M, r)
+        expected, _ = oracle._gauss_newton_steps(M, r, 1.0)
         r[2] = np.nan
         monkeypatch.setattr(np.linalg, "solve", solve)
-        steps, solved = oracle._gauss_newton_steps(M, r)
+        steps, solved = oracle._gauss_newton_steps(M, r, 1.0)
         assert solved.tolist() == [True, True, False, True, True]
         assert steps[solved].tobytes() == expected[solved].tobytes()
 
@@ -507,7 +522,10 @@ class TestLockstepMatchesSequential:
         assert 1e-12 < np.linalg.norm(eval_many(folded_net(), u) - eval_many(folded_net(), v)) \
             <= COLLISION_TOL
         monkeypatch.setattr(oracle, "_line_search", nothing_accepted)
-        pair = oracle._refine(oracle._as_grid(folded_net()), u[None], v[None])
+        grid = oracle._as_grid(folded_net())
+        derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
+        top = max(np.abs(points).max() for axes in derivatives.values() for points in axes)
+        pair = oracle._refine(grid, derivatives, top, u[None], v[None])
         assert pair is not None
         assert pair[0].tobytes() == u.tobytes() and pair[1].tobytes() == v.tobytes()
 
@@ -559,8 +577,7 @@ class TestAcute2d:
             gens = gens[np.linalg.norm(gens, axis=1) > 1e-6]
             if gens.shape[0] == 0:
                 continue
-            units, _ = normalize_generators(GeneratorSet(0, gens))
-            _, t = certificate_lp(units)
+            _, t = certificate_lp(unit_generators([GeneratorSet(0, gens)])[0])
             strict = t > 1e-7
             if strict != acute_2d(gens) and not (1e-8 <= t <= 1e-6):
                 disagreements += 1

@@ -3,7 +3,8 @@
 Every Python block is executed; a ``print`` line ending in a comment that
 holds a Python literal states what it prints. Every JSON document is fed
 to ``invcert.cli.main``, and every backticked ``invcert.`` name must
-resolve, so the README cannot name something the package no longer has.
+resolve, so the README cannot name something the package no longer has;
+every name ``invcert`` exports must be named in it.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import invcert
 from invcert.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -80,3 +82,8 @@ def test_named_object_exists(name):
             obj = getattr(obj, attr)
         return
     pytest.fail(f"{name} does not resolve")
+
+
+@pytest.mark.parametrize("name", invcert.__all__)
+def test_exported_name_is_named(name):
+    assert re.search(rf"\b{name}\b", README), f"{name} is exported but the README never names it"

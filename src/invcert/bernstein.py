@@ -100,12 +100,11 @@ class PatchGrid:
         if n == 0:
             raise ValueError("a grid needs at least one axis")
         shape = tuple(len(b) - 1 for b in breaks)
-        patches = dict(self.patches)
+        patches = {tuple(int(i) for i in cell): net for cell, net in dict(self.patches).items()}
         expected_cells = set(itertools.product(*(range(s) for s in shape)))
-        got_cells = {tuple(int(i) for i in cell) for cell in patches}
-        if got_cells != expected_cells:
-            missing = sorted(expected_cells - got_cells)
-            extra = sorted(got_cells - expected_cells)
+        if patches.keys() != expected_cells:
+            missing = sorted(expected_cells - patches.keys())
+            extra = sorted(patches.keys() - expected_cells)
             raise ValueError(
                 f"grid of shape {shape} needs one patch per cell; "
                 f"missing {missing[:3]}, unexpected {extra[:3]}"
@@ -116,9 +115,7 @@ class PatchGrid:
                     f"patch {cell} has dimension {net.dimension}, grid has {n}"
                 )
         object.__setattr__(self, "breakpoints", tuple(breaks))
-        object.__setattr__(
-            self, "patches", {tuple(int(i) for i in c): p for c, p in patches.items()}
-        )
+        object.__setattr__(self, "patches", patches)
 
     @property
     def dimension(self) -> int:

@@ -62,7 +62,7 @@ DEFAULT_DELTA = 1e-12
 
 # Below this sum-of-squares norm a row's squares may have underflowed and
 # lost bits (each square of a larger entry is at least 2**-1000, a normal
-# float), so _generator_norms recomputes such norms by rescaling.
+# float), so _rescued_norms recomputes such norms by rescaling.
 _TINY_NORM = 2.0 ** -500
 
 # A pattern is accepted only when its margin on the box scale |a|_inf = 1
@@ -131,24 +131,14 @@ class SignPattern:
     signs: tuple[int, ...]
 
 
-def _check_certificates(a: np.ndarray, epsilon: np.ndarray) -> None:
-    """Check a stack of certificates: row k of ``a`` is a unit vector, ``epsilon[k]`` positive."""
-    if a.ndim != 2:
-        raise ValueError("certificate vector must be one-dimensional")
-    if not (np.abs(np.sqrt(np.einsum("ij,ij->i", a, a)) - 1.0) <= 1e-12).all():
-        raise ValueError("certificate vector must have unit Euclidean norm")
-    ok = (epsilon > 0.0) & (epsilon < np.inf)
-    if not ok.all():
-        raise ValueError(f"certificate margin must be positive, got {epsilon[~ok][0]}")
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone.
 
     It states that ``a . x >= epsilon * |x|`` for every ``x`` in the cone.
-    ``a`` is a read-only row of a stack that passed
-    :func:`_check_certificates`, and ``epsilon`` a Python float.
+    ``a`` is a read-only row of the report's one stack of certificates,
+    which only the judge that verified them builds, and ``epsilon`` a
+    Python float with ``0 < epsilon < inf``.
     """
 
     a: np.ndarray
@@ -168,29 +158,37 @@ def dedup_exact(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def _rescued_norms(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Sum-of-squares ``norms`` of ``rows``, recomputed where the squares may have failed.
+
+    A finite row whose norm is inf or below ``_TINY_NORM`` (squares that
+    overflowed or may have underflowed) gets ``s * |row / s|`` instead,
+    ``s`` its largest absolute entry, whose squares do neither; a zero
+    row gets 0 and a row whose true norm exceeds the float range inf. A
+    row that holds an inf or a NaN keeps its norm. ``norms`` is updated
+    in place and returned; overflow warnings are the caller's to silence,
+    as they are for the squares.
+    """
+    if np.fmin.reduce(norms) >= _TINY_NORM and np.fmax.reduce(norms) < np.inf:
+        return norms
+    redo = ~((norms >= _TINY_NORM) & (norms < np.inf)) & np.isfinite(rows).all(axis=1)
+    redone = rows[redo]
+    scale = np.abs(redone).max(axis=1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    norms[redo] = scale[:, 0] * np.linalg.norm(redone / scale, axis=1)
+    return norms
+
+
 def _generator_norms(vectors: np.ndarray, starts=(0,)):
     """Euclidean norm of each row of a stack, and each column's least and largest.
 
     Column j starts at row ``starts[j]`` and has at least one row; by
-    default all rows are one column. Rows get ``np.linalg.norm``'s
-    sum-of-squares norm, except where that overflows or falls below
-    ``_TINY_NORM``, where squares may have underflowed: those rows are
-    recomputed as ``s * |row / s|`` with ``s`` their largest absolute
-    entry, whose squares do neither. So the norms are accurate for
-    entries of any finite size; zero rows get 0 and rows whose true norm
-    exceeds the float range get inf.
+    default all rows are one column. The norms are those of
+    :func:`_rescued_norms`, so they are accurate for entries of any
+    finite size.
     """
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
-        if not (norms.min() >= _TINY_NORM and norms.max() < np.inf):
-            redo = ~((norms >= _TINY_NORM) & (norms < np.inf))
-            rows = vectors[redo]
-            scale = np.abs(rows).max(axis=1)
-            nonzero = scale > 0.0
-            scale = scale[nonzero, None]
-            fixed = np.zeros(rows.shape[0])
-            fixed[nonzero] = scale[:, 0] * np.linalg.norm(rows[nonzero] / scale, axis=1)
-            norms[redo] = fixed
+        norms = _rescued_norms(vectors, np.linalg.norm(vectors, axis=1))
     return norms, np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
 
 
@@ -315,8 +313,10 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     generator; a row that is not live is all zeros. Rows are stacked
     through ``np.matmul`` so each gets the bits of judging it alone. A
     failing row is checked again one ulp lower, in at most three checks,
-    which stop once every row passes. The caller checks the strict rows'
-    certificates once, as one stack.
+    which stop once every row passes. So a strict row's ``a_unit`` has
+    unit norm and its ``epsilon`` is positive and finite: a live row has
+    some ``|a_j|`` equal to 1, and its products with the generators are
+    finite.
     """
     size = t.shape[0]
     strict = np.zeros(size, dtype=bool)
@@ -424,10 +424,7 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
         strict[rows] = ok
         lp_margin.update(zip(rows.tolist(), t.tolist()))
         witnesses.update(zip(rows[~ok].tolist(), _witnesses(W, signs[~ok], lam[~ok])))
-    # The certificates are checked once, as one read-only stack of rows.
-    stack = _readonly(a_unit[strict])
-    _check_certificates(stack, epsilon[strict])
-    certificates = map(Certificate, stack, epsilon[strict].tolist())
+    certificates = map(Certificate, _readonly(a_unit[strict]), epsilon[strict].tolist())
     results = []
     for k, (pattern, ok) in enumerate(zip(patterns, strict.tolist())):
         margin = lp_margin.get(k)

@@ -22,9 +22,10 @@ renders it as text lines read from that payload alone.
 Reports go to stdout, diagnostics to stderr. Exit codes: 0 certified,
 1 not certified, 2 degenerate input, 3 usage or parse error (a closed
 stdin and an input too large for the memory included), 4 internal
-error (a solver or certification failure that should not happen). A
-reader that closes stdout or stderr early does not change the code: the
-run still exits with the code it would have had.
+error (a solver or certification failure that should not happen). The
+oracle's agreement line never changes the code, and neither does a
+reader that closes stdout or stderr early: the run still exits with the
+code it would have had.
 """
 
 from __future__ import annotations
@@ -102,10 +103,9 @@ def _finite(value, path: str) -> float:
     return number
 
 
-def _int_list(raw, path: str, length: int | None = None) -> list[int]:
+def _int_list(raw, path: str, length: int) -> list[int]:
     _require(isinstance(raw, list), path, "expected a list of integers")
-    if length is not None:
-        _require(len(raw) == length, path, f"expected {length} entries, got {len(raw)}")
+    _require(len(raw) == length, path, f"expected {length} entries, got {len(raw)}")
     out = []
     for k, v in enumerate(raw):
         _require(isinstance(v, int) and not isinstance(v, bool),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _jacobians, eval_many
-from .certify import _generator_norms
+from .certify import _rescued_norms
 
 __all__ = [
     "COLLISION_TOL",
@@ -83,20 +83,15 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     Column sums add the squares of a row from left to right without a
     reduction loop per row, which makes this the fastest of numpy's ways
     on the oracle's short rows. Where squares overflow, which
-    :func:`sampled_injectivity` lets pass as inf, a finite row gets the
-    certifier's rescaled generator norm instead; a row holding an inf
-    keeps inf.
+    :func:`sampled_injectivity` lets pass as inf, or may have underflowed,
+    the certifier's rescue rule recomputes the norm; a row holding an inf
+    or a NaN keeps its norm.
     """
     sq = (d * d).T
     total = sq[0]
     for column in sq[1:]:
         total = total + column
-    norms = np.sqrt(total)
-    if np.fmax.reduce(norms) == np.inf:
-        over = (norms == np.inf) & np.isfinite(d).all(axis=1)
-        if over.any():
-            norms[over] = _generator_norms(d[over])[0]
-    return norms
+    return _rescued_norms(d, np.sqrt(total))
 
 
 def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> np.ndarray:
@@ -269,11 +264,6 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
         k = min(_REFINE_CANDIDATES, trials)
         picks = np.argpartition(mismatch, k - 1)[:k]
         order = picks[np.argsort(mismatch[picks])]
-
-        best = int(order[0])
-        if mismatch[best] <= COLLISION_TOL * min(1.0, top):
-            return CollisionReport(True, _witness(grid, U[best], V[best]), trials, int(seed))
-
         pair = _refine(grid, derivatives, top, U[order], V[order])
         if pair is None:
             return CollisionReport(False, None, trials, int(seed))

@@ -300,3 +300,37 @@ class TestValidation:
     def test_grid_breakpoints_must_span_unit_interval(self):
         with pytest.raises(ValueError, match="start at 0 and end at 1"):
             PatchGrid((np.array([0.0, 0.5]),), {(0,): ControlNet((1,), np.zeros((2, 1)))})
+
+    def test_net_needs_an_axis(self):
+        with pytest.raises(ValueError, match="^a net needs at least one axis$"):
+            ControlNet((), np.zeros((0,)))
+
+    def test_degrees_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"^degrees must be nonnegative, got \(1, -1\)$"):
+            ControlNet((1, -1), np.zeros((2, 0, 2)))
+
+    def test_grid_axis_needs_two_breakpoints(self):
+        net = ControlNet((1,), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="^axis 0: need at least two breakpoints$"):
+            PatchGrid((np.array([0.0]),), {(0,): net})
+
+    def test_grid_breakpoints_must_increase(self):
+        net = ControlNet((1,), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="^axis 0: breakpoints must be strictly increasing$"):
+            PatchGrid((np.array([0.0, 0.5, 0.5, 1.0]),), {(0,): net, (1,): net, (2,): net})
+
+    def test_grid_needs_an_axis(self):
+        with pytest.raises(ValueError, match="^a grid needs at least one axis$"):
+            PatchGrid((), {})
+
+    def test_patch_dimension_must_match_the_grid(self):
+        breaks = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^patch \(0, 0\) has dimension 1, grid has 2$"):
+            PatchGrid((breaks, breaks), {(0, 0): ControlNet((1,), np.zeros((2, 1)))})
+
+    def test_cell_keys_become_tuples_of_python_ints(self):
+        breaks = np.array([0.0, 0.5, 1.0])
+        net = ControlNet((1,), np.zeros((2, 1)))
+        grid = PatchGrid((breaks,), {(np.int64(0),): net, (np.int32(1),): net})
+        assert list(grid.patches) == [(0,), (1,)]
+        assert all(type(i) is int for cell in grid.patches for i in cell)

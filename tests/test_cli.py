@@ -1,5 +1,6 @@
 """End-to-end tests for document parsing, report emission, and exit codes."""
 
+import itertools
 import json
 import os
 import re
@@ -23,7 +24,7 @@ from invcert.cli import (
 )
 
 from invcert import cli
-from invcert.oracle import MAX_TRIALS
+from invcert.oracle import MAX_TRIALS, CollisionReport
 
 from helpers import (
     document_to_json,
@@ -86,6 +87,19 @@ GRID_DOC = json.dumps({
 })
 
 
+def bad_grid(*breakpoints, cells=None) -> str:
+    """A bb-grid document on these breakpoints, one unit-square patch per cell given.
+
+    By default every cell the breakpoint counts ask for gets its patch.
+    """
+    if cells is None:
+        cells = [list(c) for c in itertools.product(*(range(len(b) - 1) for b in breakpoints))]
+    square = [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]
+    return json.dumps({"mode": "bb-grid", "dimension": 2, "breakpoints": list(breakpoints),
+                       "patches": [{"cell": c, "degrees": [1, 1], "control_points": square}
+                                   for c in cells]})
+
+
 class TestParseInput:
     def test_minimal_matrix_family(self):
         doc = parse_input(MATRIX_DOC)
@@ -136,6 +150,28 @@ class TestParseInput:
         body["patches"][0]["cell"] = [5, 0]
         with pytest.raises(InputError, match=r"cell\[0\]"):
             parse_input(json.dumps(body))
+
+    @pytest.mark.parametrize("body, message", [
+        (bad_grid([0.0, 1.0, 1.0], [0.0, 0.5, 1.0]),
+         "axis 0: breakpoints must be strictly increasing"),
+        (bad_grid([0.0, 0.5, 1.0], [0.0, 1.0], cells=[[0, 0]]),
+         "grid of shape (2, 1) needs one patch per cell; missing [(1, 0)], unexpected []"),
+        (bad_grid([0.0, 0.5, 2.0], [0.0, 0.5, 1.0]),
+         "axis 0: breakpoints must start at 0 and end at 1"),
+    ], ids=["not-increasing", "missing-cell", "not-unit-interval"])
+    def test_grid_constructor_errors_are_input_errors(self, body, message):
+        with pytest.raises(InputError, match=f"^{re.escape('breakpoints/patches: ' + message)}$"):
+            parse_input(body)
+
+    def test_grid_constructor_error_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(bad_grid([0.0, 0.5, 1.0], [0.0, 1.0], cells=[[0, 0]]))
+        code = main(["--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == ("invcert: invalid input: breakpoints/patches: grid of shape "
+                                "(2, 1) needs one patch per cell; missing [(1, 0)], "
+                                "unexpected []\n")
 
     def test_options_validated(self):
         with pytest.raises(InputError, match="options.delta"):
@@ -367,6 +403,38 @@ class TestMainExitCodes:
         assert "oracle collision: u (" in out
         assert "consistent" in out
 
+    def test_rejection_without_collision_is_no_contradiction(self, tmp_path, capsys):
+        body = json.loads(IDENTITY_PATCH_DOC)
+        body["options"] = {"threshold": 1e300}
+        code = main(["--input", self.write(tmp_path, json.dumps(body)), "--oracle", "500"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "oracle agreement: no contradiction (rejection does not imply " \
+            "non-injectivity)" in out.splitlines()
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_soundness_violation_is_reported_but_keeps_the_exit_code(self, tmp_path, capsys,
+                                                                       monkeypatch, fmt):
+        # The agreement line reports; the exit code follows the verdict alone.
+        def colliding(map_like, trials, seed):
+            u, v = np.array([0.25, 0.5]), np.array([0.75, 0.5])
+            return CollisionReport(True, (u, v, u.copy(), u.copy()), trials, seed)
+
+        monkeypatch.setattr(cli, "sampled_injectivity", colliding)
+        code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC), "--format", fmt,
+                     "--oracle", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        agreement = "SOUNDNESS VIOLATION: certified map with observed collision"
+        if fmt == "text":
+            assert "verdict: STRICT-V-FAMILY" in out
+            assert f"oracle agreement: {agreement}" in out.splitlines()
+        else:
+            payload = json.loads(out)
+            assert payload["verdict"] == "strict-v-family"
+            assert payload["oracle"]["collided"] is True
+            assert payload["oracle"]["agreement"] == agreement
+
     def test_oracle_flag_structured(self, tmp_path, capsys):
         code = main(["--input", self.write(tmp_path, IDENTITY_PATCH_DOC),
                      "--format", "structured", "--oracle", "200", "--seed", "3"])
@@ -596,6 +664,19 @@ class TestExtremeSizes:
         assert code == 0
         assert captured.err == ""
         assert "min generator norm per column: 1e+200 1e+200" in captured.out
+
+    def test_tiny_linear_map_certifies_and_does_not_collide(self, tmp_path, capsys):
+        # Squared image differences of x -> 1e-160 x underflow; the oracle's
+        # rescued norms see the map as the identity scaled down.
+        doc = patch_doc([[[0, 0], [0, 1e-160]], [[1e-160, 0], [1e-160, 1e-160]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--input", self.write(tmp_path, doc), "--delta", "1e-320",
+                         "--oracle", "200", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "oracle agreement: consistent (certified, no collision found)" in \
+            captured.out.splitlines()
 
     def test_derivative_overflow_exits_three(self, tmp_path, capsys):
         with warnings.catch_warnings():

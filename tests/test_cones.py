@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invcert import DEFAULT_DELTA, GeneratorSet
-from invcert.certify import SignPattern, _check_certificates, _sign_patterns, _unit_columns
+from invcert.certify import SignPattern, _sign_patterns, _unit_columns
 
 from helpers import apply_sign_pattern
 from oracles import verify_certificate
@@ -82,39 +82,6 @@ class TestSignPatterns:
         assert all(type(s) is int for p in patterns for s in p.signs)
         assert matrix.dtype == float and not matrix.flags.writeable
         assert _sign_patterns(n)[1] is matrix
-
-
-class TestCheckCertificates:
-    # The certifier checks a report's certificates once, as one stack.
-    BAD = [
-        ([[0.6, 0.8]], 0.5, "certificate vector must be one-dimensional"),
-        (np.array([0.6, 0.8]) * (1.0 + 1e-9), 0.5,
-         "certificate vector must have unit Euclidean norm"),
-        ([0.6, 0.8], 0.0, "certificate margin must be positive, got 0.0"),
-        ([0.6, 0.8], -1.0, "certificate margin must be positive, got -1.0"),
-        ([0.6, 0.8], np.nan, "certificate margin must be positive, got nan"),
-        ([0.6, 0.8], np.inf, "certificate margin must be positive, got inf"),
-        ([np.nan, 0.0], 0.5, "certificate vector must have unit Euclidean norm"),
-        ([0.0, np.nan], 0.5, "certificate vector must have unit Euclidean norm"),
-    ]
-
-    @pytest.mark.parametrize("a, epsilon, message", BAD,
-                             ids=["two-dimensional", "norm-off-by-1e-9", "zero-margin",
-                                  "negative-margin", "nan-margin", "inf-margin",
-                                  "nan-first-coordinate", "nan-second-coordinate"])
-    def test_bad_certificate_is_rejected(self, a, epsilon, message):
-        # The bad row sits between two good ones; a 2-D vector makes every
-        # row of its stack 2-D.
-        a = np.asarray(a, dtype=float)
-        good = np.array([[1.0, 0.0], [0.0, -1.0]]).reshape((2,) + a.shape)
-        a, epsilon = np.stack([good[0], a, good[1]]), np.array([0.25, epsilon, 0.75])
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            _check_certificates(a, epsilon)
-
-    @pytest.mark.parametrize("size", [0, 3])
-    def test_good_stack_passes(self, size):
-        a = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])[:size]
-        _check_certificates(a, np.array([0.25, 1e-300, 1.0])[:size])
 
 
 def test_generator_set_copies_the_callers_array():

@@ -129,6 +129,21 @@ class TestSampledInjectivity:
         assert np.linalg.norm(fu - fv) <= COLLISION_TOL
         assert np.linalg.norm(u - v) >= SEPARATION_FLOOR
 
+    def test_flat_maps_collide_exactly(self):
+        # A pair of samples that map to one point is a collision as it stands.
+        flat = np.broadcast_to(np.array([0.3, 0.7]), (2, 2, 2))
+        grid = PatchGrid((np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])), {
+            (0, 0): ControlNet((1, 1), flat),
+            (1, 0): ControlNet((1, 1), [[[0.5, 0.0], [0.5, 1.0]], [[1.0, 0.0], [1.0, 1.0]]]),
+        })
+        for map_like in (ControlNet((1, 1), flat), grid):
+            for seed in (0, 1):
+                report = sampled_injectivity(map_like, 200, seed)
+                assert report.collided
+                fu, fv = report.witness[2:]
+                assert fu.tobytes() == fv.tobytes()
+                check_collision_witness(map_like, report.witness)
+
     def test_folded_quad_collides(self):
         report = sampled_injectivity(folded_net(), 10_000, seed=3)
         assert report.collided
@@ -194,10 +209,12 @@ class TestHugeImages:
     # norms do; no overflow warning escapes (-W error). Images of x -> 1e-8 x
     # at points 1e-3 apart differ by 1e-11, below COLLISION_TOL itself; the
     # tolerances scale with a map smaller than 1, so they collide no more.
+    # Below about 1e-154 the squared differences underflow instead, and
+    # those rows are rescaled too.
     SQUARE = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
     FOLD = np.array([[[0, 0], [0, 1]], [[2, 0], [2, 1]], [[0, 0.1], [0, 1.1]]], dtype=float)
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-6, 1e-8])
+    @pytest.mark.parametrize("scale", [1e200, 1e-6, 1e-8, 1e-160, 1e-200, 1e-300])
     def test_huge_linear_map_runs_clean(self, scale):
         net = ControlNet((1, 1), self.SQUARE * scale)
         with warnings.catch_warnings():
@@ -241,6 +258,20 @@ class TestHugeImages:
         assert norms[:50].tobytes() == oracle._row_norms(plain).tobytes()
         np.testing.assert_allclose(norms[50], 1e200 * np.linalg.norm([1.0, -1.0, 0.3]), rtol=1e-15)
         assert norms[51] == np.inf and norms[52] == 1e300
+
+    def test_only_underflowing_rows_are_rescaled(self):
+        # Squares of entries below about 1e-154 underflow, so such rows get
+        # the certifier's rescaled norm; a zero row stays 0, and a row of an
+        # untried step (NaN) stays NaN and leaves the other rows as they are.
+        rng = np.random.default_rng(37)
+        plain = rng.normal(size=(50, 3))
+        d = np.vstack([plain, [[3e-170, 0.0, -4e-170]], [[0.0, 0.0, 0.0]],
+                       [[np.nan, 1.0, 0.0]], [[1e-300, 1e-310, 0.0]]])
+        norms = oracle._row_norms(d)
+        assert norms[:50].tobytes() == oracle._row_norms(plain).tobytes()
+        np.testing.assert_allclose(norms[50], 5e-170, rtol=1e-15)
+        assert norms[51] == 0.0 and np.isnan(norms[52])
+        np.testing.assert_allclose(norms[53], 1e-300, rtol=1e-15)
 
 
 class TestContract:

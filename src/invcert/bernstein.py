@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ControlNet:
     """Control points of one Bernstein-Bezier patch.
@@ -44,6 +48,8 @@ class ControlNet:
     points: np.ndarray
 
     def __post_init__(self):
+        if not all(map(_is_integer, self.degrees)):
+            raise ValueError(f"degrees must be integers, got {self.degrees!r}")
         degrees = tuple(int(p) for p in self.degrees)
         if len(degrees) == 0:
             raise ValueError("a net needs at least one axis")
@@ -100,7 +106,11 @@ class PatchGrid:
         if n == 0:
             raise ValueError("a grid needs at least one axis")
         shape = tuple(len(b) - 1 for b in breaks)
-        patches = {tuple(int(i) for i in cell): net for cell, net in dict(self.patches).items()}
+        patches = dict(self.patches)
+        bad = [cell for cell in patches if not all(map(_is_integer, cell))]
+        if bad:
+            raise ValueError(f"cell indices must be integers, got {bad[0]!r}")
+        patches = {tuple(int(i) for i in cell): net for cell, net in patches.items()}
         expected_cells = set(itertools.product(*(range(s) for s in shape)))
         if patches.keys() != expected_cells:
             missing = sorted(expected_cells - patches.keys())
@@ -177,15 +187,14 @@ def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
     return xs
 
 
-def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -> np.ndarray:
-    """Control points ``p * (f[..., i+1, ...] - f[..., i, ...])`` along ``axis``.
+def _derivative_points(net: ControlNet, axis: int, width: float) -> np.ndarray:
+    """Control points ``p * (f[..., i+1, ...] - f[..., i, ...]) / width`` along ``axis``.
 
     ``p`` is the degree along the axis; the result has the net's index
-    order, one index fewer along the axis, and is divided by ``width``
-    when one is given. Along an axis of degree 0 the map is constant, and
-    the result is zeros of the net's own shape. Raises ``ValueError`` when
-    a point overflows the float range, which finite control points near
-    the float maximum can.
+    order, one index fewer along the axis. Along an axis of degree 0 the
+    map is constant, and the result is zeros of the net's own shape.
+    Raises ``ValueError`` when a point overflows the float range, which
+    finite control points near the float maximum can.
     """
     p = net.degrees[axis]
     if p == 0:
@@ -197,8 +206,7 @@ def _derivative_points(net: ControlNet, axis: int, width: float | None = None) -
     try:
         with np.errstate(over="raise"):
             points = p * (f[lead + (slice(1, None),)] - f[lead + (slice(None, -1),)])
-            if width is not None:
-                points /= width
+            points /= width
     except FloatingPointError:
         raise ValueError("derivative control points overflow") from None
     return points

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpsolve
-from .bernstein import PatchGrid, _as_grid, _cell_derivatives
+from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _is_integer
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -106,6 +106,8 @@ class GeneratorSet:
     vectors: np.ndarray
 
     def __post_init__(self):
+        if not _is_integer(self.column):
+            raise ValueError(f"the column label must be an integer, got {self.column!r}")
         vectors = np.atleast_2d(np.array(self.vectors, dtype=float))
         if vectors.ndim != 2 or 0 in vectors.shape:
             raise ValueError("generator set must be a 2-D array of at least one vector "
@@ -179,27 +181,18 @@ def _rescued_norms(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _generator_norms(vectors: np.ndarray, starts=(0,)):
-    """Euclidean norm of each row of a stack, and each column's least and largest.
+def _unit_columns(raw: np.ndarray, starts, delta: float):
+    """Unit generators of a stack of columns, as ``(units, lows, None)``.
 
-    Column j starts at row ``starts[j]`` and has at least one row; by
-    default all rows are one column. The norms are those of
-    :func:`_rescued_norms`, so they are accurate for entries of any
-    finite size.
+    Column j starts at row ``starts[j]`` and has at least one row.
+    ``lows`` are the columns' least norms, by :func:`_rescued_norms`
+    accurate at any finite size. The lowest column j with a norm below
+    ``delta`` gives ``(None, None, j)`` instead, unless a column below it
+    has a norm beyond the float range, which raises ``ValueError``.
     """
     with np.errstate(over="ignore"):
-        norms = _rescued_norms(vectors, np.linalg.norm(vectors, axis=1))
-    return norms, np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
-
-
-def _unit_columns(raw: np.ndarray, starts, delta: float):
-    """Unit generators of columns split as in :func:`_generator_norms`, as ``(units, lows, None)``.
-
-    ``lows`` are the columns' least norms. The lowest column j with a norm
-    below ``delta`` gives ``(None, None, j)`` instead, unless a column
-    below it has a norm beyond the float range, which raises ``ValueError``.
-    """
-    norms, lows, highs = _generator_norms(raw, starts)
+        norms = _rescued_norms(raw, np.linalg.norm(raw, axis=1))
+    lows, highs = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
     bad = (lows < delta) | (highs == np.inf)
     if bad.any():
         j = int(bad.argmax())

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _jacobians, eval_many
+from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _is_integer, _jacobians, eval_many
 from .certify import _rescued_norms
 
 __all__ = [
@@ -71,10 +71,6 @@ class CollisionReport:
     witness: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
     trials: int
     seed: int
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -181,6 +177,11 @@ def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.nda
     after _REFINE_MAX_ITER steps. ``top`` is the largest absolute entry
     of ``derivatives`` (each cell's), ``s = min(1, top)``.
 
+    Each Gauss-Newton system is solved at the map's power-of-two scale: its
+    matrix and residual times 2^-e, the floor ``s²`` times 2^-2e, where
+    ``top = m 2^e``, 1/2 <= m < 1. That keeps it in range at any map size,
+    and a step whose unscaled system is in range keeps its bits.
+
     Returns the ``(u, v)`` of the first candidate to stop with a
     collision (the earliest given, on a tie), or None.
     """
@@ -193,9 +194,7 @@ def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.nda
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
     s = min(1.0, top)
-    # Entries near 2^512 overflow M Mᵀ; from 2^400 on, each system is solved
-    # scaled by a power of two, which leaves the exact step unchanged.
-    c = 1.0 if top < 2.0 ** 400 else 2.0 ** -int(np.frexp(top)[1])
+    e = int(np.frexp(top)[1])  # ldexp stays finite where 2.0 ** -e would not
     for it in itertools.count():
         stopping = halted | (gap <= 1e-12 * s) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
@@ -210,7 +209,7 @@ def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.nda
 
         J = _jacobians(grid, derivatives, P.reshape(-1, n)).reshape(-1, 2, n, n)
         M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
-        step, solved = _gauss_newton_steps(c * M, c * r, s * s)
+        step, solved = _gauss_newton_steps(np.ldexp(M, -e), np.ldexp(r, -e), np.ldexp(s, -e) ** 2)
         # No step length accepts a NaN step, so an unsolved system halts.
         step[~solved] = np.nan
         accepted, P_new, r, gap_new = _line_search(grid, P, step, gap)

@@ -68,7 +68,7 @@ from invcert.certify import (
     STATUS_NOT_STRICT,
     STATUS_STRICT,
     Certificate,
-    _generator_norms,
+    _rescued_norms,
     _sign_patterns,
     dedup_exact,
     margin_holds,
@@ -271,14 +271,16 @@ def locate_patch(grid, x) -> tuple[tuple[int, ...], np.ndarray]:
 def verify_certificate(a, epsilon: float, generators) -> bool:
     """Check ``a . v >= epsilon * |v|`` for every generator ``v``.
 
-    The norms come from the package's overflow-safe generator norms, so
+    The norms are the package's rescued generator norms, so
     entries of any finite size are judged without overflow.
     """
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) == 0.0:
         raise ValueError("certificate vector must be nonzero")
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    return margin_holds(gens @ a, _generator_norms(gens)[0], epsilon)
+    with np.errstate(over="ignore"):
+        norms = _rescued_norms(gens, np.linalg.norm(gens, axis=1))
+    return margin_holds(gens @ a, norms, epsilon)
 
 
 def reference_column_generators(net: ControlNet, axis: int) -> GeneratorSet:

@@ -173,7 +173,7 @@ def test_criterion_07_derivative_correctness():
             step = np.zeros(n)
             step[axis] = h
             fd = (eval_many(net, xs + step) - eval_many(net, xs - step)) / (2 * h)
-            exact = _reduce_batch(_derivative_points(net, axis), xs)
+            exact = _reduce_batch(_derivative_points(net, axis, 1.0), xs)
             worst = max(worst, float(np.abs(fd - exact).max()))
     assert worst < 1e-6
     announce(7, "derivative correctness",

@@ -102,24 +102,24 @@ def column_generators(net: ControlNet, axis: int):
 
 class TestDerivativePoints:
     def test_identity_axis0_is_constant(self):
-        points = _derivative_points(identity_net(2), 0)
+        points = _derivative_points(identity_net(2), 0, 1.0)
         assert points.shape == (1, 2, 2)
         np.testing.assert_array_equal(points.reshape(-1, 2), [[1, 0], [1, 0]])
 
     def test_quad_axis0_first_differences(self):
-        points = _derivative_points(quad_net(), 0)
+        points = _derivative_points(quad_net(), 0, 1.0)
         np.testing.assert_array_equal(points.reshape(-1, 2), [[1, 0], [2, 1]])
 
     def test_univariate_square(self):
         # B-form of xi^2 has coefficients (0, 0, 1); derivative is 2*xi, B-form (0, 2).
         net = ControlNet((2,), np.array([[0.0], [0.0], [1.0]]))
-        points = _derivative_points(net, 0)
+        points = _derivative_points(net, 0, 1.0)
         np.testing.assert_array_equal(points.reshape(-1), [0.0, 2.0])
         for t in np.linspace(0.05, 0.95, 10):
             fd = (eval_many(net, [t + 1e-6])[0, 0] - eval_many(net, [t - 1e-6])[0, 0]) / 2e-6
             assert abs(_reduce_batch(points, np.array([[t]]))[0, 0] - fd) < 1e-8
 
-    @pytest.mark.parametrize("width", [None, 0.25])
+    @pytest.mark.parametrize("width", [1.0, 0.25])
     def test_degree_zero_axis_gives_zeros(self, width):
         # The map is constant along the axis: the derivative is zero, as a
         # net of the original's shape.
@@ -135,7 +135,7 @@ class TestDerivativePoints:
             n = int(rng.integers(1, 4))
             net = random_net(rng, n, min_degree=1)
             xs = 1e-4 + (1.0 - 2e-4) * rng.random((20, n))
-            dvals = [_reduce_batch(_derivative_points(net, j), xs) for j in range(n)]
+            dvals = [_reduce_batch(_derivative_points(net, j, 1.0), xs) for j in range(n)]
             for x, *cols in zip(xs, *dvals):
                 J = fd_jacobian(net, x, 1e-5)
                 np.testing.assert_allclose(np.column_stack(cols), J, atol=1e-6)
@@ -147,9 +147,9 @@ class TestDerivativePoints:
             net = random_net(rng, n, min_degree=1)
             axes = rng.choice(n, size=2, replace=False)
             ab = _derivative_points(ControlNet(lowered(net, axes[0]),
-                                               _derivative_points(net, axes[0])), axes[1])
+                                               _derivative_points(net, axes[0], 1.0)), axes[1], 1.0)
             ba = _derivative_points(ControlNet(lowered(net, axes[1]),
-                                               _derivative_points(net, axes[1])), axes[0])
+                                               _derivative_points(net, axes[1], 1.0)), axes[0], 1.0)
             np.testing.assert_allclose(ab, ba, atol=1e-12)
 
     def test_matches_reference_derivative_net(self):
@@ -158,7 +158,7 @@ class TestDerivativePoints:
             net = random_net(rng, int(rng.integers(1, 4)), min_degree=1)
             for axis in range(net.dimension):
                 want = derivative_net(net, axis)
-                assert _derivative_points(net, axis).tobytes() == want.points.tobytes()
+                assert _derivative_points(net, axis, 1.0).tobytes() == want.points.tobytes()
 
 
 class TestColumnGenerators:
@@ -334,3 +334,20 @@ class TestValidation:
         grid = PatchGrid((breaks,), {(np.int64(0),): net, (np.int32(1),): net})
         assert list(grid.patches) == [(0,), (1,)]
         assert all(type(i) is int for cell in grid.patches for i in cell)
+
+    @pytest.mark.parametrize("cells", [[(0.2, 0), (1.9, 0)], [(0, 0), ("1", 0)],
+                                       [(0, False), (1, 0)], [(0, 0), (np.float64(1.0), 0)]])
+    def test_cell_keys_must_be_integers(self, cells):
+        # int() would truncate each of these to a valid cell key.
+        breaks = (np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="^cell indices must be integers, got "):
+            PatchGrid(breaks, {cell: identity_net(2) for cell in cells})
+
+    @pytest.mark.parametrize("degrees", [(1.9, 1), (1, 1.0), (True, 1), ("1", 1)])
+    def test_degrees_must_be_integers(self, degrees):
+        with pytest.raises(ValueError, match="^degrees must be integers, got "):
+            ControlNet(degrees, np.zeros((2, 2, 2)))
+
+    def test_numpy_integer_degrees_become_python_ints(self):
+        net = ControlNet((np.int64(1), np.uint8(1)), np.zeros((2, 2, 2)))
+        assert net.degrees == (1, 1) and all(type(p) is int for p in net.degrees)

@@ -415,6 +415,16 @@ class TestCertifyMatrixFamily:
         relabelled = [GeneratorSet(j, col.vectors) for j, col in enumerate(cols)]
         assert certify_matrix_family(relabelled).degenerate_column == 1
 
+    @pytest.mark.parametrize("label", [0.7, 1.0, True, "1", None])
+    def test_column_label_must_be_an_integer(self, label):
+        with pytest.raises(ValueError, match="^the column label must be an integer, got "):
+            GeneratorSet(label, [[1.0, 0.0]])
+
+    def test_numpy_integer_label_becomes_a_python_int(self):
+        col = GeneratorSet(np.int64(1), [[0.0, 1.0]])
+        assert type(col.column) is int
+        assert certify_matrix_family([IDENTITY_COLUMNS[0], col]).certified
+
     def test_arity_mismatch_rejected(self):
         cols = [GeneratorSet(0, [[1.0, 0.0]]), GeneratorSet(1, [[0.0, 1.0]]),
                 GeneratorSet(2, [[0.0, 0.0, 1.0]])]

@@ -270,7 +270,7 @@ class TestExtremeGenerators:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^derivative control points overflow$"):
-                _derivative_points(net, 0)
+                _derivative_points(net, 0, 1.0)
             with pytest.raises(ValueError, match="^derivative control points overflow$"):
                 _grid_columns(PatchGrid.single(net), [(0, 0)])
-        assert _derivative_points(net, 1).reshape(-1, 2).tolist() == [[0.0, 1.0]] * 2
+        assert _derivative_points(net, 1, 1.0).reshape(-1, 2).tolist() == [[0.0, 1.0]] * 2

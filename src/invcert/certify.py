@@ -35,6 +35,7 @@ normalised at once and then decided pattern by pattern as above.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,9 +139,9 @@ class Certificate:
     """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone.
 
     It states that ``a . x >= epsilon * |x|`` for every ``x`` in the cone.
-    ``a`` is a read-only row of the report's one stack of certificates,
-    which only the judge that verified them builds, and ``epsilon`` a
-    Python float with ``0 < epsilon < inf``.
+    ``a`` is a read-only row of the report's one stack of judged
+    directions, which only the judge that verified them builds, and
+    ``epsilon`` a Python float with ``0 < epsilon < inf``.
     """
 
     a: np.ndarray
@@ -157,7 +158,7 @@ def dedup_exact(rows: np.ndarray) -> np.ndarray:
         if key not in seen:
             seen.add(key)
             keep.append(k)
-    return rows[keep]
+    return rows.take(keep, axis=0)
 
 
 def _rescued_norms(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -182,7 +183,7 @@ def _rescued_norms(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def _unit_columns(raw: np.ndarray, starts, delta: float):
-    """Unit generators of a stack of columns, as ``(units, lows, None)``.
+    """Unit generators of a stack of finite columns, as ``(units, lows, None)``.
 
     Column j starts at row ``starts[j]`` and has at least one row.
     ``lows`` are the columns' least norms, by :func:`_rescued_norms`
@@ -191,11 +192,11 @@ def _unit_columns(raw: np.ndarray, starts, delta: float):
     has a norm beyond the float range, which raises ``ValueError``.
     """
     with np.errstate(over="ignore"):
-        norms = _rescued_norms(raw, np.linalg.norm(raw, axis=1))
-    lows, highs = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
-    bad = (lows < delta) | (highs == np.inf)
-    if bad.any():
-        j = int(bad.argmax())
+        # The sum of squares np.linalg.norm takes, bit for bit, without its wrapper.
+        norms = _rescued_norms(raw, np.sqrt(np.add.reduce(raw * raw, axis=1)))
+    lows = np.minimum.reduceat(norms, starts)
+    if np.fmin.reduce(lows) < delta or np.fmax.reduce(norms) == np.inf:
+        j = int(((lows < delta) | (np.maximum.reduceat(norms, starts) == np.inf)).argmax())
         if lows[j] < delta:
             return None, None, j
         raise ValueError(f"column {j} has a generator whose norm exceeds the float range")
@@ -233,7 +234,7 @@ def margin_holds(projections: np.ndarray, norms: np.ndarray, epsilon):
     has: ``projections`` may stack one row per direction, with one
     ``epsilon`` each, and then gets one verdict per row.
     """
-    return np.all(projections >= np.multiply.outer(epsilon, norms), axis=-1)
+    return (projections >= np.multiply.outer(epsilon, norms)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,8 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     only a live row can be strict. It is strict when ``a_unit[k] =
     a_raw[k] / |a_raw[k]|`` verifiably meets ``epsilon[k]`` on every
     generator; a row that is not live is all zeros. Rows are stacked
-    through ``np.matmul`` so each gets the bits of judging it alone. A
+    through ``np.matmul`` so each gets the bits of judging it alone,
+    whichever other rows are live and whatever the layout of ``a_raw``. A
     failing row is checked again one ulp lower, in at most three checks,
     which stop once every row passes. So a strict row's ``a_unit`` has
     unit norm and its ``epsilon`` is positive and finite: a live row has
@@ -312,28 +314,36 @@ def _judge(W: np.ndarray, norms: np.ndarray, signs: np.ndarray, threshold: float
     finite.
     """
     size = t.shape[0]
-    strict = np.zeros(size, dtype=bool)
-    a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
-    live = np.flatnonzero(t > threshold)
+    live = (t > threshold).nonzero()[0]
     if live.size == 0:
-        return strict, a_unit, epsilon
-    a = a_raw[live]
+        return np.zeros(size, dtype=bool), np.zeros((size, W.shape[1])), np.zeros(size)
+    # With every row live nothing is gathered, but the rows are still made
+    # C-contiguous: np.matmul gives a row of a transposed a_raw other last bits.
+    every = live.size == size
+    if every:
+        a = np.ascontiguousarray(a_raw)
+    else:
+        a, t, signs = a_raw.take(live, axis=0), t.take(live), signs.take(live, axis=0)
     # |a| as np.linalg.norm takes it, one dot product per row.
     scale = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
     unit = a / scale[:, None]
     # Negation is exact, so these are the signed generators' products with
     # the unit direction bit for bit (a zero may change sign, which no
     # comparison below can see), and ``norms`` are their norms.
-    projections = np.matmul(W, unit[:, :, None])[:, :, 0] * signs[live]
+    projections = np.matmul(W, unit[:, :, None])[:, :, 0] * signs
     # A claimed margin is only accurate to round-off; certify no more than
     # the margin the generators verifiably meet.
-    eps = np.minimum(t[live] / scale, (projections / norms).min(axis=1))
+    eps = np.minimum(t / scale, (projections / norms).min(axis=1))
     ok = np.zeros(live.size, dtype=bool)
     for _ in range(3):
         ok |= (eps > 0.0) & margin_holds(projections, norms, eps)
         if ok.all():
             break
         eps = np.where(ok, eps, np.nextafter(eps, 0.0))
+    if every:
+        return ok, unit, eps
+    strict = np.zeros(size, dtype=bool)
+    a_unit, epsilon = np.zeros((size, W.shape[1])), np.zeros(size)
     strict[live], a_unit[live], epsilon[live] = ok, unit, eps
     return strict, a_unit, epsilon
 
@@ -381,25 +391,24 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
                    provenance: str) -> CertificateReport:
     """:func:`certify_matrix_family` on checked columns, column j the next ``counts[j]`` rows."""
     n = len(counts)
-    starts = np.cumsum((0,) + counts[:-1])
+    starts = list(itertools.accumulate(counts[:-1], initial=0))
     W, lows, degenerate = _unit_columns(raw, starts, delta)
     if degenerate is not None:
         return CertificateReport(n, VERDICT_NOT_CERTIFIED, (), counts, None, provenance,
                                  delta, threshold, degenerate_column=degenerate)
-    norms = np.linalg.norm(W, axis=1)
-    # Generator r is signed by the sign of its column, column_of[r].
-    column_of = np.repeat(np.arange(n), counts)
+    norms = np.sqrt(np.add.reduce(W * W, axis=1))
     patterns, column_signs = _sign_patterns(n)
     size = len(patterns)
     strict = np.zeros(size, dtype=bool)
     a_unit, epsilon = np.zeros((size, n)), np.zeros(size)
     # Python floats and Witness records of the patterns that have them.
-    lp_margin, witnesses = {}, {}
-    A = _closed_form([W[a:a + c] for a, c in zip(starts.tolist(), counts)], column_signs)
+    lp_margin, witnesses = [None] * size, {}
+    A = _closed_form([W[a:a + c] for a, c in zip(starts, counts)], column_signs)
     # Without a closed-form direction every pattern goes to the LP.
     for start in range(0, size if A is not None else 0, CHUNK):
         rows = slice(start, start + CHUNK)
-        signs = column_signs[rows][:, column_of]
+        # Each generator takes the sign of its column.
+        signs = column_signs[rows].repeat(counts, axis=1)
         # Each a is scaled to |a|_inf = 1 and claims its least product
         # with a signed unit generator: the scale of an LP optimum.
         a = A[:, rows]
@@ -408,21 +417,21 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
         strict[rows], a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold,
                                                            (a / box).T, t)
     # Only the patterns the closed form leaves undecided get an LP.
-    todo = np.flatnonzero(~strict)
+    todo = (~strict).nonzero()[0]
     for start in range(0, todo.size, CHUNK):
         rows = todo[start:start + CHUNK]
-        signs = column_signs[rows][:, column_of]
+        signs = column_signs[rows].repeat(counts, axis=1)
         a, t, lam = lpsolve.margin_lps(W, signs)
         ok, a_unit[rows], epsilon[rows] = _judge(W, norms, signs, threshold, a, t)
         strict[rows] = ok
-        lp_margin.update(zip(rows.tolist(), t.tolist()))
+        for k, margin in zip(rows.tolist(), t.tolist()):
+            lp_margin[k] = margin
         witnesses.update(zip(rows[~ok].tolist(), _witnesses(W, signs[~ok], lam[~ok])))
-    certificates = map(Certificate, _readonly(a_unit[strict]), epsilon[strict].tolist())
     results = []
-    for k, (pattern, ok) in enumerate(zip(patterns, strict.tolist())):
-        margin = lp_margin.get(k)
+    for k, (pattern, ok, a, e, margin) in enumerate(zip(
+            patterns, strict.tolist(), _readonly(a_unit), epsilon.tolist(), lp_margin)):
         if ok:
-            results.append(PatternResult(pattern, STATUS_STRICT, next(certificates), margin))
+            results.append(PatternResult(pattern, STATUS_STRICT, Certificate(a, e), margin))
         else:
             if margin > threshold:
                 note = "certificate failed post-hoc verification"
@@ -504,7 +513,7 @@ def _certify_cells(grid: PatchGrid, cells, delta: float, threshold: float) -> Ce
     columns = _grid_columns(grid, cells)
     _check_parameters(delta, threshold)
     provenance = PROVENANCE_SINGLE if len(cells) == 1 else PROVENANCE_MULTI
-    return _certify_stack(np.concatenate(columns), tuple(len(v) for v in columns),
+    return _certify_stack(np.concatenate(columns), tuple(map(len, columns)),
                           delta, threshold, provenance)
 
 

@@ -93,30 +93,37 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 
 def _finite(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
+    # Each message is formatted only for a value that fails its check.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         raise InputError(path, "integer is beyond the float range") from None
-    _require(math.isfinite(number), path, f"number must be finite, got {value!r}")
+    if not math.isfinite(number):
+        raise InputError(path, f"number must be finite, got {value!r}")
     return number
 
 
 def _int_list(raw, path: str, length: int) -> list[int]:
     _require(isinstance(raw, list), path, "expected a list of integers")
-    _require(len(raw) == length, path, f"expected {length} entries, got {len(raw)}")
-    out = []
+    if len(raw) != length:
+        raise InputError(path, f"expected {length} entries, got {len(raw)}")
     for k, v in enumerate(raw):
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{path}[{k}]", f"expected an integer, got {v!r}")
-        out.append(v)
-    return out
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise InputError(f"{path}[{k}]", f"expected an integer, got {v!r}")
+    return list(raw)
 
 
 def _vector(raw, path: str, dim: int) -> list[float]:
     _require(isinstance(raw, list), path, "expected a coordinate list")
-    _require(len(raw) == dim, path, f"expected {dim} coordinates, got {len(raw)}")
+    if len(raw) != dim:
+        raise InputError(path, f"expected {dim} coordinates, got {len(raw)}")
+    # Finite floats pass as they are; any other coordinate is converted or
+    # rejected by _finite, under a path built for it alone.
+    values = [v for v in raw if type(v) is float and math.isfinite(v)]
+    if len(values) == dim:
+        return values
     return [_finite(v, f"{path}[{k}]") for k, v in enumerate(raw)]
 
 
@@ -132,11 +139,9 @@ def _control_points(raw, path: str, degrees: list[int], dim: int) -> np.ndarray:
     def walk(node, level: int, where: str):
         if level < len(counts):
             _require(isinstance(node, list), where, "expected a nested list")
-            _require(
-                len(node) == counts[level],
-                where,
-                f"expected {counts[level]} entries along axis {level}, got {len(node)}",
-            )
+            if len(node) != counts[level]:
+                raise InputError(where, f"expected {counts[level]} entries along axis {level}, "
+                                        f"got {len(node)}")
             return [walk(child, level + 1, f"{where}[{i}]") for i, child in enumerate(node)]
         return _vector(node, where, dim)
 
@@ -210,9 +215,11 @@ def parse_input(text: str) -> InputDocument:
             _require("cell" in entry, where, "missing key 'cell'")
             cell = tuple(_int_list(entry["cell"], f"{where}.cell", dim))
             for axis, idx in enumerate(cell):
-                _require(0 <= idx < len(breaks[axis]) - 1, f"{where}.cell[{axis}]",
-                         f"cell index {idx} out of range for axis {axis}")
-            _require(cell not in patches, f"{where}.cell", f"duplicate cell {list(cell)}")
+                if not 0 <= idx < len(breaks[axis]) - 1:
+                    raise InputError(f"{where}.cell[{axis}]",
+                                     f"cell index {idx} out of range for axis {axis}")
+            if cell in patches:
+                raise InputError(f"{where}.cell", f"duplicate cell {list(cell)}")
             patches[cell] = _net_from(entry, where, dim)
         try:
             payload = PatchGrid(tuple(np.array(b) for b in breaks), patches)

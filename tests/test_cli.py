@@ -181,6 +181,54 @@ class TestParseInput:
                 "options": {"delta": -1.0},
             }))
 
+    @pytest.mark.parametrize("doc, message", [
+        # The messages the tests above match in part, whole.
+        ({"control_points": [[[0, 0], [0, 1, 5]], [[1, 0], [1, 1]]]},
+         ".control_points[0][1]: expected 2 coordinates, got 3"),
+        ({"mode": "weird"}, "mode: expected one of ('bb-patch', 'bb-grid', 'matrix-family'), "
+                            "got 'weird'"),
+        ({"columns": [[[1, 0]], [[0, float("inf")]]]},
+         "columns[1][0][1]: number must be finite, got inf"),
+        ({"control_points": [[[0, 0], [0, 1]]]},
+         ".control_points: expected 2 entries along axis 0, got 1"),
+        ({"cell": (0, [5, 0])}, "patches[0].cell[0]: cell index 5 out of range for axis 0"),
+        ({"options": {"delta": -1.0}}, "options.delta: must be positive"),
+        # Coordinates and integers that fail a check of their own.
+        ({"columns": [[[1, 0]], [[0, "1"]]]}, "columns[1][0][1]: expected a number, got '1'"),
+        ({"columns": [[[1, 0]], [[True, 1]]]}, "columns[1][0][0]: expected a number, got True"),
+        ({"columns": [[[1, 0]], [[0, None]]]}, "columns[1][0][1]: expected a number, got None"),
+        ({"columns": [[[1, 0]], [5]]}, "columns[1][0]: expected a coordinate list"),
+        ({"columns": [[[1, 0]], [[0.5, 1, 2]]]}, "columns[1][0]: expected 2 coordinates, got 3"),
+        ({"control_points": [5, 5]}, ".control_points[0]: expected a nested list"),
+        ({"control_points": [[[0, 0], [0, 1.0]], [[1, 0], [1, float("nan")]]]},
+         ".control_points[1][1][1]: number must be finite, got nan"),
+        ({"degrees": [1, 1.5]}, ".degrees[1]: expected an integer, got 1.5"),
+        ({"degrees": [1]}, ".degrees: expected 2 entries, got 1"),
+        ({"cell": (0, [0, 0, 0])}, "patches[0].cell: expected 2 entries, got 3"),
+        ({"cell": (1, [0, 0])}, "patches[1].cell: duplicate cell [0, 0]"),
+    ], ids=["coordinate-count", "mode", "not-finite", "axis-count", "cell-range", "delta",
+            "string", "bool", "null", "not-a-list", "too-many", "not-nested", "nan",
+            "degree", "degree-count", "cell-count", "duplicate-cell"])
+    def test_every_message_is_pinned(self, tmp_path, capsys, doc, message):
+        # Each change lands in a valid document of its mode, which parses as it
+        # stands; ``cell`` is a patch's position and the cell it then names.
+        base = json.loads(MATRIX_DOC if "columns" in doc else
+                          GRID_DOC if "cell" in doc else IDENTITY_PATCH_DOC)
+        parse_input(json.dumps(base))
+        if "cell" in doc:
+            k, cell = doc["cell"]
+            base["patches"][k]["cell"] = cell
+        else:
+            base.update(doc)
+        text = json.dumps(base)
+        with pytest.raises(InputError) as caught:
+            parse_input(text)
+        assert str(caught.value) == message
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["--input", str(path)]) == 3
+        assert capsys.readouterr().err == f"invcert: invalid input: {message}\n"
+
 DEGREE_ZERO_CELL_DOC = json.dumps({
     "mode": "bb-grid",
     "dimension": 2,

@@ -3,8 +3,9 @@
 ``certify_matrix_family``, ``certify_map`` and the per-patch reports all
 normalise the stacked generators of every column at once and certify
 them through one core. These tests pin that the stack gives each column
-the bits of normalising it alone, and that the grid path gives the report
-of ``certify_matrix_family`` on the reference generators of
+the bits of normalising it alone, that the judge gives each pattern the
+bits of judging it alone, and that the grid path gives the report of
+``certify_matrix_family`` on the reference generators of
 ``tests/oracles.py``.
 """
 
@@ -21,11 +22,11 @@ from invcert import (
     certify_map,
     certify_matrix_family,
 )
-from invcert import certify
-from invcert.certify import DEFAULT_DELTA, DEFAULT_THRESHOLD, _certify_cells, _unit_columns
+from invcert import certify, lpsolve
+from invcert.certify import DEFAULT_DELTA, DEFAULT_THRESHOLD, _certify_cells, _judge, _unit_columns
 
 from helpers import near_identity_columns
-from oracles import reference_grid_column_generators
+from oracles import margin_lp_inputs, reference_grid_column_generators
 from test_certify import result_bytes
 
 
@@ -60,6 +61,9 @@ def random_grid(rng, shape, degrees) -> PatchGrid:
     return PatchGrid(tuple(breaks), patches)
 
 
+GOLDEN = (5 ** 0.5 - 1) / 2
+
+
 def direct_path_maps() -> dict:
     rng = np.random.default_rng(28)
     square = np.array([[[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]])
@@ -84,6 +88,14 @@ def direct_path_maps() -> dict:
             # Finite derivative points whose norm is beyond it.
             ControlNet((1, 1), [[[0.0, 0.0], [0.0, 1.0]], [[1.5e308, 1.5e308], [1.5e308, 1.0]]]),
         ],
+        # The benchmark's bilinear-sweep maps: noise amplitudes over 0 to 1.2
+        # by the golden-ratio sequence. Most are decided in closed form, the
+        # rest by LPs that certify them or reject them with zero margins;
+        # the last net's first column has a zero generator.
+        "bilinear-sweep": [ControlNet((1, 1), square + rng.uniform(-a, a, size=(2, 2, 2)))
+                           for k in range(300) for a in [1.2 * (k * GOLDEN % 1.0)]]
+                          + [ControlNet((1, 1), [[[0.0, 0.0], [0.0, 1.0]],
+                                                 [[0.0, 0.0], [1.0, 1.0]]])],
     }
 
 
@@ -124,6 +136,51 @@ class TestStackedNormalisation:
         want = [_unit_columns(col.vectors, (0,), delta)[1][0] for col in columns]
         assert all(type(v) is float for v in report.min_generator_norms)
         assert np.array(report.min_generator_norms).tobytes() == np.array(want).tobytes()
+
+
+def judge_candidates(columns) -> tuple:
+    """``W``, norms, signs and the closed-form and LP candidates the certifier judges.
+
+    Each candidate is ``(a_raw, t)`` on the box scale: the closed form's
+    ``(A / box).T``, a transposed view as the certifier passes it, and
+    the LP's C-contiguous directions.
+    """
+    W, signs = margin_lp_inputs(columns)
+    units = np.split(W, np.cumsum([len(col.vectors) for col in columns])[:-1])
+    A = certify._closed_form(units, certify._sign_patterns(len(columns))[1])
+    box = np.abs(A).max(axis=0)
+    a, t, _ = lpsolve.margin_lps(W, signs)
+    return (W, np.linalg.norm(W, axis=1), signs,
+            [((A / box).T, ((W @ A).T * signs).min(axis=1) / box), (a, t)])
+
+
+def judged_rows(judged) -> list:
+    return [(bool(ok), a.tobytes(), e.tobytes()) for ok, a, e in zip(*judged, strict=True)]
+
+
+class TestJudgeRows:
+    @pytest.mark.parametrize("n, seed, noise", [(6, 1, 0.05), (6, 1, 0.15), (8, 3, 0.15)])
+    def test_each_row_gets_the_bits_of_being_judged_alone(self, n, seed, noise):
+        # The live rows of a candidate stack are judged four ways: all live
+        # at once, with a row that is not live mixed in, one at a time, and
+        # with a_raw in either layout. Every way gives each row the same bytes.
+        W, norms, signs, candidates = judge_candidates(
+            near_identity_columns(np.random.default_rng(seed), n, noise=noise))
+        for a_raw, t in candidates:
+            live = t > DEFAULT_THRESHOLD
+            assert live.any()
+            a, t, s = np.asfortranarray(a_raw[live]), t[live], signs[live]
+            assert not a.flags.c_contiguous
+            want = judged_rows(_judge(W, norms, s, DEFAULT_THRESHOLD, np.ascontiguousarray(a), t))
+            assert judged_rows(_judge(W, norms, s, DEFAULT_THRESHOLD, a, t)) == want
+            alone = [judged_rows(_judge(W, norms, s[k:k + 1], DEFAULT_THRESHOLD,
+                                        a[k:k + 1], t[k:k + 1]))[0] for k in range(len(t))]
+            assert alone == want
+            k = len(t) // 2
+            mixed = judged_rows(_judge(W, norms, np.insert(s, k, s[0], axis=0), DEFAULT_THRESHOLD,
+                                       np.insert(a, k, a[0], axis=0), np.insert(t, k, 0.0)))
+            assert mixed.pop(k) == (False, bytes(8 * n), bytes(8))
+            assert mixed == want
 
 
 class TestDirectGridPath:

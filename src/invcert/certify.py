@@ -139,9 +139,9 @@ class Certificate:
     """Unit direction ``a`` and margin ``epsilon > 0`` for one signed cone.
 
     It states that ``a . x >= epsilon * |x|`` for every ``x`` in the cone.
-    ``a`` is a read-only row of the report's one stack of judged
-    directions, which only the judge that verified them builds, and
-    ``epsilon`` a Python float with ``0 < epsilon < inf``.
+    ``a`` is a read-only row of the report's one stack of certificates,
+    which only the judge that verified them builds, and ``epsilon`` a
+    Python float with ``0 < epsilon < inf``.
     """
 
     a: np.ndarray
@@ -194,9 +194,10 @@ def _unit_columns(raw: np.ndarray, starts, delta: float):
     with np.errstate(over="ignore"):
         # The sum of squares np.linalg.norm takes, bit for bit, without its wrapper.
         norms = _rescued_norms(raw, np.sqrt(np.add.reduce(raw * raw, axis=1)))
-    lows = np.minimum.reduceat(norms, starts)
-    if np.fmin.reduce(lows) < delta or np.fmax.reduce(norms) == np.inf:
-        j = int(((lows < delta) | (np.maximum.reduceat(norms, starts) == np.inf)).argmax())
+    lows, highs = np.minimum.reduceat(norms, starts), np.maximum.reduceat(norms, starts)
+    bad = (lows < delta) | (highs == np.inf)
+    if bad.any():
+        j = int(bad.argmax())
         if lows[j] < delta:
             return None, None, j
         raise ValueError(f"column {j} has a generator whose norm exceeds the float range")
@@ -427,11 +428,15 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
         for k, margin in zip(rows.tolist(), t.tolist()):
             lp_margin[k] = margin
         witnesses.update(zip(rows[~ok].tolist(), _witnesses(W, signs[~ok], lam[~ok])))
+    every = strict.all()
+    # The report keeps its certificates' directions and no failed pattern's.
+    certificates = iter(_readonly(a_unit if every else a_unit[strict]))
     results = []
-    for k, (pattern, ok, a, e, margin) in enumerate(zip(
-            patterns, strict.tolist(), _readonly(a_unit), epsilon.tolist(), lp_margin)):
+    for k, (pattern, ok, e, margin) in enumerate(zip(patterns, strict.tolist(),
+                                                     epsilon.tolist(), lp_margin)):
         if ok:
-            results.append(PatternResult(pattern, STATUS_STRICT, Certificate(a, e), margin))
+            certificate = Certificate(next(certificates), e)
+            results.append(PatternResult(pattern, STATUS_STRICT, certificate, margin))
         else:
             if margin > threshold:
                 note = "certificate failed post-hoc verification"
@@ -439,7 +444,7 @@ def _certify_stack(raw: np.ndarray, counts: tuple[int, ...], delta: float, thres
                 note = "numerically marginal" if margin > 0.0 else None
             results.append(PatternResult(pattern, STATUS_NOT_STRICT, None, margin,
                                          witness=witnesses.get(k), note=note))
-    verdict = VERDICT_STRICT if strict.all() else VERDICT_NOT_CERTIFIED
+    verdict = VERDICT_STRICT if every else VERDICT_NOT_CERTIFIED
     return CertificateReport(n, verdict, tuple(results), counts, tuple(lows.tolist()),
                              provenance, delta, threshold)
 

@@ -119,12 +119,9 @@ def _vector(raw, path: str, dim: int) -> list[float]:
     _require(isinstance(raw, list), path, "expected a coordinate list")
     if len(raw) != dim:
         raise InputError(path, f"expected {dim} coordinates, got {len(raw)}")
-    # Finite floats pass as they are; any other coordinate is converted or
-    # rejected by _finite, under a path built for it alone.
-    values = [v for v in raw if type(v) is float and math.isfinite(v)]
-    if len(values) == dim:
-        return values
-    return [_finite(v, f"{path}[{k}]") for k, v in enumerate(raw)]
+    # A finite float passes as it is, with no path built for it.
+    return [v if type(v) is float and math.isfinite(v) else _finite(v, f"{path}[{k}]")
+            for k, v in enumerate(raw)]
 
 
 def _control_points(raw, path: str, degrees: list[int], dim: int) -> np.ndarray:

@@ -113,6 +113,16 @@ class TestStrictVFamily:
         assert res.witness.residual_norm <= 1e-9
         np.testing.assert_allclose(res.witness.weights.sum(), 1.0, atol=1e-12)
 
+    def test_certificates_keep_no_failed_direction(self):
+        # A report's certificates are the rows of one stack, and that stack
+        # holds no row for a pattern that failed.
+        collapsed = [GeneratorSet(0, [[1.0, 1.0]]), GeneratorSet(1, [[1.0, 1.0]])]
+        for columns, strict in ((IDENTITY_COLUMNS, 2), (collapsed, 1)):
+            report = certify_matrix_family(columns)
+            stacks = {id(res.certificate.a.base): res.certificate.a.base
+                      for res in report.pattern_results if res.certificate is not None}
+            assert [stack.shape for stack in stacks.values()] == [(strict, 2)]
+
     def test_quad_columns(self):
         report = certify_matrix_family(QUAD_COLUMNS)
         assert report.certified

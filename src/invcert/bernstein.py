@@ -85,6 +85,8 @@ class PatchGrid:
 
     breakpoints: tuple[np.ndarray, ...]
     patches: Mapping[tuple[int, ...], ControlNet]
+    _UNIT_BREAKS = np.array([0.0, 1.0])  # every axis of every PatchGrid.single
+    _UNIT_BREAKS.setflags(write=False)
 
     def __post_init__(self):
         breaks = []
@@ -139,12 +141,10 @@ class PatchGrid:
     def single(cls, net: ControlNet) -> "PatchGrid":
         """Wrap one net as a grid with a single cell covering [0,1]^n.
 
-        The net is checked, so its grid is not: all axes share one read-only [0.0, 1.0].
+        The net is checked, so its grid is not: every axis shares one read-only [0.0, 1.0].
         """
-        breaks = np.array([0.0, 1.0])
-        breaks.setflags(write=False)
         grid = object.__new__(cls)
-        grid.__dict__.update(breakpoints=(breaks,) * net.dimension,
+        grid.__dict__.update(breakpoints=(cls._UNIT_BREAKS,) * net.dimension,
                              patches={(0,) * net.dimension: net})
         return grid
 
@@ -156,9 +156,9 @@ def _reduce_batch(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """De Casteljau reduction of a point tensor at a batch of parameters.
 
     ``points`` has shape (m_1, ..., m_n, n); ``xs`` has shape (N, n).
-    Returns the N evaluated codomain vectors, shape (N, n). The batch axis
-    is kept last, so every step runs over rows of N values; each value is
-    computed by the same operations in any layout.
+    Returns the N evaluated codomain vectors, shape (N, n), as a transposed
+    view: the batch axis is kept last, so every step runs over rows of N
+    values; each value is computed by the same operations in any layout.
     """
     b = points[..., None]
     for axis in range(xs.shape[1]):
@@ -170,7 +170,7 @@ def _reduce_batch(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # Degree-0 axes never touch the parameters, so the batch axis may
         # not have materialized through broadcasting.
         b = np.broadcast_to(b, (points.shape[-1], xs.shape[0]))
-    return np.ascontiguousarray(b.T)
+    return b.T
 
 
 def _check_unit_cube(xs: np.ndarray, n: int) -> np.ndarray:
@@ -232,11 +232,8 @@ def _cell_groups(grid: PatchGrid, pts: np.ndarray):
     on a shared face goes to the lexicographically smallest containing
     cell. In a one-cell grid the cell is [0,1]^n itself: lo = 0 and
     width = 1 along every axis, so the local coordinates are the points,
-    bit for bit.
+    bit for bit, and the callers skip this split.
     """
-    if len(grid.patches) == 1:
-        (cell,) = grid.patches
-        return [(cell, slice(None), pts)]
     n = grid.dimension
     idx = np.empty((pts.shape[0], n), dtype=int)
     lo = np.empty_like(pts)
@@ -276,14 +273,16 @@ def eval_many(map_like, xs) -> np.ndarray:
     control point exactly.
     """
     grid = _as_grid(map_like)
-    pts = _check_unit_cube(xs, grid.dimension)
-    groups = _cell_groups(grid, pts)
-    if len(groups) == 1:
-        # Every point lies in one cell, in order: no scatter needed.
-        ((cell, _, local),) = groups
-        return _reduce_batch(grid.patches[cell].points, local)
+    return np.ascontiguousarray(_evaluate(grid, _check_unit_cube(xs, grid.dimension)))
+
+
+def _evaluate(grid: PatchGrid, pts: np.ndarray) -> np.ndarray:
+    """:func:`eval_many` without its checks, for (N, n) float points known to lie in [0,1]^n."""
+    if len(grid.patches) == 1:
+        (net,) = grid.patches.values()
+        return _reduce_batch(net.points, pts)
     out = np.empty_like(pts)
-    for cell, rows, local in groups:
+    for cell, rows, local in _cell_groups(grid, pts):
         out[rows] = _reduce_batch(grid.patches[cell].points, local)
     return out
 
@@ -298,7 +297,8 @@ def _jacobians(grid: PatchGrid, derivatives, xs: np.ndarray) -> np.ndarray:
     """
     n = grid.dimension
     J = np.zeros((xs.shape[0], n, n))
-    for cell, rows, local in _cell_groups(grid, xs):
+    groups = [(*derivatives, slice(None), xs)] if len(derivatives) == 1 else _cell_groups(grid, xs)
+    for cell, rows, local in groups:
         for axis, points in enumerate(derivatives[cell]):
             J[rows, :, axis] = _reduce_batch(points, local)
     return J

@@ -68,9 +68,11 @@ FORMATS = ("text", "structured")
 
 
 class InputError(ValueError):
-    """Input document rejected; the message names the offending field."""
+    """Input document rejected; the message names the offending field (a path ``(f, i)``: f[i])."""
 
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: str | tuple, message: str):
+        if isinstance(path, tuple):
+            path = path[0] + "".join(f"[{i}]" for i in path[1:])
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
@@ -92,7 +94,7 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise InputError(path, message)
 
 
-def _finite(value, path: str) -> float:
+def _finite(value, path: str | tuple) -> float:
     # Each message is formatted only for a value that fails its check.
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InputError(path, f"expected a number, got {value!r}")
@@ -115,12 +117,12 @@ def _int_list(raw, path: str, length: int) -> list[int]:
     return list(raw)
 
 
-def _vector(raw, path: str, dim: int) -> list[float]:
+def _vector(raw, path: tuple, dim: int) -> list[float]:
     _require(isinstance(raw, list), path, "expected a coordinate list")
     if len(raw) != dim:
         raise InputError(path, f"expected {dim} coordinates, got {len(raw)}")
     # A finite float passes as it is, with no path built for it.
-    return [v if type(v) is float and math.isfinite(v) else _finite(v, f"{path}[{k}]")
+    return [v if type(v) is float and math.isfinite(v) else _finite(v, (*path, k))
             for k, v in enumerate(raw)]
 
 
@@ -133,16 +135,16 @@ def _control_points(raw, path: str, degrees: list[int], dim: int) -> np.ndarray:
                                "more than numpy allows") from None
     counts = [p + 1 for p in degrees]
 
-    def walk(node, level: int, where: str):
+    def walk(node, level: int, where: tuple):
         if level < len(counts):
             _require(isinstance(node, list), where, "expected a nested list")
             if len(node) != counts[level]:
                 raise InputError(where, f"expected {counts[level]} entries along axis {level}, "
                                         f"got {len(node)}")
-            return [walk(child, level + 1, f"{where}[{i}]") for i, child in enumerate(node)]
+            return [walk(child, level + 1, (*where, i)) for i, child in enumerate(node)]
         return _vector(node, where, dim)
 
-    return np.array(walk(raw, 0, path), dtype=float)
+    return np.array(walk(raw, 0, (path,)), dtype=float)
 
 
 def _net_from(obj: dict, path: str, dim: int) -> ControlNet:
@@ -229,10 +231,10 @@ def parse_input(text: str) -> InputDocument:
                  "columns", f"expected {dim} column lists")
         columns = []
         for j, raw_col in enumerate(raw_cols):
-            where = f"columns[{j}]"
+            where = ("columns", j)
             _require(isinstance(raw_col, list) and raw_col,
                      where, "expected a non-empty list of vectors")
-            vectors = [_vector(v, f"{where}[{k}]", dim) for k, v in enumerate(raw_col)]
+            vectors = [_vector(v, (*where, k), dim) for k, v in enumerate(raw_col)]
             columns.append(GeneratorSet(j, np.array(vectors)))
         payload = columns
 

@@ -18,18 +18,22 @@ exact Jacobians of every running candidate together, as
 :mod:`invcert.bernstein` forms them, solves all their damped
 Gauss-Newton systems in one stacked solve and tries every step length of
 every candidate in one evaluation. The run returns the first collision
-any candidate stops at.
+any candidate stops at. It evaluates only points it made itself, draws in
+[0,1) and line-search points clipped to [0,1] but never NaN ones, so it
+skips ``eval_many``'s checks; witness images still come from ``eval_many``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import PatchGrid, _as_grid, _cell_derivatives, _is_integer, _jacobians, eval_many
-from .certify import _rescued_norms
+from .bernstein import (PatchGrid, _as_grid, _cell_derivatives, _evaluate, _is_integer, _jacobians,
+                        eval_many)
+from .certify import _readonly, _rescued_norms
 
 __all__ = [
     "COLLISION_TOL",
@@ -58,6 +62,7 @@ _REFINE_MAX_ITER = 80
 _BLOCK = 2**12
 # Backtracking step lengths 1, 1/2, ..., 2^-13, longest first.
 _ALPHAS = np.ldexp(1.0, -np.arange(14))
+_identity = functools.cache(lambda n: _readonly(np.eye(n)))  # the damping's, made once per n
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ def _pair_norms(U: np.ndarray, V: np.ndarray, grid: PatchGrid | None = None) -> 
         block = slice(start, start + _BLOCK)
         u, v = U[block], V[block]
         if grid is not None:
-            u, v = eval_many(grid, u), eval_many(grid, v)
+            u, v = _evaluate(grid, u), _evaluate(grid, v)
         out[block] = _row_norms(u - v)
     return out
 
@@ -107,26 +112,27 @@ def _gauss_newton_steps(M: np.ndarray, r: np.ndarray, floor: float):
 
     ``M`` is (K, n, 2n), ``r`` is (K, n) and λ is 1e-12 times the larger
     of ``floor`` and the trace of ``M Mᵀ``. Returns the (K, 2n) steps and
-    a mask of the systems that could be solved. Each step has the bits of
-    the same system solved alone.
+    a mask of the systems that could be solved; the step of an unsolved
+    system is NaN. Each step has the bits of the same system solved alone.
     """
     K, n, _ = M.shape
-    A = M @ M.transpose(0, 2, 1)
+    Mt = M.transpose(0, 2, 1)
+    A = M @ Mt
     # fmax ignores a NaN trace, as Python's max(floor, trace) does.
-    damping = 1e-12 * np.fmax(floor, np.trace(A, axis1=1, axis2=2))
-    A += damping[:, None, None] * np.eye(n)
+    damping = 1e-12 * np.fmax(floor, A.trace(axis1=1, axis2=2))
+    A += np.multiply.outer(damping, _identity(n))
     ok = np.ones(K, dtype=bool)
     try:
         sol = np.linalg.solve(A, r[..., None])
     except np.linalg.LinAlgError:
         # One singular system fails the whole stack: solve them one by one.
-        sol = np.zeros((K, n, 1))
+        sol = np.full((K, n, 1), np.nan)
         for k in range(K):
             try:
                 sol[k] = np.linalg.solve(A[k], r[k, :, None])
             except np.linalg.LinAlgError:
                 ok[k] = False
-    return ((-M.transpose(0, 2, 1)) @ sol)[..., 0], ok
+    return (-Mt @ sol)[..., 0], ok
 
 
 def _line_search(grid, P, step, gap):
@@ -141,28 +147,29 @@ def _line_search(grid, P, step, gap):
     """
     K, _, n = P.shape
     # Rows are (candidate, step length); each row holds its pair (u, v).
-    W = np.clip(P[:, None] + _ALPHAS[:, None, None] * step.reshape(K, 1, 2, n),
-                0.0, 1.0).reshape(-1, 2, n)
+    W = (P[:, None] + _ALPHAS[:, None, None] * step.reshape(K, 1, 2, n)).reshape(-1, 2, n)
+    W.clip(0.0, 1.0, out=W)  # np.clip's bits: np.maximum would turn a -0.0 into 0.0
     D = W[:, 1] - W[:, 0]
     sep = _row_norms(D)
     close = sep < SEPARATION_FLOOR
     if close.any():
         # Move a close pair apart to SEPARATION_FLOOR about its midpoint; a
-        # pair of equal points stays as it is.
-        moved = (close & (sep != 0.0))[:, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            half = D / sep[:, None] * SEPARATION_FLOOR / 2.0
+        # pair of equal points stays as it is, and only moved pairs divide.
+        moved = (close & (sep != 0.0))[:, None]
+        half = np.divide(D, sep[:, None], out=D, where=moved) * SEPARATION_FLOOR / 2.0
         mid = (W[:, 0] + W[:, 1]) / 2.0
-        W = np.where(moved, np.stack([mid - half, mid + half], axis=1), W)
-        np.clip(W, 0.0, 1.0, out=W)
+        np.subtract(mid, half, out=W[:, 0], where=moved)
+        np.add(mid, half, out=W[:, 1], where=moved)
+        W.clip(0.0, 1.0, out=W)
         sep = _row_norms(W[:, 0] - W[:, 1])
-    tried = np.flatnonzero(sep >= SEPARATION_FLOOR)
-    images = eval_many(grid, W[tried].reshape(-1, n)).reshape(-1, 2, n)
+    # Rows are clipped into the unit cube, and a NaN row is never tried.
+    tried = sep >= SEPARATION_FLOOR
+    images = _evaluate(grid, W[tried].reshape(-1, n)).reshape(-1, 2, n)
     R = np.full((W.shape[0], n), np.nan)
     R[tried] = images[:, 0] - images[:, 1]
     gaps = _row_norms(R)
     better = gaps.reshape(K, _ALPHAS.size) < gap[:, None]
-    rows = np.arange(K) * _ALPHAS.size + better.argmax(axis=1)
+    rows = np.arange(0, better.size, _ALPHAS.size) + better.argmax(axis=1)
     return better.any(axis=1), W[rows], R[rows], gaps[rows]
 
 
@@ -187,19 +194,21 @@ def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.nda
     """
     K, n = U0.shape
     # The arrays hold the candidates still running. P[k] is (u, v).
-    P = np.stack([U0, V0], axis=1)
-    images = eval_many(grid, P.reshape(-1, n)).reshape(K, 2, n)
+    P = np.concatenate((U0, V0), axis=1).reshape(K, 2, n)
+    images = _evaluate(grid, P.reshape(-1, n)).reshape(K, 2, n)
     r = images[:, 0] - images[:, 1]
     gap = _row_norms(r)
     stalls = np.zeros(K, dtype=int)
     halted = np.zeros(K, dtype=bool)  # no solvable system or no better step
     s = min(1.0, top)
     e = int(np.frexp(top)[1])  # ldexp stays finite where 2.0 ** -e would not
+    floor = np.ldexp(s, -e) ** 2
     for it in itertools.count():
         stopping = halted | (gap <= 1e-12 * s) | (stalls >= 3) | (it == _REFINE_MAX_ITER)
         if stopping.any():
-            collided = stopping & (gap <= COLLISION_TOL * s) & (
-                _row_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR)
+            collided = stopping & (gap <= COLLISION_TOL * s)
+            if collided.any():  # separations matter only then
+                collided &= _row_norms(P[:, 0] - P[:, 1]) >= SEPARATION_FLOOR
             if collided.any():
                 return P[collided.argmax()]
             keep = ~stopping
@@ -209,9 +218,8 @@ def _refine(grid: PatchGrid, derivatives, top: float, U0: np.ndarray, V0: np.nda
 
         J = _jacobians(grid, derivatives, P.reshape(-1, n)).reshape(-1, 2, n, n)
         M = np.concatenate([J[:, 0], -J[:, 1]], axis=2)
-        step, solved = _gauss_newton_steps(np.ldexp(M, -e), np.ldexp(r, -e), np.ldexp(s, -e) ** 2)
-        # No step length accepts a NaN step, so an unsolved system halts.
-        step[~solved] = np.nan
+        # No step length accepts the NaN step of an unsolved system, so it halts.
+        step, _ = _gauss_newton_steps(np.ldexp(M, -e), np.ldexp(r, -e), floor)
         accepted, P_new, r, gap_new = _line_search(grid, P, step, gap)
         halted = ~accepted
         if halted.any():
@@ -266,9 +274,6 @@ def sampled_injectivity(map_like, trials: int, seed: int = 0) -> CollisionReport
         pair = _refine(grid, derivatives, top, U[order], V[order])
         if pair is None:
             return CollisionReport(False, None, trials, int(seed))
-        return CollisionReport(True, _witness(grid, *pair), trials, int(seed))
-
-
-def _witness(grid: PatchGrid, u: np.ndarray, v: np.ndarray):
-    images = eval_many(grid, np.vstack([u, v]))
-    return (u.copy(), v.copy(), images[0], images[1])
+        images = eval_many(grid, pair)
+        return CollisionReport(True, (pair[0].copy(), pair[1].copy(), images[0], images[1]),
+                               trials, int(seed))

@@ -266,6 +266,16 @@ class TestGridEvaluation:
                 assert eval_many(grid, xs[3]).tobytes() == eval_many(net, xs[3]).tobytes()
 
 
+def test_one_cell_grids_share_one_read_only_unit_interval():
+    a = PatchGrid.single(identity_net(2))
+    b = PatchGrid.single(random_net(np.random.default_rng(5), 3))
+    assert all(breaks is a.breakpoints[0] for breaks in a.breakpoints + b.breakpoints)
+    assert a.breakpoints[0].tolist() == [0.0, 1.0]
+    assert not a.breakpoints[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        b.breakpoints[1][1] = 0.5
+
+
 def test_grid_copies_the_callers_breakpoints():
     cuts = np.array([0.0, 0.5, 1.0])
     grid = PatchGrid((cuts,), {(0,): identity_net(1), (1,): identity_net(1)})

@@ -12,7 +12,8 @@ from invcert import (
     sampled_injectivity,
 )
 from invcert import oracle
-from invcert.bernstein import _cell_derivatives, _derivative_points, _jacobians, _reduce_batch
+from invcert.bernstein import (_cell_derivatives, _cell_groups, _check_unit_cube,
+                               _derivative_points, _evaluate, _jacobians, _reduce_batch)
 from invcert.certify import _grid_columns
 from invcert.oracle import COLLISION_TOL, MAX_TRIALS, SEPARATION_FLOOR
 
@@ -102,14 +103,20 @@ def folded_corpus() -> list[ControlNet]:
 
 
 def counted_evaluations(monkeypatch) -> list[int]:
-    """The point count of every later ``eval_many`` call the oracle makes."""
+    """The point count of every later call to the oracle's unchecked evaluator.
+
+    Each call must pass what ``eval_many`` checks: an (N, n) float array of
+    finite points in the unit cube.
+    """
     calls = []
 
-    def counting(map_like, xs):
-        calls.append(len(xs))
-        return eval_many(map_like, xs)
+    def checked(grid, pts):
+        assert pts.dtype == float and np.isfinite(pts).all()
+        assert _check_unit_cube(pts, grid.dimension) is pts
+        calls.append(len(pts))
+        return _evaluate(grid, pts)
 
-    monkeypatch.setattr(oracle, "eval_many", counting)
+    monkeypatch.setattr(oracle, "_evaluate", checked)
     return calls
 
 
@@ -287,7 +294,8 @@ class TestContract:
         assert flags == CORPUS_COLLIDED
         assert 0 < flags.count("1") < len(runs)
 
-    def test_corpus_witnesses_meet_the_contract(self):
+    def test_corpus_witnesses_meet_the_contract(self, monkeypatch):
+        calls = counted_evaluations(monkeypatch)
         for map_like, trials, seed in reference_corpus():
             report = sampled_injectivity(map_like, trials, seed)
             assert (report.trials, report.seed) == (trials, seed)
@@ -295,12 +303,14 @@ class TestContract:
                 check_collision_witness(map_like, report.witness)
             else:
                 assert report.witness is None
+        assert len(calls) > 500
 
     def test_the_same_seed_gives_the_same_report(self):
         for run in reference_corpus():
             assert same_report(sampled_injectivity(*run), sampled_injectivity(*run)), run[1:]
 
-    def test_folded_nets_are_caught_at_500_trials(self):
+    def test_folded_nets_are_caught_at_500_trials(self, monkeypatch):
+        counted_evaluations(monkeypatch)
         collided = 0
         for net in folded_corpus():
             report = sampled_injectivity(net, 500, seed=3)
@@ -358,6 +368,7 @@ class TestContract:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
+        counted_evaluations(monkeypatch)
         collided = 0
         for map_like, trials, seed in reference_corpus()[:40]:
             report = sampled_injectivity(map_like, trials, seed)
@@ -429,6 +440,29 @@ class TestJacobians:
             assert got[want == 0.0].tobytes() == want[want == 0.0].tobytes()
             zeros += (want == 0.0).sum()
         assert zeros
+
+    def test_one_cell_shortcuts_match_the_cell_split(self):
+        # _evaluate and _jacobians skip _cell_groups on a one-cell map, whose
+        # split gives local coordinates (x - 0) / 1: the same bits either way.
+        rng = np.random.default_rng(53)
+        nets = [random_net(rng, n, max_degree=3, min_degree=0) for n in (1, 2, 3)
+                for _ in range(3)]
+        maps = nets + [PatchGrid.single(net) for net in nets]
+        maps += [PatchGrid((np.array([0.0, 1.0]),) * net.dimension, {(0,) * net.dimension: net})
+                 for net in nets]
+        maps += [unequal_grid(rng), random_grid_2x2(rng)]
+        for map_like in maps:
+            grid = oracle._as_grid(map_like)
+            xs = self.points(rng, grid, 300)
+            derivatives = {cell: _cell_derivatives(grid, cell) for cell in grid.patches}
+            values, J = np.empty_like(xs), np.zeros(xs.shape + (grid.dimension,))
+            for cell, rows, local in _cell_groups(grid, xs):
+                values[rows] = _reduce_batch(grid.patches[cell].points, local)
+                for axis, points in enumerate(derivatives[cell]):
+                    J[rows, :, axis] = _reduce_batch(points, local)
+            assert _evaluate(grid, xs).tobytes() == values.tobytes()
+            assert eval_many(map_like, xs).tobytes() == values.tobytes()
+            assert _jacobians(grid, derivatives, xs).tobytes() == J.tobytes()
 
     def test_cell_corners_are_certifier_generators(self):
         # At its upper corner a cell's local coordinates are all 1.0, so each
@@ -570,7 +604,7 @@ class TestLockstepMatchesSequential:
         assert not report.collided
         # Three sample blocks of u and of v, one call to start refining,
         # then one line search per lockstep round; Jacobians reduce
-        # derivative control points without going through eval_many.
+        # derivative control points without going through the evaluator.
         assert calls[:6] == [4096, 4096, 4096, 4096, 1808, 1808]
         assert len(calls) <= 64
 
